@@ -7,7 +7,7 @@ Yang-Baxter equation, the Hecke relation and every supporting scalar
 identity symbolically, with no floating point anywhere.
 """
 
-from .laurent import LaurentQP, Rational, as_laurent, one, p, q, zero
+from .laurent import LaurentQP, as_laurent, one, p, q, zero
 from .model import (
     cg_inverse,
     cg_op,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentQP",
-    "Rational",
     "as_laurent",
     "q",
     "p",

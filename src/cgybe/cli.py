@@ -7,17 +7,16 @@ identity suites, and evaluate at numeric parameters.
     cgybe eval       --op cg2 --n 2 --q 2 --p 2 [--check-ybe]
 
 Exit codes: 0 when everything passes, 1 when at least one check fails,
-2 on a usage or configuration error.  Reports stream as JSON lines.
-Set CGYBE_WORKERS > 1 to run independent checks in a thread pool.
+2 on a usage or configuration error, including --params hecke combined
+with --alpha/--beta, and --alpha/--beta on a gen or eval operator that
+does not use them.  Reports stream as JSON lines in sorted check order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .laurent import LaurentQP
@@ -155,13 +154,22 @@ def _parse_rational(text: str) -> Fraction:
 # shared plumbing
 
 
-def _resolve_params(args) -> tuple[LaurentQP, LaurentQP]:
+def _resolve_params(args, *, only_cg_reads: bool = False) -> tuple[LaurentQP, LaurentQP]:
+    """alpha and beta from the flags; rejects flags that would be ignored.
+
+    ``only_cg_reads`` marks subcommands (gen, eval) where the parameters
+    reach nothing but the ``cg`` operator; verify also feeds alpha to its
+    hecke and quadratic checks, whatever the operator.
+    """
+    given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
+    if given and args.params == "hecke":
+        raise ValueError(f"--params hecke conflicts with {' and '.join(given)}")
+    if given and only_cg_reads and args.op != "cg":
+        raise ValueError(f"{' and '.join(given)} has no effect on --op {args.op}")
     alpha, beta = hecke_parameters()
-    if getattr(args, "params", None) == "hecke":
-        return alpha, beta
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         alpha = parse_laurent_expr(args.alpha)
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         beta = parse_laurent_expr(args.beta)
     return alpha, beta
 
@@ -191,30 +199,13 @@ def _require_positive_n(n: int) -> None:
         raise ValueError(f"--n must be at least 1, got {n}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CGYBE_WORKERS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs):
-    """Run (name, thunk) pairs, preserving input order in the result."""
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: job[1](), jobs))
-    return [thunk() for _, thunk in jobs]
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
 def cmd_gen(args) -> int:
     _require_positive_n(args.n)
-    alpha, beta = _resolve_params(args)
+    alpha, beta = _resolve_params(args, only_cg_reads=True)
     operator = _build_operator(args.op, args.n, alpha, beta)
     if args.format == "json":
         text = json.dumps(operator.to_json_obj(), indent=2) + "\n"
@@ -244,10 +235,9 @@ def cmd_verify(args) -> int:
         "gp": lambda: check_gp_relations(n),
         "quadratic": lambda: check_quadratic(n, alpha, beta),
     }
-    jobs = [(name, thunks[name]) for name in sorted(set(names))]
-    reports = _run_jobs(jobs)
     all_passed = True
-    for report in reports:
+    for name in sorted(set(names)):
+        report = thunks[name]()
         sys.stdout.write(json.dumps(report.to_json_obj()) + "\n")
         all_passed &= report.passed
     return 0 if all_passed else 1
@@ -269,7 +259,7 @@ def cmd_identities(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_positive_n(args.n)
-    alpha, beta = _resolve_params(args)
+    alpha, beta = _resolve_params(args, only_cg_reads=True)
     qval = _parse_rational(args.q)
     pval = _parse_rational(args.p)
     if qval == 0 or pval == 0:

@@ -6,9 +6,18 @@ dict keyed by the exponent pair ``(a, b)``; zero coefficients are never
 stored, so equality of term dicts is exactly equality of polynomials and
 the zero polynomial is the empty dict.
 
-Coefficients are :class:`fractions.Fraction`.  No floating point enters
-anywhere in this package: every downstream identity check relies on
-"this coefficient is zero" being an exact statement.
+Each coefficient has one canonical stored form: an ``int`` when its value
+is an integer, a :class:`fractions.Fraction` with denominator > 1
+otherwise.  Every operator the package builds lives in Z[q^±1, p^±1], so
+the ring operations mostly add and multiply plain ints; a ``Fraction``
+appears only through division (``unit_inverse`` of a coefficient other
+than ±1), rational ``eval``/``subs_p`` points or rational input, and is
+demoted back to ``int`` whenever a result is integral.
+
+No floating point enters anywhere in this package: a ``float``
+coefficient is rejected with ``TypeError``, because every downstream
+identity check relies on "this coefficient is zero" being an exact
+statement.
 """
 
 from __future__ import annotations
@@ -18,30 +27,30 @@ from typing import Iterator, Mapping
 
 __all__ = [
     "LaurentQP",
-    "Rational",
     "q",
     "p",
     "one",
     "zero",
     "as_laurent",
     "rational_to_str",
-    "rational_from_str",
 ]
 
-# Coefficients are exact rationals; Fraction already keeps gcd-reduced
-# num/den with a positive denominator and 0 stored as 0/1.
-Rational = Fraction
-
 ExpPair = tuple[int, int]
+Coeff = int | Fraction
 
 
-def rational_to_str(value: Fraction) -> str:
+def rational_to_str(value: Coeff) -> str:
     """Canonical "num/den" string, denominator always present."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(text)
+def _canonical(value) -> Coeff:
+    """The stored form of an exact rational: int if integral, else Fraction."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
 
 
 class LaurentQP:
@@ -49,14 +58,31 @@ class LaurentQP:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[ExpPair, Fraction | int] | None = None):
-        normalized: dict[ExpPair, Fraction] = {}
+    def __init__(self, terms: Mapping[ExpPair, Coeff] | None = None):
+        normalized: dict[ExpPair, Coeff] = {}
         if terms:
             for (a, b), coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _canonical(coeff)
                 if coeff:
                     normalized[(int(a), int(b))] = coeff
         self._terms = normalized
+
+    @classmethod
+    def _trusted(cls, acc: dict[ExpPair, Coeff]) -> "LaurentQP":
+        """Value from an accumulator of int/Fraction sums, skipping ``__init__``.
+
+        Ring operations produce only int or Fraction values under int
+        exponent keys, so only zeros and integral Fractions need fixing.
+        """
+        terms = {}
+        for key, coeff in acc.items():
+            if coeff:
+                if type(coeff) is not int and coeff.denominator == 1:
+                    coeff = coeff.numerator
+                terms[key] = coeff
+        result = object.__new__(cls)
+        result._terms = terms
+        return result
 
     # ------------------------------------------------------------------
     # constructors
@@ -70,25 +96,25 @@ class LaurentQP:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, value: Fraction | int) -> "LaurentQP":
-        return cls({(0, 0): Fraction(value)})
+    def const(cls, value: Coeff) -> "LaurentQP":
+        return cls({(0, 0): value})
 
     @classmethod
-    def monomial(cls, coeff: Fraction | int, qexp: int = 0, pexp: int = 0) -> "LaurentQP":
-        return cls({(qexp, pexp): Fraction(coeff)})
+    def monomial(cls, coeff: Coeff, qexp: int = 0, pexp: int = 0) -> "LaurentQP":
+        return cls({(qexp, pexp): coeff})
 
     # ------------------------------------------------------------------
     # structure
 
-    def terms(self) -> dict[ExpPair, Fraction]:
+    def terms(self) -> dict[ExpPair, Coeff]:
         """Copy of the term dict, exponent pair -> nonzero coefficient."""
         return dict(self._terms)
 
-    def items_sorted(self) -> list[tuple[ExpPair, Fraction]]:
+    def items_sorted(self) -> list[tuple[ExpPair, Coeff]]:
         """Terms sorted by (q exponent, p exponent)."""
         return sorted(self._terms.items())
 
-    def __iter__(self) -> Iterator[tuple[ExpPair, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[ExpPair, Coeff]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -107,10 +133,10 @@ class LaurentQP:
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {(0, 0)}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         """The value as a plain rational; raises if q or p actually occurs."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) == {(0, 0)}:
             return self._terms[(0, 0)]
         raise ValueError(f"not a constant: {self}")
@@ -120,7 +146,7 @@ class LaurentQP:
         if len(self._terms) != 1:
             raise ValueError(f"not a unit of the Laurent ring: {self}")
         ((a, b), coeff), = self._terms.items()
-        return LaurentQP({(-a, -b): 1 / coeff})
+        return LaurentQP._trusted({(-a, -b): Fraction(1, coeff)})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -139,36 +165,39 @@ class LaurentQP:
             return NotImplemented
         acc = dict(self._terms)
         for exps, coeff in other._terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return LaurentQP(acc)
+            acc[exps] = acc.get(exps, 0) + coeff
+        return LaurentQP._trusted(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentQP":
-        return LaurentQP({exps: -coeff for exps, coeff in self._terms.items()})
+        return LaurentQP._trusted({exps: -coeff for exps, coeff in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentQP":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self._terms)
+        for exps, coeff in other._terms.items():
+            acc[exps] = acc.get(exps, 0) - coeff
+        return LaurentQP._trusted(acc)
 
     def __rsub__(self, other) -> "LaurentQP":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "LaurentQP":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[ExpPair, Fraction] = {}
+        acc: dict[ExpPair, Coeff] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return LaurentQP(acc)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return LaurentQP._trusted(acc)
 
     __rmul__ = __mul__
 
@@ -194,7 +223,7 @@ class LaurentQP:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # Constants hash like their Fraction so e.g. one() == 1 stays sane.
+        # Constants hash like their int or Fraction so e.g. one() == 1 stays sane.
         if self.is_constant():
             return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
@@ -202,7 +231,7 @@ class LaurentQP:
     # ------------------------------------------------------------------
     # evaluation and substitution
 
-    def eval(self, qval: Fraction | int, pval: Fraction | int) -> Fraction:
+    def eval(self, qval: Coeff, pval: Coeff) -> Fraction:
         """Exact value at the point (qval, pval); both must be nonzero."""
         qval, pval = Fraction(qval), Fraction(pval)
         if qval == 0 or pval == 0:
@@ -212,27 +241,16 @@ class LaurentQP:
             total += coeff * qval**a * pval**b
         return total
 
-    def subs_p(self, pval: Fraction | int) -> "LaurentQP":
+    def subs_p(self, pval: Coeff) -> "LaurentQP":
         """Substitute a nonzero rational for p, leaving q symbolic."""
         pval = Fraction(pval)
         if pval == 0:
             raise ValueError("p substitution must be nonzero")
-        acc: dict[ExpPair, Fraction] = {}
+        acc: dict[ExpPair, Coeff] = {}
         for (a, b), coeff in self._terms.items():
             key = (a, 0)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * pval**b
-        return LaurentQP(acc)
-
-    def subs_q(self, qval: Fraction | int) -> "LaurentQP":
-        """Substitute a nonzero rational for q, leaving p symbolic."""
-        qval = Fraction(qval)
-        if qval == 0:
-            raise ValueError("q substitution must be nonzero")
-        acc: dict[ExpPair, Fraction] = {}
-        for (a, b), coeff in self._terms.items():
-            key = (0, b)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * qval**a
-        return LaurentQP(acc)
+            acc[key] = acc.get(key, 0) + coeff * pval**b
+        return LaurentQP._trusted(acc)
 
     # ------------------------------------------------------------------
     # serialization and display
@@ -300,7 +318,7 @@ class LaurentQP:
         return self._render(latex=True)
 
 
-def as_laurent(value: "LaurentQP | Fraction | int") -> LaurentQP:
+def as_laurent(value: "LaurentQP | Coeff") -> LaurentQP:
     """Coerce an int or Fraction to a constant polynomial; pass LaurentQP through."""
     if isinstance(value, LaurentQP):
         return value

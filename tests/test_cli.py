@@ -158,6 +158,36 @@ def test_verify_worker_env(capsys, monkeypatch):
     assert [json.loads(line)["name"] for line in out.splitlines()] == ["gp", "ybe"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--n", "2", "--params", "hecke", "--alpha", "q"),
+        ("gen", "--n", "2", "--params", "hecke", "--beta", "1"),
+        ("verify", "--n", "2", "--params", "hecke", "--alpha", "q"),
+        ("eval", "--n", "2", "--q", "2", "--p", "3", "--params", "hecke", "--beta", "1"),
+        ("gen", "--op", "perm", "--n", "2", "--alpha", "q"),
+        ("gen", "--op", "g", "--n", "2", "--beta", "1"),
+        ("gen", "--op", "cg2", "--n", "2", "--alpha", "q", "--beta", "1"),
+        ("eval", "--op", "perm", "--n", "2", "--q", "2", "--p", "3", "--beta", "1"),
+        ("eval", "--op", "g", "--n", "2", "--q", "2", "--p", "3", "--alpha", "q"),
+        ("eval", "--op", "cg2", "--n", "2", "--q", "2", "--p", "3", "--alpha", "q"),
+    ],
+)
+def test_conflicting_or_ignored_param_flags_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_alpha_accepted_for_any_op(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--op", "g", "--n", "2", "--checks", "hecke", "--alpha", "q"
+    )
+    assert code in (0, 1)
+    assert [json.loads(line)["name"] for line in out.splitlines()] == ["hecke"]
+
+
 def test_identities_default_window(capsys):
     code, out, _ = run_cli(capsys, "identities", "--lo", "-2", "--hi", "2")
     assert code == 0

@@ -17,6 +17,15 @@ laurents = st.dictionaries(
     max_size=4,
 ).map(LaurentQP)
 
+# Integer and Fraction coefficients mixed, as raw dicts so a test can build
+# a Fraction-only reference from the same draw.  Integral Fractions occur
+# too (small_fractions yields e.g. Fraction(2)), exercising the demotion.
+mixed_term_dicts = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.one_of(st.integers(-5, 5), small_fractions),
+    max_size=4,
+)
+
 nonzero_points = st.tuples(
     small_fractions.filter(bool), small_fractions.filter(bool)
 )
@@ -73,6 +82,24 @@ def test_unit_inverse():
     assert (q - q**-1).is_unit() is False
     with pytest.raises(ValueError):
         (q + p).unit_inverse()
+
+
+def test_unit_inverse_of_int_coefficient_is_exact():
+    inverse = (2 * q).unit_inverse()
+    ((exps, coeff),) = inverse.terms().items()
+    assert exps == (-1, 0)
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+    ((_, coeff),) = (-q).unit_inverse().terms().items()
+    assert type(coeff) is int and coeff == -1
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        LaurentQP({(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        LaurentQP.const(1.0)
+    with pytest.raises(TypeError):
+        q * 0.5
 
 
 def test_negative_powers_of_non_units_rejected():
@@ -132,3 +159,50 @@ def test_eval_is_ring_homomorphism(x, y, point):
 @given(laurents)
 def test_normalization_idempotent(x):
     assert LaurentQP(x.terms()) == x
+
+
+def _assert_canonical(x):
+    for coeff in x.terms().values():
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+
+def _reference(raw):
+    return {exps: Fraction(c) for exps, c in raw.items() if c}
+
+
+def _reference_mul(x, y):
+    acc = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            key = (a1 + a2, b1 + b2)
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return {exps: c for exps, c in acc.items() if c}
+
+
+def _reference_add(x, y, sign=1):
+    acc = dict(x)
+    for exps, c in y.items():
+        acc[exps] = acc.get(exps, Fraction(0)) + sign * c
+    return {exps: c for exps, c in acc.items() if c}
+
+
+@given(mixed_term_dicts, mixed_term_dicts, st.integers(0, 3))
+def test_mixed_coefficients_canonical_and_match_fraction_reference(raw_x, raw_y, k):
+    x, y = LaurentQP(raw_x), LaurentQP(raw_y)
+    ref_x, ref_y = _reference(raw_x), _reference(raw_y)
+    ref_pow = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        ref_pow = _reference_mul(ref_pow, ref_x)
+    cases = [
+        (x, ref_x),
+        (x + y, _reference_add(ref_x, ref_y)),
+        (x - y, _reference_add(ref_x, ref_y, sign=-1)),
+        (-x, _reference_add({}, ref_x, sign=-1)),
+        (x * y, _reference_mul(ref_x, ref_y)),
+        (x**k, ref_pow),
+    ]
+    if x.is_unit():
+        cases.append((x**-k * x**k, {(0, 0): Fraction(1)}))
+    for value, expected in cases:
+        _assert_canonical(value)
+        assert value.terms() == expected
