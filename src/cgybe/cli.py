@@ -8,8 +8,11 @@ identity suites, and evaluate at numeric parameters.
 
 Exit codes: 0 when everything passes, 1 when at least one check fails,
 2 on a usage or configuration error, including --params hecke combined
-with --alpha/--beta, and --alpha/--beta on a gen or eval operator that
-does not use them.  Reports stream as JSON lines in sorted check order.
+with --alpha/--beta, --alpha/--beta on a gen or eval operator that does
+not use them, and for identities an empty window (--lo above --hi), an
+unknown or empty --only selection (``--only ,``), or windows holding more
+than ``oracles.MAX_WINDOW_TUPLES`` tuples in total, rejected before any
+scan starts.  Reports stream as JSON lines in sorted check order.
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def cmd_identities(args) -> int:
     if args.lo > args.hi:
         raise ValueError(f"--lo must not exceed --hi ({args.lo} > {args.hi})")
     only = None
-    if args.only:
+    if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
     reports = run_oracles(args.lo, args.hi, only=only)
     all_passed = True

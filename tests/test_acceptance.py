@@ -124,9 +124,9 @@ def test_quadratic_relation_and_inverse():
 
 
 def test_scalar_identity_oracles():
-    with criterion("scalar identity oracles on [-3,4] and [1,6]; padding inert; under 60s"):
+    with criterion("scalar identity oracles on [-3,4], [1,6] and [-4,5]; padding inert; under 60s"):
         started = time.perf_counter()
-        for lo, hi in ((-3, 4), (1, 6)):
+        for lo, hi in ((-3, 4), (1, 6), (-4, 5)):
             for report in run_oracles(lo, hi):
                 assert report.passed, (report.name, lo, hi, report.counterexample)
             for report in run_oracles(lo, hi, pad=3):

@@ -1,6 +1,11 @@
 """Command-line contract: flag parsing, formats, exit codes, streaming."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +217,31 @@ def test_identities_empty_window(capsys):
     code, _, err = run_cli(capsys, "identities", "--lo", "2", "--hi", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("only", [",", ""])
+def test_identities_empty_selection_rejected(capsys, only):
+    code, out, err = run_cli(capsys, "identities", "--only", only)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_identities_oversized_window_fails_fast():
+    # In a child process with a timeout, so a scan that starts cannot hang the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cgybe", "identities", "--lo", "-50", "--hi", "50"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "cap" in result.stderr
+    assert time.perf_counter() - started < 10
 
 
 def test_eval_collapses_to_flip_at_one(capsys):

@@ -1,8 +1,10 @@
 """Scalar identity oracles: spot values, window sweeps, truncation soundness."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgybe.oracles import (
     IntWindow,
@@ -207,6 +209,21 @@ def test_run_oracles_selection_and_aliases():
         run_oracles(0, 3, only=["no_such_check"])
 
 
+def test_run_oracles_rejects_empty_selection():
+    with pytest.raises(ValueError, match="empty"):
+        run_oracles(0, 3, only=[])
+
+
+def test_run_oracles_rejects_oversized_window_before_scanning():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        run_oracles(-50, 50)
+    # each arity-5 scan alone would fit (25^5 < 1e7); the cap is on the total
+    with pytest.raises(ValueError, match="cap"):
+        run_oracles(0, 24, only=["uid", "cond1"])
+    assert time.perf_counter() - started < 1.0
+
+
 def test_run_oracles_sorted_and_passing():
     reports = run_oracles(-2, 2)
     names = [r.name for r in reports]
@@ -222,7 +239,7 @@ def test_window_validation():
 
 
 def test_scan_reports_first_counterexample_lexicographically():
-    report = _scan("demo", IntWindow(0, 3, 2), lambda a, b: a + b < 4)
+    report = _scan("demo", IntWindow(0, 3, 2), lambda a: lambda b: a + b < 4)
     assert not report.passed
     assert report.counterexample == (1, 3)
     obj = report.to_json_obj()
@@ -233,5 +250,30 @@ def test_scan_reports_first_counterexample_lexicographically():
 def test_report_invariant():
     passing = check_g_idempotent_identity(0, 2)
     assert passing.passed and passing.counterexample is None
-    failing = _scan("demo", IntWindow(0, 1, 1), lambda a: False)
+    failing = _scan("demo", IntWindow(0, 1, 1), lambda: lambda a: False)
     assert not failing.passed and failing.counterexample == (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_staged_scan_matches_brute_force(data):
+    arity = data.draw(st.integers(1, 4), label="arity")
+    lo = data.draw(st.integers(-3, 3), label="lo")
+    hi = data.draw(st.integers(lo, lo + 4), label="hi")
+    every = list(itertools.product(range(lo, hi + 1), repeat=arity))
+    bad = data.draw(st.sets(st.sampled_from(every), max_size=6), label="bad")
+    prefixes = []
+
+    def stage(*prefix):
+        prefixes.append(prefix)
+        return lambda last: (*prefix, last) not in bad
+
+    report = _scan("diff", IntWindow(lo, hi, arity), stage)
+    first_bad = min(bad) if bad else None
+    assert report.counterexample == first_bad
+    assert report.passed == (first_bad is None)
+    # one stage call per prefix, in lexicographic order, up to the failure
+    expected = sorted({tpl[:-1] for tpl in every})
+    if first_bad is not None:
+        expected = expected[: expected.index(first_bad[:-1]) + 1]
+    assert prefixes == expected
