@@ -9,10 +9,14 @@ identity suites, and evaluate at numeric parameters.
 Exit codes: 0 when everything passes, 1 when at least one check fails,
 2 on a usage or configuration error, including --params hecke combined
 with --alpha/--beta, --alpha/--beta on a gen or eval operator that does
-not use them, and for identities an empty window (--lo above --hi), an
-unknown or empty --only selection (``--only ,``), or windows holding more
-than ``oracles.MAX_WINDOW_TUPLES`` tuples in total, rejected before any
-scan starts.  Reports stream as JSON lines in sorted check order.
+not use them; for verify an unknown or empty --checks selection
+(``--checks ,``) or a rank above ``MAX_VERIFY_RANK_3FOLD`` (16, when
+ybe, compat or mixed is selected) or ``MAX_VERIFY_RANK_2FOLD`` (64,
+hecke, gp and quadratic only), rejected before any operator is built; and
+for identities an empty window (--lo above --hi), an unknown or empty
+--only selection (``--only ,``), or windows holding more than
+``oracles.MAX_WINDOW_TUPLES`` tuples in total, rejected before any scan
+starts.  Reports stream as JSON lines in sorted check order.
 """
 
 from __future__ import annotations
@@ -38,6 +42,15 @@ from .verify import (
 USAGE_ERROR = 2
 
 VERIFY_CHECKS = ("compat", "gp", "hecke", "mixed", "quadratic", "ybe")
+
+# Largest rank verify accepts, checked before any operator is built.  The
+# 3-fold checks (ybe, compat, mixed) cost about n^5.5 in time and n^4 in
+# memory: all three take about 25 s at n = 14 and about a minute at n = 16
+# on a 2-core x86-64 VM with Python 3.11.  The 2-fold checks (hecke, gp,
+# quadratic) take about 20 s and 320 MB together at n = 64.
+MAX_VERIFY_RANK_3FOLD = 16
+MAX_VERIFY_RANK_2FOLD = 64
+THREE_FOLD_CHECKS = frozenset({"compat", "mixed", "ybe"})
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +233,27 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _require_verify_rank(n: int, names: set[str]) -> None:
+    """Reject a rank above the cap of the selected checks, before any work."""
+    if names & THREE_FOLD_CHECKS:
+        cap, kind = MAX_VERIFY_RANK_3FOLD, "3-fold checks (compat, mixed, ybe)"
+    else:
+        cap, kind = MAX_VERIFY_RANK_2FOLD, "2-fold checks (gp, hecke, quadratic)"
+    if n > cap:
+        raise ValueError(f"--n {n} exceeds the cap of {cap} for {kind}")
+
+
 def cmd_verify(args) -> int:
     _require_positive_n(args.n)
     alpha, beta = _resolve_params(args)
     names = [name.strip() for name in args.checks.split(",") if name.strip()]
+    if not names:
+        raise ValueError(f"no check selected (choose from {', '.join(VERIFY_CHECKS)})")
     for name in names:
         if name not in VERIFY_CHECKS:
             raise ValueError(f"unknown check: {name} (choose from {', '.join(VERIFY_CHECKS)})")
+    selected = set(names)
+    _require_verify_rank(args.n, selected)
     operator = _build_operator(args.op, args.n, alpha, beta)
     n = args.n
 
@@ -239,7 +266,7 @@ def cmd_verify(args) -> int:
         "quadratic": lambda: check_quadratic(n, alpha, beta),
     }
     all_passed = True
-    for name in sorted(set(names)):
+    for name in sorted(selected):
         report = thunks[name]()
         sys.stdout.write(json.dumps(report.to_json_obj()) + "\n")
         all_passed &= report.passed

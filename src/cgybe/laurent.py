@@ -23,7 +23,7 @@ statement.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 __all__ = [
     "LaurentQP",
@@ -37,6 +37,7 @@ __all__ = [
 
 ExpPair = tuple[int, int]
 Coeff = int | Fraction
+K = TypeVar("K")
 
 
 def rational_to_str(value: Coeff) -> str:
@@ -83,6 +84,44 @@ class LaurentQP:
         result = object.__new__(cls)
         result._terms = terms
         return result
+
+    @staticmethod
+    def _sums_of_products(
+        products: Iterable[tuple[K, LaurentQP, LaurentQP | int]],
+    ) -> dict[K, LaurentQP]:
+        """``{key: sum of x*y}`` over the (key, x, y) triples of ``products``.
+
+        The fused multiply-accumulate kernel behind every operator product,
+        sum, difference and scalar multiple in ``cgybe.tensor``.  A key may
+        repeat; y is a LaurentQP, or a plain int factor such as the sign of
+        a sum or difference.  Every product of terms is added straight into
+        one raw term dict per key: no LaurentQP is built per product or per
+        partial sum.  Each raw dict is then replaced in place by its
+        ``_trusted`` value, so it is freed as soon as it is canonical, and
+        the keys whose sum is zero are dropped.
+        """
+        acc: dict = {}
+        for key, x, y in products:
+            terms = acc.get(key)
+            if terms is None:
+                terms = acc[key] = {}
+            if type(y) is int:
+                for exps, cx in x._terms.items():
+                    terms[exps] = terms.get(exps, 0) + y * cx
+            else:
+                y_terms = y._terms.items()
+                for (a1, b1), cx in x._terms.items():
+                    for (a2, b2), cy in y_terms:
+                        exps = (a1 + a2, b1 + b2)
+                        terms[exps] = terms.get(exps, 0) + cx * cy
+        zeros = []
+        for key, terms in acc.items():
+            value = acc[key] = LaurentQP._trusted(terms)
+            if not value._terms:
+                zeros.append(key)
+        for key in zeros:
+            del acc[key]
+        return acc
 
     # ------------------------------------------------------------------
     # constructors

@@ -429,13 +429,14 @@ def check_eta_identities(
 
     In order: translation invariance, antisymmetry, reflection, the
     adjacent-interval delta, the interval sum, the cocycle rule,
-    annihilation, exchange, and splitting.
+    annihilation, exchange, and splitting.  ``only`` selects one of them by
+    name; any other name raises ValueError.
     """
-    return [
-        _check(name, lo, hi, pad)
-        for name, alias, _, _ in _ORACLES
-        if alias.startswith("ids") and only in (None, name)
-    ]
+    names = [name for name, alias, _, _ in _ORACLES if alias.startswith("ids")]
+    if only is not None and only not in names:
+        kind = "not an eta identity" if only in _BY_NAME else "unknown identity check"
+        raise ValueError(f"{kind}: {only}")
+    return [_check(name, lo, hi, pad) for name in names if only in (None, name)]
 
 
 def check_eta_convolution(

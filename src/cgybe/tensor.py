@@ -10,6 +10,21 @@ and their 3-fold lifts would be hopeless dense with symbolic entries.
 Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
 first).
+
+All of that arithmetic runs through one fused sparse multiply-accumulate
+kernel, ``LaurentQP._sums_of_products``.  Every result entry is a sum of
+coefficient products x*y; in a sum, difference or scalar multiple one
+factor is a constant such as 1 or -1, so a difference is a signed merge of
+the two term dicts.  The kernel adds every product of terms straight into
+one raw ``{(a, b): coeff}`` dict per entry, with no intermediate
+:class:`~cgybe.laurent.LaurentQP` per product or partial sum, then
+canonicalizes each entry once through ``LaurentQP._trusted`` and drops the
+entries that sum to zero.
+
+The public constructor validates its input (user code, JSON).  Results
+built from operators that are already valid (products, sums, differences,
+negations, scalar multiples and the lifts) go through the private
+``TensorOp._trusted`` instead and are not validated again.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .laurent import LaurentQP, rational_to_str
+from .laurent import LaurentQP, as_laurent, rational_to_str
 
 __all__ = ["TensorOp", "lift12", "lift23", "linear_combo", "endo_eq"]
 
@@ -59,6 +74,20 @@ class TensorOp:
         self.n = n
         self.arity = arity
         self._entries = normalized
+
+    @classmethod
+    def _trusted(cls, n: int, arity: int, entries: dict[Key, LaurentQP]) -> "TensorOp":
+        """Operator adopting ``entries`` as they are, skipping ``__init__``.
+
+        For results built from already-valid operators: every key is a pair
+        of arity-tuples with indices in 1..n and every value a nonzero
+        LaurentQP.
+        """
+        result = object.__new__(cls)
+        result.n = n
+        result.arity = arity
+        result._entries = entries
+        return result
 
     # ------------------------------------------------------------------
     # constructors
@@ -125,30 +154,36 @@ class TensorOp:
                 f"vs n={other.n},arity={other.arity}"
             )
 
-    def __add__(self, other: "TensorOp") -> "TensorOp":
+    def _sums_of_products(self, products) -> "TensorOp":
+        """Operator of this shape with entries sum(x*y) over (key, x, y) in ``products``."""
+        return TensorOp._trusted(self.n, self.arity, LaurentQP._sums_of_products(products))
+
+    def _signed_sum(self, other, sign: int):
+        """self + sign*other, merging the term dicts of shared entries."""
         if not isinstance(other, TensorOp):
             return NotImplemented
         self._check_match(other)
-        acc: dict[Key, LaurentQP] = dict(self._entries)
-        for key, coeff in other._entries.items():
-            acc[key] = acc[key] + coeff if key in acc else coeff
-        return TensorOp(self.n, self.arity, acc)
+        return self._sums_of_products(
+            itertools.chain(
+                ((key, coeff, 1) for key, coeff in self._entries.items()),
+                ((key, coeff, sign) for key, coeff in other._entries.items()),
+            )
+        )
+
+    def __add__(self, other: "TensorOp") -> "TensorOp":
+        return self._signed_sum(other, 1)
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        if not isinstance(other, TensorOp):
-            return NotImplemented
-        return self + (-other)
+        return self._signed_sum(other, -1)
 
     def __neg__(self) -> "TensorOp":
         return self.scale(-1)
 
     def scale(self, scalar) -> "TensorOp":
-        if not isinstance(scalar, LaurentQP):
-            scalar = LaurentQP.const(scalar)
-        return TensorOp(
-            self.n,
-            self.arity,
-            {key: scalar * coeff for key, coeff in self._entries.items()},
+        if type(scalar) is not int:
+            scalar = as_laurent(scalar)
+        return self._sums_of_products(
+            (key, coeff, scalar) for key, coeff in self._entries.items()
         )
 
     def __rmul__(self, scalar) -> "TensorOp":
@@ -162,15 +197,11 @@ class TensorOp:
         by_input: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentQP]]] = {}
         for (out, inp), coeff in self._entries.items():
             by_input.setdefault(inp, []).append((out, coeff))
-        # Accumulate into one map, canonicalize once at construction; transient
-        # zero sums never churn the entry dict.
-        acc: dict[Key, LaurentQP] = {}
-        for (mid, inp), c_other in other._entries.items():
-            for out, c_self in by_input.get(mid, ()):
-                key = (out, inp)
-                prod = c_self * c_other
-                acc[key] = acc[key] + prod if key in acc else prod
-        return TensorOp(self.n, self.arity, acc)
+        return self._sums_of_products(
+            ((out, inp), c_self, c_other)
+            for (mid, inp), c_other in other._entries.items()
+            for out, c_self in by_input.get(mid, ())
+        )
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
         if not isinstance(other, TensorOp):
@@ -257,7 +288,7 @@ def lift12(f: TensorOp) -> TensorOp:
     for (out, inp), coeff in f.entries.items():
         for m in range(1, f.n + 1):
             entries[((*out, m), (*inp, m))] = coeff
-    return TensorOp(f.n, 3, entries)
+    return TensorOp._trusted(f.n, 3, entries)
 
 
 def lift23(f: TensorOp) -> TensorOp:
@@ -268,7 +299,7 @@ def lift23(f: TensorOp) -> TensorOp:
     for (out, inp), coeff in f.entries.items():
         for m in range(1, f.n + 1):
             entries[((m, *out), (m, *inp))] = coeff
-    return TensorOp(f.n, 3, entries)
+    return TensorOp._trusted(f.n, 3, entries)
 
 
 def linear_combo(a, f: TensorOp, b, g: TensorOp) -> TensorOp:

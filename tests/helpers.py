@@ -168,20 +168,35 @@ def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
             return value
 
 
-def random_laurent(rng: random.Random, max_terms: int = 3) -> LaurentQP:
+def random_int(rng: random.Random) -> int:
+    return rng.randint(-6, 6)
+
+
+def random_proper_fraction(rng: random.Random) -> Fraction:
+    """A Fraction that is not an integer, so it stays a Fraction when stored."""
+    while True:
+        value = Fraction(rng.randint(-6, 6), rng.randint(2, 6))
+        if value.denominator > 1:
+            return value
+
+
+def random_laurent(rng: random.Random, max_terms: int = 3, coeff=random_fraction) -> LaurentQP:
+    """Up to max_terms terms with coefficients drawn by ``coeff(rng)``."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        terms[(rng.randint(-2, 2), rng.randint(-2, 2))] = random_fraction(rng)
+        terms[(rng.randint(-2, 2), rng.randint(-2, 2))] = coeff(rng)
     return LaurentQP(terms)
 
 
-def random_op(rng: random.Random, n: int, arity: int = 2, density: float = 0.4) -> TensorOp:
+def random_op(
+    rng: random.Random, n: int, arity: int = 2, density: float = 0.4, coeff=random_fraction
+) -> TensorOp:
     entries = {}
     basis = list(itertools.product(range(1, n + 1), repeat=arity))
     for out in basis:
         for inp in basis:
             if rng.random() < density:
-                entries[(out, inp)] = random_laurent(rng)
+                entries[(out, inp)] = random_laurent(rng, coeff=coeff)
     return TensorOp(n, arity, entries)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cgybe import TensorOp, cg_op, cg_twisted_op, hecke_parameters, permutation_op
-from cgybe.cli import main, parse_laurent_expr
+from cgybe.cli import MAX_VERIFY_RANK_2FOLD, MAX_VERIFY_RANK_3FOLD, main, parse_laurent_expr
 from cgybe.laurent import LaurentQP, p, q
 
 
@@ -152,6 +152,50 @@ def test_verify_rejects_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--op", "cg", "--n", "2", "--checks", "bogus")
     assert code == 2
     assert "unknown check" in err
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_verify_empty_selection_rejected(capsys, checks):
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "n, checks, allowed",
+    [
+        (MAX_VERIFY_RANK_3FOLD + 1, "ybe", False),
+        (MAX_VERIFY_RANK_3FOLD + 1, "gp,mixed", False),
+        (MAX_VERIFY_RANK_3FOLD + 1, "gp", True),
+        (MAX_VERIFY_RANK_2FOLD + 1, "gp", False),
+    ],
+)
+def test_verify_rank_cap_follows_selected_checks(capsys, n, checks, allowed):
+    code, out, err = run_cli(capsys, "verify", "--op", "g", "--n", str(n), "--checks", checks)
+    if allowed:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
+
+
+def test_verify_oversized_rank_fails_fast():
+    # In a child process with a timeout, so a check that starts cannot hang the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cgybe", "verify", "--n", "100000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "cap" in result.stderr
+    assert time.perf_counter() - started < 10
 
 
 def test_verify_worker_env(capsys, monkeypatch):

@@ -106,6 +106,15 @@ def test_eta_identities_only_filter():
     assert reports[0].passed
 
 
+@pytest.mark.parametrize(
+    "only, message",
+    [("no_such", "unknown identity"), ("zeta_symmetry", "not an eta identity"), ("ids5", "unknown")],
+)
+def test_eta_identities_only_rejects_other_names(only, message):
+    with pytest.raises(ValueError, match=message):
+        check_eta_identities(0, 2, only=only)
+
+
 def test_convolution_empty_sum_case():
     # t = s: the sum is empty and each closed-form term carries a zero factor.
     for t in range(-2, 3):

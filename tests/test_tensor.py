@@ -5,8 +5,10 @@ dense and nested-loop oracles from helpers.py.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, endo_eq, g_op, lift12, lift23, linear_combo
 from cgybe import permutation_op, q
@@ -15,8 +17,11 @@ from helpers import (
     dense_compose,
     dl_triple_sum_apply,
     naive_lift12_lift23_apply,
+    random_fraction,
+    random_int,
     random_laurent,
     random_op,
+    random_proper_fraction,
 )
 
 
@@ -241,3 +246,89 @@ def test_zero_coefficients_dropped():
         2, 2, {((1, 2), (2, 1)): x}
     )
     assert cancel.is_zero()
+
+
+# ----------------------------------------------------------------------
+# the multiply-accumulate kernel against a naive reference that only uses
+# the public LaurentQP * and +
+
+
+def _naive_sum(f, g, a, b):
+    """Entries of a*f + b*g, zero entries dropped."""
+    acc = {}
+    for scalar, op in ((a, f), (b, g)):
+        for key, coeff in op.entries.items():
+            acc[key] = acc.get(key, LaurentQP.zero()) + scalar * coeff
+    return {key: coeff for key, coeff in acc.items() if not coeff.is_zero()}
+
+
+def _naive_compose(f, g):
+    acc = {}
+    for (out, mid), x in f.entries.items():
+        for (mid2, inp), y in g.entries.items():
+            if mid == mid2:
+                acc[(out, inp)] = acc.get((out, inp), LaurentQP.zero()) + x * y
+    return {key: coeff for key, coeff in acc.items() if not coeff.is_zero()}
+
+
+def _assert_canonical(op):
+    for coeff in op.entries.values():
+        assert not coeff.is_zero()
+        for _, c in coeff:
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _with_cancellation(rng, f, g):
+    """(f2, g2) whose product cancels exactly in some entries.
+
+    Column m2 of f2 repeats column m1 of f and row m2 of g2 is minus row m1
+    of g, so the products through m1 and m2 sum to zero in every entry they
+    reach; g2 also holds -f on a random subset of keys, so f2 + g2 cancels.
+    """
+    basis = f.basis_tuples()
+    m1, m2 = rng.sample(basis, 2)
+    f_entries = {k: c for k, c in f.entries.items() if k[1] != m2}
+    f_entries.update({(out, m2): c for (out, mid), c in f.entries.items() if mid == m1})
+    g_entries = {k: c for k, c in g.entries.items() if k[0] != m2}
+    g_entries.update({(m2, inp): -c for (mid, inp), c in g.entries.items() if mid == m1})
+    g_entries.update({k: -c for k, c in f_entries.items() if rng.random() < 0.5})
+    return TensorOp(f.n, f.arity, f_entries), TensorOp(f.n, f.arity, g_entries)
+
+
+COEFF_KINDS = {
+    "int": random_int,
+    "fraction": random_proper_fraction,
+    "mixed": random_fraction,
+}
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]),
+    st.sampled_from(sorted(COEFF_KINDS)),
+    st.booleans(),
+)
+def test_kernel_matches_naive_reference(seed, shape, kind, cancel):
+    rng = random.Random(seed)
+    n, arity = shape
+    density = 0.1 if (n, arity) == (3, 3) else 0.4
+    coeff = COEFF_KINDS[kind]
+    f = random_op(rng, n, arity, density, coeff=coeff)
+    g = random_op(rng, n, arity, density, coeff=coeff)
+    if cancel and n > 1:
+        f, g = _with_cancellation(rng, f, g)
+    laurent, constant = random_laurent(rng, coeff=coeff), coeff(rng)
+    cases = [
+        (f @ g, _naive_compose(f, g)),
+        (f + g, _naive_sum(f, g, 1, 1)),
+        (f - g, _naive_sum(f, g, 1, -1)),
+        (g - f, _naive_sum(f, g, -1, 1)),
+        (f - f, {}),
+        (-f, _naive_sum(f, g, -1, 0)),
+        (f.scale(laurent), _naive_sum(f, g, laurent, 0)),
+        (f.scale(constant), _naive_sum(f, g, constant, 0)),
+    ]
+    for result, expected in cases:
+        _assert_canonical(result)
+        assert (result.n, result.arity) == (n, arity)
+        assert dict(result.entries) == expected
