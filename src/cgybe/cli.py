@@ -45,9 +45,9 @@ VERIFY_CHECKS = ("compat", "gp", "hecke", "mixed", "quadratic", "ybe")
 
 # Largest rank verify accepts, checked before any operator is built.  The
 # 3-fold checks (ybe, compat, mixed) cost about n^5.5 in time and n^4 in
-# memory: all three take about 25 s at n = 14 and about a minute at n = 16
-# on a 2-core x86-64 VM with Python 3.11.  The 2-fold checks (hecke, gp,
-# quadratic) take about 20 s and 320 MB together at n = 64.
+# memory: all three take about 12 s at n = 14 and about 27 s and 320 MB at
+# n = 16 on a 2-core x86-64 VM with Python 3.11.  The 2-fold checks (hecke,
+# gp, quadratic) take about 22 s and 235 MB together at n = 64.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 THREE_FOLD_CHECKS = frozenset({"compat", "mixed", "ybe"})

@@ -15,13 +15,15 @@ than ±1), rational ``eval``/``subs_p`` points or rational input, and is
 demoted back to ``int`` whenever a result is integral.
 
 No floating point enters anywhere in this package: a ``float``
-coefficient is rejected with ``TypeError``, because every downstream
-identity check relies on "this coefficient is zero" being an exact
-statement.
+coefficient or exponent is rejected with ``TypeError``, because every
+downstream identity check relies on "this coefficient is zero" being an
+exact statement.  JSON input follows the same rule: a coefficient is an
+integer or a ``"num/den"`` string, never a JSON float.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, TypeVar
 
@@ -39,6 +41,8 @@ ExpPair = tuple[int, int]
 Coeff = int | Fraction
 K = TypeVar("K")
 
+_NUM_DEN = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+
 
 def rational_to_str(value: Coeff) -> str:
     """Canonical "num/den" string, denominator always present."""
@@ -54,6 +58,17 @@ def _canonical(value) -> Coeff:
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
 
 
+def _coeff_from_json(value) -> Coeff:
+    """A JSON coefficient: an integer or a "num/den" string, nothing else."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise TypeError(f"JSON coefficient must be an integer or a num/den string: {value!r}")
+    if not _NUM_DEN.fullmatch(value):
+        raise ValueError(f"JSON coefficient string must read num/den: {value!r}")
+    return Fraction(value)
+
+
 class LaurentQP:
     """Immutable sparse Laurent polynomial in q and p over the rationals."""
 
@@ -63,6 +78,8 @@ class LaurentQP:
         normalized: dict[ExpPair, Coeff] = {}
         if terms:
             for (a, b), coeff in terms.items():
+                if not isinstance(a, int) or not isinstance(b, int):
+                    raise TypeError(f"exponents must be int, got ({a!r}, {b!r})")
                 coeff = _canonical(coeff)
                 if coeff:
                     normalized[(int(a), int(b))] = coeff
@@ -303,7 +320,8 @@ class LaurentQP:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "LaurentQP":
-        return cls({(term["q"], term["p"]): Fraction(term["coeff"]) for term in obj})
+        """Inverse of ``to_json_obj``; a float exponent or coefficient raises."""
+        return cls({(term["q"], term["p"]): _coeff_from_json(term["coeff"]) for term in obj})
 
     @staticmethod
     def _monomial_str(a: int, b: int, latex: bool) -> str:

@@ -21,10 +21,16 @@ one raw ``{(a, b): coeff}`` dict per entry, with no intermediate
 canonicalizes each entry once through ``LaurentQP._trusted`` and drops the
 entries that sum to zero.
 
-The public constructor validates its input (user code, JSON).  Results
-built from operators that are already valid (products, sums, differences,
-negations, scalar multiples and the lifts) go through the private
-``TensorOp._trusted`` instead and are not validated again.
+:func:`compose_sum` feeds a whole signed sum of products, such as
+c12∘c23∘c12 − c23∘c12∘c23 written as x∘c12 + (−c23)∘x with x = c12∘c23,
+to one kernel call, so an equation is checked without building its two
+sides or their difference.  ``compose`` is its one-pair case.
+
+The public constructor validates its input (user code, JSON): indices and
+the shape must be ``int``.  Results built from operators that are already
+valid (products, sums, differences, negations, scalar multiples and the
+lifts) go through the private ``TensorOp._trusted`` instead and are not
+validated again.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ from typing import Mapping
 
 from .laurent import LaurentQP, as_laurent, rational_to_str
 
-__all__ = ["TensorOp", "lift12", "lift23", "linear_combo", "endo_eq"]
+__all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "linear_combo", "endo_eq"]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
 
 
 class TensorOp:
@@ -52,6 +59,8 @@ class TensorOp:
         arity: int,
         entries: Mapping[Key, LaurentQP | Fraction | int] | None = None,
     ):
+        if not isinstance(n, int) or not isinstance(arity, int):
+            raise TypeError(f"rank and arity must be int, got {n!r} and {arity!r}")
         if n < 1:
             raise ValueError(f"rank must be positive, got {n}")
         if arity not in (2, 3):
@@ -68,6 +77,8 @@ class TensorOp:
                 if len(out) != arity or len(inp) != arity:
                     raise ValueError(f"entry {out}<-{inp} does not have arity {arity}")
                 for idx in (*out, *inp):
+                    if not isinstance(idx, int):
+                        raise TypeError(f"index {idx!r} is not an int")
                     if not 1 <= idx <= n:
                         raise ValueError(f"index {idx} out of range 1..{n}")
                 normalized[(out, inp)] = coeff
@@ -117,6 +128,17 @@ class TensorOp:
     def sorted_entries(self) -> list[tuple[Key, LaurentQP]]:
         """Entries sorted by (input tuple, output tuple)."""
         return sorted(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+
+    def first_entry(self) -> Witness | None:
+        """(input, output, coeff) of the entry with the smallest (input, output).
+
+        None for the zero operator.  Applied to a difference it is the
+        deterministic witness of an inequality.
+        """
+        if not self._entries:
+            return None
+        (out, inp), coeff = min(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        return inp, out, coeff
 
     def apply(self, *indices: int) -> dict[tuple[int, ...], LaurentQP]:
         """Image of the basis vector e_{i1}⊗...⊗e_{ik} as output tuple -> coefficient."""
@@ -193,15 +215,7 @@ class TensorOp:
 
     def compose(self, other: "TensorOp") -> "TensorOp":
         """self ∘ other: apply ``other`` first, then ``self``."""
-        self._check_match(other)
-        by_input: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentQP]]] = {}
-        for (out, inp), coeff in self._entries.items():
-            by_input.setdefault(inp, []).append((out, coeff))
-        return self._sums_of_products(
-            ((out, inp), c_self, c_other)
-            for (mid, inp), c_other in other._entries.items()
-            for out, c_self in by_input.get(mid, ())
-        )
+        return compose_sum([(self, other)])
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
         if not isinstance(other, TensorOp):
@@ -308,6 +322,44 @@ def linear_combo(a, f: TensorOp, b, g: TensorOp) -> TensorOp:
     return f.scale(a) + g.scale(b)
 
 
+def _term_products(term):
+    """(key, x, y) triples whose sums per key are the entries of one term."""
+    if isinstance(term, TensorOp):
+        return ((key, coeff, 1) for key, coeff in term._entries.items())
+    f, g = term
+    by_input: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentQP]]] = {}
+    for (out, mid), coeff in f._entries.items():
+        by_input.setdefault(mid, []).append((out, coeff))
+    return (
+        ((out, inp), c_f, c_g)
+        for (mid, inp), c_g in g._entries.items()
+        for out, c_f in by_input.get(mid, ())
+    )
+
+
+def compose_sum(terms) -> TensorOp:
+    """The sum of ``terms``: a pair (f, g) adds f∘g, a lone operator adds itself.
+
+    Every term feeds one call of the multiply-accumulate kernel, so no
+    product or partial sum is built as an operator; each pair's index is
+    built only when the kernel reaches it.  A term is negated by negating
+    one of its factors; negate the smallest, usually a lifted 2-fold
+    operator.  All operators must share one rank and arity.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("compose_sum needs at least one term")
+    shape = terms[0] if isinstance(terms[0], TensorOp) else terms[0][0]
+    for term in terms:
+        for op in (term,) if isinstance(term, TensorOp) else term:
+            shape._check_match(op)
+    return TensorOp._trusted(
+        shape.n,
+        shape.arity,
+        LaurentQP._sums_of_products(itertools.chain.from_iterable(map(_term_products, terms))),
+    )
+
+
 def endo_eq(f: TensorOp, g: TensorOp):
     """Exact equality test with a deterministic counterexample.
 
@@ -316,8 +368,5 @@ def endo_eq(f: TensorOp, g: TensorOp):
     and diff the nonzero coefficient of f - g there.
     """
     f._check_match(g)
-    diff = f - g
-    if diff.is_zero():
-        return True, None
-    (out, inp), coeff = min(diff.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    return False, (inp, out, coeff)
+    witness = (f - g).first_entry()
+    return witness is None, witness

@@ -1,12 +1,17 @@
 """Exact symbolic verification of the operator-level equations.
 
-Every check forms the difference of the two sides as a sparse operator
-and tests it for emptiness after canonicalization.  There is no
-tolerance, because there is nothing to tolerate: coefficients are exact
-Laurent polynomials and a check passes iff the difference has no entries.
-On failure the report carries the lexicographically smallest offending
-(input, output) pair together with the nonzero difference coefficient,
-so failures are deterministic across runs.
+Every check states its equation as "this signed sum of operator products
+is zero", e.g. c12∘c23∘c12 − c23∘c12∘c23 for the Yang-Baxter equation.
+It builds only the two-factor products the words share and hands the
+rest to one :func:`~cgybe.tensor.compose_sum` call, so neither side and
+no difference operator is ever built.  There is no tolerance, because
+there is nothing to tolerate: coefficients are exact Laurent polynomials
+and a check passes iff the sum has no entries after canonicalization.  A
+check of several equations builds each sum only when the ones before it
+vanished.  On failure the report carries the lexicographically smallest
+offending (input, output) pair together with the nonzero coefficient of
+the sum there, which is the coefficient of lhs − rhs, so failures are
+deterministic across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 from .laurent import LaurentQP, as_laurent
 from .model import cg_op, g_op, permutation_op
-from .tensor import TensorOp, endo_eq, lift12, lift23
+from .tensor import TensorOp, Witness, compose_sum, lift12, lift23
 
 __all__ = [
     "CheckReport",
@@ -29,8 +34,6 @@ __all__ = [
     "check_quadratic",
     "reports_to_json",
 ]
-
-Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
 
 
 @dataclass
@@ -55,22 +58,44 @@ class CheckReport:
         }
 
 
-def _report(name: str, sides: list[tuple[TensorOp, TensorOp]], started: float) -> CheckReport:
-    """Compare each (lhs, rhs) pair; first failure wins."""
-    for lhs, rhs in sides:
-        equal, witness = endo_eq(lhs, rhs)
-        if not equal:
+def _report(name: str, differences, started: float) -> CheckReport:
+    """Build each lhs − rhs from its thunk in turn; the first nonzero one fails."""
+    for difference in differences:
+        witness = difference().first_entry()
+        if witness is not None:
             return CheckReport(name, False, witness, time.perf_counter() - started)
     return CheckReport(name, True, None, time.perf_counter() - started)
+
+
+def _cubic_difference(a12, a23, b12, b23) -> TensorOp:
+    """The cubic sum whose vanishing is the mixed condition of (a, b):
+
+      a12 b23 b12 + b12 a23 b12 + b12 b23 a12
+          − (a23 b12 b23 + b23 a12 b23 + b23 b12 a23)
+
+    Six words over four shared two-factor products, one kernel call.
+    """
+    b12b23, b23b12 = b12 @ b23, b23 @ b12
+    b12a23, b23a12 = b12 @ a23, b23 @ a12
+    neg_a23, neg_b23 = -a23, -b23
+    return compose_sum(
+        [
+            (a12, b23b12),
+            (b12a23, b12),
+            (b12b23, a12),
+            (neg_a23, b12b23),
+            (b23a12, neg_b23),
+            (b23b12, neg_a23),
+        ]
+    )
 
 
 def check_ybe(c: TensorOp, name: str = "ybe") -> CheckReport:
     """c12 c23 c12 = c23 c12 c23 on V⊗V⊗V (rightmost factor acts first)."""
     started = time.perf_counter()
     c12, c23 = lift12(c), lift23(c)
-    lhs = c12 @ c23 @ c12
-    rhs = c23 @ c12 @ c23
-    return _report(name, [(lhs, rhs)], started)
+    x = c12 @ c23
+    return _report(name, [lambda: compose_sum([(x, c12), (-c23, x)])], started)
 
 
 def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
@@ -78,14 +103,14 @@ def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
 
     g12 g23 P12 + g12 P23 g12 + P12 g23 g12
         = g23 g12 P23 + g23 P12 g23 + P23 g12 g23
+
+    It is the first mixed condition of the pair (P, g).
     """
     started = time.perf_counter()
     perm = permutation_op(g.n)
     g12, g23 = lift12(g), lift23(g)
     p12, p23 = lift12(perm), lift23(perm)
-    lhs = g12 @ g23 @ p12 + g12 @ p23 @ g12 + p12 @ g23 @ g12
-    rhs = g23 @ g12 @ p23 + g23 @ p12 @ g23 + p23 @ g12 @ g23
-    return _report(name, [(lhs, rhs)], started)
+    return _report(name, [lambda: _cubic_difference(p12, p23, g12, g23)], started)
 
 
 def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> CheckReport:
@@ -96,34 +121,35 @@ def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> Che
 
       f12 g23 g12 + g12 f23 g12 + g12 g23 f12
           = f23 g12 g23 + g23 f12 g23 + g23 g12 f23
-    and the same with the roles of f and g exchanged.
+    and the same with the roles of f and g exchanged.  The second is
+    built only when the first holds.
     """
     started = time.perf_counter()
     f._check_match(g)
     f12, f23 = lift12(f), lift23(f)
     g12, g23 = lift12(g), lift23(g)
-
-    def one_sided(a12, a23, b12, b23):
-        lhs = a12 @ b23 @ b12 + b12 @ a23 @ b12 + b12 @ b23 @ a12
-        rhs = a23 @ b12 @ b23 + b23 @ a12 @ b23 + b23 @ b12 @ a23
-        return lhs, rhs
-
     return _report(
         name,
-        [one_sided(f12, f23, g12, g23), one_sided(g12, g23, f12, f23)],
+        [
+            lambda: _cubic_difference(f12, f23, g12, g23),
+            lambda: _cubic_difference(g12, g23, f12, f23),
+        ],
         started,
     )
 
 
 def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> CheckReport:
-    """(R - s*I)(R + s^-1*I) = 0 for the given unit scalar s."""
+    """(R - s*I)(R + s^-1*I) = 0 for the given unit scalar s.
+
+    Checked expanded: R∘R + (s^-1 - s)*R - I = 0.
+    """
     qscalar = as_laurent(qscalar)
     if not qscalar.is_unit():
         raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {qscalar}")
     started = time.perf_counter()
-    identity = TensorOp.identity(rmat.n, rmat.arity)
-    lhs = (rmat - identity.scale(qscalar)) @ (rmat + identity.scale(qscalar.unit_inverse()))
-    return _report(name, [(lhs, TensorOp.zero(rmat.n, rmat.arity))], started)
+    neg_identity = -TensorOp.identity(rmat.n, rmat.arity)
+    linear = rmat.scale(qscalar.unit_inverse() - qscalar)
+    return _report(name, [lambda: compose_sum([(rmat, rmat), linear, neg_identity])], started)
 
 
 def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
@@ -131,13 +157,15 @@ def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
     started = time.perf_counter()
     g = g_op(n)
     perm = permutation_op(n)
-    identity = TensorOp.identity(n)
-    sides = [
-        (g @ g, g),
-        (g @ perm, -g),
-        (perm @ g, g + perm - identity),
-    ]
-    return _report(name, sides, started)
+    return _report(
+        name,
+        [
+            lambda: compose_sum([(g, g), -g]),
+            lambda: compose_sum([(g, perm), g]),
+            lambda: compose_sum([(perm, g), -g, -perm, TensorOp.identity(n)]),
+        ],
+        started,
+    )
 
 
 def check_quadratic(
@@ -146,10 +174,9 @@ def check_quadratic(
     """R^2 = beta*R + alpha*(alpha-beta)*I for R = alpha*P + beta*g."""
     started = time.perf_counter()
     rmat = cg_op(n, alpha, beta)
-    identity = TensorOp.identity(n)
-    lhs = rmat @ rmat
-    rhs = rmat.scale(beta) + identity.scale(alpha * (alpha - beta))
-    return _report(name, [(lhs, rhs)], started)
+    linear = rmat.scale(-beta)
+    constant = TensorOp.identity(n).scale(-(alpha * (alpha - beta)))
+    return _report(name, [lambda: compose_sum([(rmat, rmat), linear, constant])], started)
 
 
 def reports_to_json(reports: list[CheckReport]) -> str:

@@ -52,9 +52,9 @@ def criterion(label: str):
 
 
 def test_symbolic_ybe():
-    with criterion("symbolic YBE: twisted n=1..10 and one-parameter n=1..5, under 30s"):
+    with criterion("symbolic YBE: twisted n=1..12 and one-parameter n=1..5, under 30s"):
         started = time.perf_counter()
-        for n in range(1, 11):
+        for n in range(1, 13):
             report = check_ybe(cg_twisted_op(n))
             assert report.passed, (n, report.witness)
         alpha, beta = hecke_parameters()

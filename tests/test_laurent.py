@@ -102,6 +102,20 @@ def test_float_coefficient_rejected():
         q * 0.5
 
 
+@pytest.mark.parametrize("exps", [(1.5, 0), (0, 0.7), (1.0, 0), (Fraction(1), 0)])
+def test_non_int_exponent_rejected(exps):
+    # int(1.5) would silently give q; exponents are exact integers or nothing.
+    with pytest.raises(TypeError):
+        LaurentQP({exps: 1})
+
+
+def test_non_int_monomial_exponent_rejected():
+    with pytest.raises(TypeError):
+        LaurentQP.monomial(1, 0.7)
+    with pytest.raises(TypeError):
+        LaurentQP.monomial(1, 0, 2.0)
+
+
 def test_negative_powers_of_non_units_rejected():
     with pytest.raises(ValueError):
         (q + p) ** -1
@@ -131,6 +145,37 @@ def test_json_round_trip_sorted():
         {"q": 2, "p": 0, "coeff": "1/1"},
     ]
     assert LaurentQP.from_json_obj(obj) == x
+
+
+def test_json_coefficient_int_or_num_den_string():
+    obj = [{"q": 0, "p": 0, "coeff": 3}, {"q": 1, "p": -1, "coeff": "-6/4"}]
+    assert LaurentQP.from_json_obj(obj) == 3 + LaurentQP.monomial(Fraction(-3, 2), 1, -1)
+
+
+@pytest.mark.parametrize(
+    "coeff, error",
+    [
+        (0.1, TypeError),  # would read as 3602879701896397/36028797018963968
+        (1.0, TypeError),
+        (True, TypeError),
+        (None, TypeError),
+        (["1/2"], TypeError),
+        ("0.1", ValueError),
+        ("1e3", ValueError),
+        ("1", ValueError),
+        (" 1/2", ValueError),
+        ("1/0", ValueError),
+        ("1/-2", ValueError),
+    ],
+)
+def test_json_coefficient_rejects_everything_else(coeff, error):
+    with pytest.raises(error):
+        LaurentQP.from_json_obj([{"q": 0, "p": 0, "coeff": coeff}])
+
+
+def test_json_float_exponent_rejected():
+    with pytest.raises(TypeError):
+        LaurentQP.from_json_obj([{"q": 1.0, "p": 0, "coeff": "1/1"}])
 
 
 def test_str_rendering():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, endo_eq, g_op, lift12, lift23, linear_combo
 from cgybe import permutation_op, q
+from cgybe.tensor import compose_sum
 
 from helpers import (
     dense_compose,
@@ -149,6 +150,25 @@ def test_endo_eq_reports_first_difference():
     assert diff == LaurentQP.const(-1)
 
 
+def test_first_entry_is_smallest_input_then_output():
+    assert TensorOp.zero(2).first_entry() is None
+    op = TensorOp(2, 2, {((2, 1), (1, 2)): 3, ((1, 2), (1, 2)): q, ((1, 1), (2, 2)): 1})
+    assert op.first_entry() == ((1, 2), (1, 2), q)
+
+
+def test_compose_sum_shapes():
+    with pytest.raises(ValueError):
+        compose_sum([])
+    with pytest.raises(ValueError):
+        compose_sum([(permutation_op(2), permutation_op(2)), permutation_op(3)])
+    with pytest.raises(ValueError):
+        compose_sum([TensorOp.identity(2), (permutation_op(2), TensorOp.identity(2, 3))])
+    P = permutation_op(3)
+    assert compose_sum([(P, P)]) == P @ P
+    assert compose_sum([P]) == P
+    assert compose_sum([(P, P), -TensorOp.identity(3)]).is_zero()
+
+
 def test_endo_eq_g_idempotent():
     assert endo_eq(g_op(4) @ g_op(4), g_op(4)) == (True, None)
 
@@ -235,6 +255,28 @@ def test_entry_validation():
         TensorOp(2, 2, {((1, 1, 1), (1, 1, 1)): 1})
     with pytest.raises(ValueError):
         TensorOp(0, 2)
+
+
+@pytest.mark.parametrize(
+    "n, arity, entries",
+    [
+        (2, 2, {((1.0, 2), (2, 1)): 1}),
+        (2, 2, {((1, 2), (2, Fraction(1))): 1}),
+        (2.0, 2, {}),
+        (2, 2.0, {}),
+    ],
+)
+def test_non_int_index_or_shape_rejected(n, arity, entries):
+    # A float index would be stored as given and printed as 1.0 by gen.
+    with pytest.raises(TypeError):
+        TensorOp(n, arity, entries)
+
+
+def test_json_float_index_rejected():
+    obj = permutation_op(2).to_json_obj()
+    obj["entries"][0]["in"][0] = 1.0
+    with pytest.raises(TypeError):
+        TensorOp.from_json_obj(obj)
 
 
 def test_zero_coefficients_dropped():
@@ -332,3 +374,48 @@ def test_kernel_matches_naive_reference(seed, shape, kind, cancel):
         _assert_canonical(result)
         assert (result.n, result.arity) == (n, arity)
         assert dict(result.entries) == expected
+
+
+def _naive_compose_sum(terms):
+    """Entries of the same sum, from the naive products and LaurentQP + only."""
+    acc = {}
+    for term in terms:
+        entries = term.entries if isinstance(term, TensorOp) else _naive_compose(*term)
+        for key, coeff in entries.items():
+            acc[key] = acc.get(key, LaurentQP.zero()) + coeff
+    return {key: coeff for key, coeff in acc.items() if not coeff.is_zero()}
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]),
+    st.sampled_from(sorted(COEFF_KINDS)),
+    st.lists(st.sampled_from(["pair", "lone"]), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_compose_sum_matches_naive_sum(seed, shape, kind, kinds, cancel):
+    rng = random.Random(seed)
+    n, arity = shape
+    density = 0.1 if (n, arity) == (3, 3) else 0.4
+    coeff = COEFF_KINDS[kind]
+    f = random_op(rng, n, arity, density, coeff=coeff)
+    g = random_op(rng, n, arity, density, coeff=coeff)
+    if cancel and n > 1:
+        f, g = _with_cancellation(rng, f, g)
+    pool = [f, g, -f, -g]
+    terms = []
+    for kind_of_term in kinds:
+        if kind_of_term == "pair":
+            terms.append((rng.choice(pool), rng.choice(pool)))
+        else:
+            terms.append(rng.choice(pool))
+    if cancel:
+        # the negated copy of a term cancels it exactly
+        first = terms[0]
+        terms.append((-first[0], first[1]) if isinstance(first, tuple) else -first)
+    result = compose_sum(terms)
+    _assert_canonical(result)
+    assert (result.n, result.arity) == (n, arity)
+    assert dict(result.entries) == _naive_compose_sum(terms)
+    if cancel:
+        assert dict(result.entries) == _naive_compose_sum(terms[1:-1])

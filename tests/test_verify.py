@@ -3,8 +3,12 @@ the g/P relations and the quadratic relation, pass and fail paths."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from cgybe import verify
 
 from cgybe import (
     LaurentQP,
@@ -17,6 +21,7 @@ from cgybe import (
     check_mixed_conditions,
     check_quadratic,
     check_ybe,
+    endo_eq,
     g_op,
     hecke_parameters,
     lift12,
@@ -31,6 +36,7 @@ from helpers import (
     YBE_FAIL_FIXTURE_ENTRIES,
     YBE_FAIL_FIXTURE_WITNESS,
     random_fraction,
+    random_op,
 )
 
 
@@ -246,3 +252,149 @@ def test_reports_serialize_to_json_array():
 def test_twisted_ybe_small():
     for n in (1, 2, 3):
         assert check_ybe(cg_twisted_op(n)).passed, n
+
+
+def test_mixed_conditions_stop_at_first_failure(monkeypatch):
+    # (P, cg2) fails the first mixed condition, so the second must never be
+    # built: the failing check makes half the kernel calls of a passing one.
+    n = 3
+    perm, twisted, g = permutation_op(n), cg_twisted_op(n), g_op(n)
+    calls = []
+    kernel = LaurentQP._sums_of_products
+
+    def counting(products):
+        calls.append(1)
+        return kernel(products)
+
+    monkeypatch.setattr(LaurentQP, "_sums_of_products", staticmethod(counting))
+    failing = check_mixed_conditions(perm, twisted)
+    failing_calls = len(calls)
+    calls.clear()
+    passing = check_mixed_conditions(perm, g)
+    passing_calls = len(calls)
+    monkeypatch.undo()
+
+    assert passing.passed and not failing.passed
+    assert failing_calls > 0 and passing_calls == 2 * failing_calls
+    f12, f23, g12, g23 = lift12(perm), lift23(perm), lift12(twisted), lift23(twisted)
+    lhs = f12 @ g23 @ g12 + g12 @ f23 @ g12 + g12 @ g23 @ f12
+    rhs = f23 @ g12 @ g23 + g23 @ f12 @ g23 + g23 @ g12 @ f23
+    assert (False, failing.witness) == endo_eq(lhs, rhs)
+
+
+# ----------------------------------------------------------------------
+# every check against a reference that builds lhs and rhs and compares
+# them with endo_eq, as the checks did before they became fused sums
+
+
+def _reference(sides):
+    for lhs, rhs in sides:
+        equal, witness = endo_eq(lhs, rhs)
+        if not equal:
+            return False, witness
+    return True, None
+
+
+def _reference_cubic(a12, a23, b12, b23):
+    lhs = a12 @ b23 @ b12 + b12 @ a23 @ b12 + b12 @ b23 @ a12
+    rhs = a23 @ b12 @ b23 + b23 @ a12 @ b23 + b23 @ b12 @ a23
+    return lhs, rhs
+
+
+def _reference_ybe(c):
+    c12, c23 = lift12(c), lift23(c)
+    return _reference([(c12 @ c23 @ c12, c23 @ c12 @ c23)])
+
+
+def _reference_compat(g):
+    perm = permutation_op(g.n)
+    return _reference([_reference_cubic(lift12(perm), lift23(perm), lift12(g), lift23(g))])
+
+
+def _reference_mixed(f, g):
+    f12, f23, g12, g23 = lift12(f), lift23(f), lift12(g), lift23(g)
+    return _reference(
+        [_reference_cubic(f12, f23, g12, g23), _reference_cubic(g12, g23, f12, f23)]
+    )
+
+
+def _reference_hecke(rmat, s):
+    identity = TensorOp.identity(rmat.n)
+    lhs = (rmat - identity.scale(s)) @ (rmat + identity.scale(s.unit_inverse()))
+    return _reference([(lhs, TensorOp.zero(rmat.n))])
+
+
+def _reference_gp(g, perm):
+    identity = TensorOp.identity(g.n)
+    return _reference([(g @ g, g), (g @ perm, -g), (perm @ g, g + perm - identity)])
+
+
+def _reference_quadratic(rmat, alpha, beta):
+    identity = TensorOp.identity(rmat.n)
+    rhs = rmat.scale(beta) + identity.scale(alpha * (alpha - beta))
+    return _reference([(rmat @ rmat, rhs)])
+
+
+def _operand(rng, n, kind, solution):
+    """A true solution, the same with one entry changed, or a random operator.
+
+    The changed solution makes the fused sum cancel in most entries but not
+    all, so the witness is one surviving entry among many cancelled ones.
+    """
+    if kind == "random":
+        return random_op(rng, n)
+    if kind == "solution":
+        return solution
+    entries = dict(solution.entries)
+    basis = solution.basis_tuples()
+    key = (rng.choice(basis), rng.choice(basis))
+    entries[key] = entries.get(key, LaurentQP.zero()) + random_fraction(rng, nonzero=True)
+    return TensorOp(n, 2, entries)
+
+
+def _unit(rng):
+    coeff = random_fraction(rng, nonzero=True)
+    return LaurentQP.monomial(coeff, rng.randint(-2, 2), rng.randint(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+    st.sampled_from(["solution", "perturbed", "random"]),
+    st.sampled_from(["ybe", "compat", "mixed", "hecke", "gp", "quadratic"]),
+)
+def test_fused_checks_match_two_sided_reference(seed, n, kind, check):
+    rng = random.Random(seed)
+    alpha, beta = hecke_parameters()
+    perm, g = permutation_op(n), g_op(n)
+    if check == "ybe":
+        combo = linear_combo(_unit(rng), perm, random_fraction(rng), g)
+        c = _operand(rng, n, kind, combo)
+        report, expected = check_ybe(c), _reference_ybe(c)
+    elif check == "compat":
+        g2 = _operand(rng, n, kind, g)
+        report, expected = check_compatibility(g2), _reference_compat(g2)
+    elif check == "mixed":
+        f2, g2 = _operand(rng, n, kind, perm), _operand(rng, n, kind, g)
+        report, expected = check_mixed_conditions(f2, g2), _reference_mixed(f2, g2)
+    elif check == "hecke":
+        rmat = _operand(rng, n, kind, cg_op(n, alpha, beta))
+        s = alpha if kind == "solution" else _unit(rng)
+        report, expected = check_hecke(rmat, s), _reference_hecke(rmat, s)
+    elif check == "gp":
+        g2, perm2 = _operand(rng, n, kind, g), _operand(rng, n, kind, perm)
+        with mock.patch.object(verify, "g_op", lambda _: g2), mock.patch.object(
+            verify, "permutation_op", lambda _: perm2
+        ):
+            report = check_gp_relations(n)
+        expected = _reference_gp(g2, perm2)
+    else:
+        a, b = _unit(rng), LaurentQP.const(random_fraction(rng))
+        rmat = _operand(rng, n, kind, cg_op(n, a, b))
+        with mock.patch.object(verify, "cg_op", lambda *_: rmat):
+            report = check_quadratic(n, a, b)
+        expected = _reference_quadratic(rmat, a, b)
+    assert (report.passed, report.witness) == expected
+    if kind == "solution":
+        assert report.passed
