@@ -19,20 +19,7 @@ from .model import (
     permutation_op,
     step_u,
 )
-from .oracles import (
-    IntWindow,
-    OracleReport,
-    check_compat_coeffs,
-    check_eta_convolution,
-    check_eta_identities,
-    check_g_idempotent_identity,
-    check_step_identity,
-    check_ybe_coeffs,
-    check_zeta_closed_form,
-    check_zeta_symmetry,
-    run_oracles,
-    zeta,
-)
+from .oracles import IntWindow, OracleReport, run_oracles, zeta
 from .tensor import TensorOp, endo_eq, lift12, lift23, linear_combo
 from .verify import (
     CheckReport,
@@ -78,12 +65,4 @@ __all__ = [
     "OracleReport",
     "zeta",
     "run_oracles",
-    "check_compat_coeffs",
-    "check_step_identity",
-    "check_eta_identities",
-    "check_eta_convolution",
-    "check_zeta_closed_form",
-    "check_ybe_coeffs",
-    "check_zeta_symmetry",
-    "check_g_idempotent_identity",
 ]

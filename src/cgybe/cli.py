@@ -12,11 +12,14 @@ with --alpha/--beta, --alpha/--beta on a gen or eval operator that does
 not use them; for verify an unknown or empty --checks selection
 (``--checks ,``) or a rank above ``MAX_VERIFY_RANK_3FOLD`` (16, when
 ybe, compat or mixed is selected) or ``MAX_VERIFY_RANK_2FOLD`` (64,
-hecke, gp and quadratic only), rejected before any operator is built; and
-for identities an empty window (--lo above --hi), an unknown or empty
---only selection (``--only ,``), or windows holding more than
-``oracles.MAX_WINDOW_TUPLES`` tuples in total, rejected before any scan
-starts.  Reports stream as JSON lines in sorted check order.
+hecke, gp and quadratic only), rejected before any operator is built; for
+eval and gen --format latex a rank above ``MAX_DENSE_RANK`` (56), and for
+eval --check-ybe one above ``MAX_VERIFY_RANK_3FOLD``, also rejected before
+any operator is built; and for identities an empty window
+(--lo above --hi), an unknown or empty --only selection (``--only ,``),
+or windows holding more than ``oracles.MAX_WINDOW_TUPLES`` tuples in
+total, rejected before any scan starts.  Reports stream as JSON lines in
+sorted check order.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ VERIFY_CHECKS = ("compat", "gp", "hecke", "mixed", "quadratic", "ybe")
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 THREE_FOLD_CHECKS = frozenset({"compat", "mixed", "ybe"})
+
+# Largest rank of a dense matrix (eval, gen --format latex), which has n^4
+# cells: at n = 56, on the same VM, eval --op cg takes about 12 s and 1.6 GB
+# as JSON, 4.7 s as CSV, and gen --format latex 3.2 s.  gen --format json
+# stays sparse and is not capped.
+MAX_DENSE_RANK = 56
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +228,15 @@ def _require_positive_n(n: int) -> None:
 # subcommands
 
 
+def _require_dense_rank(n: int) -> None:
+    if n > MAX_DENSE_RANK:
+        raise ValueError(f"--n {n} exceeds the cap of {MAX_DENSE_RANK} for dense output")
+
+
 def cmd_gen(args) -> int:
     _require_positive_n(args.n)
+    if args.format == "latex":
+        _require_dense_rank(args.n)
     alpha, beta = _resolve_params(args, only_cg_reads=True)
     operator = _build_operator(args.op, args.n, alpha, beta)
     if args.format == "json":
@@ -289,6 +305,9 @@ def cmd_identities(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_positive_n(args.n)
+    _require_dense_rank(args.n)
+    if args.check_ybe:
+        _require_verify_rank(args.n, {"ybe"})
     alpha, beta = _resolve_params(args, only_cg_reads=True)
     qval = _parse_rational(args.q)
     pval = _parse_rational(args.p)

@@ -7,6 +7,13 @@ sign case of the differences involved.  All arithmetic is plain machine
 integers (eta, the unit step and the delta are integer-valued), so a
 check is exact and a single counterexample refutes the implementation.
 
+``run_oracles(lo, hi, only, pad)`` is the one entry point: it runs every
+identity, or the ones ``only`` names by canonical name or command-line
+alias, on ``[lo, hi]^arity`` and returns one ``OracleReport`` each, sorted
+by name.  All sixteen identities live in one registry table, ``_ORACLES``,
+as a row (name, alias, arity, stage); each stage's docstring states its
+identity.  ``oracle_names`` lists the canonical names.
+
 Sums over an unbounded index are truncated to the support interval
 [min, max) of the relevant eta factor; every summation helper takes a
 ``pad`` argument that widens the range on both sides so the truncation
@@ -47,14 +54,6 @@ __all__ = [
     "eta_interval_sum",
     "eta_convolution",
     "g_idem_sum",
-    "check_compat_coeffs",
-    "check_step_identity",
-    "check_eta_identities",
-    "check_eta_convolution",
-    "check_zeta_closed_form",
-    "check_ybe_coeffs",
-    "check_zeta_symmetry",
-    "check_g_idempotent_identity",
     "run_oracles",
     "oracle_names",
     "DEFAULT_LO",
@@ -71,7 +70,7 @@ DEFAULT_HI = 4
 MAX_WINDOW_TUPLES = 10**7
 
 # what _scan calls once per prefix: stage(*prefix) -> predicate of the last
-# coordinate.  Registry entries take pad first; _check binds it.
+# coordinate.  Registry entries take pad first; run_oracles binds it.
 Stage = Callable[..., Callable[[int], bool]]
 
 
@@ -212,10 +211,19 @@ def g_idem_sum(i: int, j: int, l: int, pad: int = 0) -> int:
 
 # ----------------------------------------------------------------------
 # staged identities: stage(pad, *prefix) -> predicate of the last coordinate.
-# Identities without a sum ignore pad.
+# Each docstring states the identity over the tuple the scan walks, whose
+# last coordinate is the predicate's argument.  Identities without a sum
+# ignore pad.
 
 
 def _compat_coeffs(pad, i, j, k, a):
+    """Coefficient form of the compatibility condition, over (i,j,k,a,b):
+
+    eta(i,k,a+b-j)eta(j,a+b-j,a) + eta(i,j,b+a-k)eta(b+a-k,k,a)
+        + eta(i,j,b)eta(i+j-b,k,a)
+      = eta(i,k,a)eta(i+k-a,j,b) + eta(j,k,a)eta(i,j+k-a,b)
+        + eta(j,k,j+k-b)eta(i,j+k-b,a)
+    """
     eta_ika, eta_jka = eta(i, k, a), eta(j, k, a)
 
     def holds(b):
@@ -235,6 +243,11 @@ def _compat_coeffs(pad, i, j, k, a):
 
 
 def _step_identity(pad, a, b, i, j):
+    """The five-variable unit-step identity, over (a,b,i,j,k):
+
+    u(a+b-i-j)(u(a-j)+u(b-i)-u(b-j)-u(j-b)) + u(k-b)u(a+b-i-k)
+      = u(a-i)(u(k-b)-u(j-b)-u(b-j)+u(b+a-i-k)) + u(b-i)u(a-j)
+    """
     u = step_u
     lhs_rest = u(a + b - i - j) * (u(a - j) + u(b - i) - u(b - j) - u(j - b))
     u_ai = u(a - i)
@@ -250,6 +263,11 @@ def _step_identity(pad, a, b, i, j):
 
 
 def _eta_convolution(pad, t, s, b, d):
+    """Closed form of the sliding-product sum, over (t,s,b,d,h):
+
+    sum_a eta(t,s,a)eta(b+a,d-a,h) = (s-t)eta(b+t,d-t,h)
+        + (d-h-s)eta(d-s,d-t,h) + (h-b-s+1)eta(b+t,b+s,h)
+    """
     terms = _convolution_terms(t, s, b, d, pad)
 
     def holds(h):
@@ -264,6 +282,13 @@ def _eta_convolution(pad, t, s, b, d):
 
 
 def _zeta_closed_form(pad, i, j, k, c):
+    """Closed form of zeta in six eta terms, over (i,j,k,c,h):
+
+    zeta(i,j,k,c,h) = eta(j,k,c)((k-c-1)eta(i-c+k,j+k-c,h)
+                        + (j-h)eta(j,j+k-c,h) + (h-i)eta(i,i+k-c,h))
+                    + eta(i,j,c)((c-i+1)eta(i+j-c,i+k-c,h)
+                        + (h-j)eta(i+j-c,j,h) + (k-h)eta(i+k-c,k,h))
+    """
     terms = _zeta_terms(_interval_terms(j, k, pad), i, j + k, c)
     eta_jkc, eta_ijc = eta(j, k, c), eta(i, j, c)
 
@@ -287,12 +312,23 @@ def _zeta_closed_form(pad, i, j, k, c):
 
 
 def _ybe_coeffs(pad, i, j, k, c):
+    """Coefficient form of the Yang-Baxter equation for g, over (i,j,k,c,h):
+
+    sum_a eta(j,k,a)eta(i,a,c)eta(i+a-c,j+k-a,h)
+      = sum_s eta(i,j,s)eta(i+j-s,k,h+c-s)eta(s,h+c-s,c)
+    """
     lhs = _zeta_terms(_interval_terms(j, k, pad), i, j + k, c)
     rhs = _nonzero_interval_terms(i, j, pad)
     return lambda h: _eta_sum(lhs, h) == _ybe_rhs_sum(rhs, i + j, k, c, h)
 
 
 def _zeta_symmetry(pad, i, j, k, c):
+    """The right side of the Yang-Baxter coefficient identity is itself a
+    zeta, over (i,j,k,c,h):
+
+    sum_s eta(i,j,s)eta(i+j-s,k,h+c-s)eta(s,h+c-s,c)
+      = zeta(i+j-k, i, j, h+c-k, i+j-h)
+    """
     # eta(i,j,.) is the first factor of both sides: the rhs is
     # zeta(i+j-k, i, j, h+c-k, i+j-h), whose first factor is eta(i,j,a).
     first = _nonzero_interval_terms(i, j, pad)
@@ -306,6 +342,12 @@ def _zeta_symmetry(pad, i, j, k, c):
 
 
 def _g_idempotent(pad, i, j):
+    """The scalar identities behind g^2 = g and its companions, over (i,j,l):
+
+    sum_k eta(i,j,k)eta(k,i+j-k,l) = eta(i,j,l)
+    eta(j,i,l) = -eta(i,j,l)
+    eta(i,j,i+j-l) = eta(i,j,l) + delta(l-j) - delta(l-i)
+    """
     terms = _g_idem_terms(i, j, pad)
 
     def holds(l):
@@ -320,15 +362,18 @@ def _g_idempotent(pad, i, j):
 
 
 def _eta_translation(pad, a, b, c):
+    """Translation invariance, over (a,b,c,d): eta(a+d,b+d,c+d) = eta(a,b,c)."""
     eta_abc = eta(a, b, c)
     return lambda d: eta(a + d, b + d, c + d) == eta_abc
 
 
 def _eta_antisymmetry(pad, a, b):
+    """Antisymmetry, over (a,b,c): eta(a,b,c) = -eta(b,a,c)."""
     return lambda c: eta(a, b, c) == -eta(b, a, c)
 
 
 def _eta_reflection(pad, a, b):
+    """Reflection, over (a,b,c): eta(a,b,c) = eta(-b,-a,-c-1) = eta(a,b,a+b-c-1)."""
     def holds(c):
         eta_abc = eta(a, b, c)
         return eta_abc == eta(-b, -a, -c - 1) and eta_abc == eta(a, b, a + b - c - 1)
@@ -337,27 +382,36 @@ def _eta_reflection(pad, a, b):
 
 
 def _eta_delta_adjacent(pad, a):
+    """The adjacent-interval delta, over (a,c): eta(a,a+1,c) = delta(a-c)."""
     return lambda c: eta(a, a + 1, c) == kron_delta(a - c)
 
 
 def _eta_interval_sum(pad, b):
+    """The interval sum, over (b,c): sum_a eta(b,c,a) = c - b."""
     return lambda c: eta_interval_sum(b, c, pad) == c - b
 
 
 def _eta_cocycle(pad, a, b, c):
+    """The cocycle rule, over (a,b,c,d): eta(a,b,d) + eta(b,c,d) = eta(a,c,d)."""
     return lambda d: eta(a, b, d) + eta(b, c, d) == eta(a, c, d)
 
 
 def _eta_annihilation(pad, a, b):
+    """Annihilation, over (a,b,c): eta(a,b+1,c)eta(c,a,b) = 0."""
     return lambda c: eta(a, b + 1, c) * eta(c, a, b) == 0
 
 
 def _eta_exchange(pad, a, b, c):
+    """Exchange, over (a,b,c,d): eta(a,b,c)eta(c,b,d) = eta(a,b,d)eta(a,d+1,c)."""
     eta_abc = eta(a, b, c)
     return lambda d: eta_abc * eta(c, b, d) == eta(a, b, d) * eta(a, d + 1, c)
 
 
 def _eta_splitting(pad, a, b, c, d):
+    """Splitting, over (a,b,c,d,e):
+
+    eta(a,b,c)eta(d,c,e) = eta(a,b,c)eta(d,a,e) + eta(a,b,e)eta(e+1,b,c)
+    """
     eta_abc = eta(a, b, c)
 
     def holds(e):
@@ -367,8 +421,9 @@ def _eta_splitting(pad, a, b, c, d):
 
 
 # ----------------------------------------------------------------------
-# registry: (name, command-line alias, arity, stage), the one table every
-# entry point reads.  ids1..ids9 are the nine elementary eta identities.
+# registry: (name, command-line alias, arity, stage), the one table that
+# run_oracles and oracle_names read.  ids1..ids9 are the nine elementary eta
+# identities.
 
 _ORACLES: list[tuple[str, str, int, Stage]] = [
     ("compat_coeffs", "cond1", 5, _compat_coeffs),
@@ -391,110 +446,6 @@ _ORACLES: list[tuple[str, str, int, Stage]] = [
 
 _BY_NAME = {name: (arity, stage) for name, _, arity, stage in _ORACLES}
 _ALIASES = {alias: name for name, alias, _, _ in _ORACLES}
-
-
-def _check(name: str, lo: int, hi: int, pad: int = 0) -> OracleReport:
-    arity, stage = _BY_NAME[name]
-    return _scan(name, IntWindow(lo, hi, arity), partial(stage, pad))
-
-
-# ----------------------------------------------------------------------
-# the checks
-
-
-def check_compat_coeffs(lo: int = DEFAULT_LO, hi: int = DEFAULT_HI) -> OracleReport:
-    """Coefficient form of the compatibility condition, over (i,j,k,a,b):
-
-    eta(i,k,a+b-j)eta(j,a+b-j,a) + eta(i,j,b+a-k)eta(b+a-k,k,a)
-        + eta(i,j,b)eta(i+j-b,k,a)
-      = eta(i,k,a)eta(i+k-a,j,b) + eta(j,k,a)eta(i,j+k-a,b)
-        + eta(j,k,j+k-b)eta(i,j+k-b,a)
-    """
-    return _check("compat_coeffs", lo, hi)
-
-
-def check_step_identity(lo: int = DEFAULT_LO, hi: int = DEFAULT_HI) -> OracleReport:
-    """The five-variable unit-step identity, over (a,b,i,j,k):
-
-    u(a+b-i-j)(u(a-j)+u(b-i)-u(b-j)-u(j-b)) + u(k-b)u(a+b-i-k)
-      = u(a-i)(u(k-b)-u(j-b)-u(b-j)+u(b+a-i-k)) + u(b-i)u(a-j)
-    """
-    return _check("step_identity", lo, hi)
-
-
-def check_eta_identities(
-    lo: int = DEFAULT_LO, hi: int = DEFAULT_HI, pad: int = 0, only: str | None = None
-) -> list[OracleReport]:
-    """The nine elementary eta identities, one report each.
-
-    In order: translation invariance, antisymmetry, reflection, the
-    adjacent-interval delta, the interval sum, the cocycle rule,
-    annihilation, exchange, and splitting.  ``only`` selects one of them by
-    name; any other name raises ValueError.
-    """
-    names = [name for name, alias, _, _ in _ORACLES if alias.startswith("ids")]
-    if only is not None and only not in names:
-        kind = "not an eta identity" if only in _BY_NAME else "unknown identity check"
-        raise ValueError(f"{kind}: {only}")
-    return [_check(name, lo, hi, pad) for name in names if only in (None, name)]
-
-
-def check_eta_convolution(
-    lo: int = DEFAULT_LO, hi: int = DEFAULT_HI, pad: int = 0
-) -> OracleReport:
-    """Closed form of the sliding-product sum, over (t,s,b,d,h):
-
-    sum_a eta(t,s,a)eta(b+a,d-a,h) = (s-t)eta(b+t,d-t,h)
-        + (d-h-s)eta(d-s,d-t,h) + (h-b-s+1)eta(b+t,b+s,h)
-    """
-    return _check("eta_convolution", lo, hi, pad)
-
-
-def check_zeta_closed_form(
-    lo: int = DEFAULT_LO, hi: int = DEFAULT_HI, pad: int = 0
-) -> OracleReport:
-    """Closed form of zeta in six eta terms, over (i,j,k,c,h):
-
-    zeta(i,j,k,c,h) = eta(j,k,c)((k-c-1)eta(i-c+k,j+k-c,h)
-                        + (j-h)eta(j,j+k-c,h) + (h-i)eta(i,i+k-c,h))
-                    + eta(i,j,c)((c-i+1)eta(i+j-c,i+k-c,h)
-                        + (h-j)eta(i+j-c,j,h) + (k-h)eta(i+k-c,k,h))
-    """
-    return _check("zeta_closed_form", lo, hi, pad)
-
-
-def check_ybe_coeffs(
-    lo: int = DEFAULT_LO, hi: int = DEFAULT_HI, pad: int = 0
-) -> OracleReport:
-    """Coefficient form of the Yang-Baxter equation for g, over (i,j,k,c,h):
-
-    sum_a eta(j,k,a)eta(i,a,c)eta(i+a-c,j+k-a,h)
-      = sum_s eta(i,j,s)eta(i+j-s,k,h+c-s)eta(s,h+c-s,c)
-    """
-    return _check("ybe_coeffs", lo, hi, pad)
-
-
-def check_zeta_symmetry(
-    lo: int = DEFAULT_LO, hi: int = DEFAULT_HI, pad: int = 0
-) -> OracleReport:
-    """The right side of the Yang-Baxter coefficient identity is itself a zeta:
-
-    sum_s eta(i,j,s)eta(i+j-s,k,h+c-s)eta(s,h+c-s,c)
-      = zeta(i+j-k, i, j, h+c-k, i+j-h)
-    """
-    return _check("zeta_symmetry", lo, hi, pad)
-
-
-def check_g_idempotent_identity(
-    lo: int = DEFAULT_LO, hi: int = DEFAULT_HI, pad: int = 0
-) -> OracleReport:
-    """The scalar identities behind g^2 = g and its companions, over (i,j,l):
-
-    sum_k eta(i,j,k)eta(k,i+j-k,l) = eta(i,j,l)
-    eta(j,i,l) = -eta(i,j,l)
-    eta(i,j,i+j-l) = eta(i,j,l) + delta(l-j) - delta(l-i)
-    """
-    return _check("g_idempotent", lo, hi, pad)
 
 
 def oracle_names() -> list[str]:
@@ -531,4 +482,8 @@ def run_oracles(
         raise ValueError(
             f"window [{lo},{hi}] needs {total} tuples, above the cap of {MAX_WINDOW_TUPLES}"
         )
-    return [_check(name, lo, hi, pad) for name in sorted(selected)]
+    reports = []
+    for name in sorted(selected):
+        arity, stage = _BY_NAME[name]
+        reports.append(_scan(name, IntWindow(lo, hi, arity), partial(stage, pad)))
+    return reports

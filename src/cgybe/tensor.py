@@ -259,38 +259,42 @@ class TensorOp:
         """All basis labels in row-major order: (1,..,1), (1,..,2), ..."""
         return list(itertools.product(range(1, self.n + 1), repeat=self.arity))
 
+    def _dense_rows(self, cell) -> list[list]:
+        """Dense matrix of ``cell(coefficient)``, a missing entry read as zero.
+
+        Row r is the flattened input tuple (row-major, 1-based), column c the
+        flattened output tuple.  The one copy of the dense loop behind every
+        dense export: the entries are grouped by input in one pass, so the
+        cost is O(nnz + n^(2*arity)), and ``cell`` runs once per entry plus
+        once for all the zero cells.
+        """
+        images: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
+        for (out, inp), coeff in self._entries.items():
+            images.setdefault(inp, {})[out] = cell(coeff)
+        blank = cell(LaurentQP.zero())
+        basis = self.basis_tuples()
+        rows = []
+        for inp in basis:
+            image = images.get(inp, {})
+            rows.append([image.get(out, blank) for out in basis])
+        return rows
+
     def to_numeric_rows(self) -> list[list[Fraction]]:
         """Dense rational matrix of a numerically evaluated operator.
 
         Row r is the flattened input tuple (row-major, 1-based), column c the
         flattened output tuple.  Raises if any coefficient still contains q or p.
         """
-        basis = self.basis_tuples()
-        rows = []
-        for inp in basis:
-            image = self.apply(*inp)
-            rows.append(
-                [image.get(out, LaurentQP.zero()).constant_value() for out in basis]
-            )
-        return rows
+        return self._dense_rows(LaurentQP.constant_value)
 
     def to_numeric_csv(self) -> str:
         """CSV rendering of :meth:`to_numeric_rows` with num/den cells."""
-        lines = [
-            ",".join(rational_to_str(cell) for cell in row)
-            for row in self.to_numeric_rows()
-        ]
-        return "\n".join(lines) + "\n"
+        rows = self._dense_rows(lambda coeff: rational_to_str(coeff.constant_value()))
+        return "\n".join(",".join(row) for row in rows) + "\n"
 
     def to_latex(self) -> str:
         """Dense pmatrix; rows flatten input tuples, columns output tuples."""
-        basis = self.basis_tuples()
-        lines = []
-        for inp in basis:
-            image = self.apply(*inp)
-            cells = [image.get(out, LaurentQP.zero()).to_latex() for out in basis]
-            lines.append(" & ".join(cells))
-        body = " \\\\\n".join(lines)
+        body = " \\\\\n".join(" & ".join(row) for row in self._dense_rows(LaurentQP.to_latex))
         return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
 
 

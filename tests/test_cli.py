@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 from cgybe import TensorOp, cg_op, cg_twisted_op, hecke_parameters, permutation_op
-from cgybe.cli import MAX_VERIFY_RANK_2FOLD, MAX_VERIFY_RANK_3FOLD, main, parse_laurent_expr
+from cgybe.cli import (
+    MAX_DENSE_RANK,
+    MAX_VERIFY_RANK_2FOLD,
+    MAX_VERIFY_RANK_3FOLD,
+    main,
+    parse_laurent_expr,
+)
 from cgybe.laurent import LaurentQP, p, q
 
 
@@ -169,10 +175,22 @@ def test_verify_empty_selection_rejected(capsys, checks):
         (MAX_VERIFY_RANK_3FOLD + 1, "gp,mixed", False),
         (MAX_VERIFY_RANK_3FOLD + 1, "gp", True),
         (MAX_VERIFY_RANK_2FOLD + 1, "gp", False),
+        (MAX_DENSE_RANK + 1, "eval", False),
+        (MAX_VERIFY_RANK_3FOLD + 1, "eval-ybe", False),
+        (MAX_DENSE_RANK + 1, "gen-latex", False),
+        (MAX_DENSE_RANK + 1, "gen-json", True),
     ],
 )
 def test_verify_rank_cap_follows_selected_checks(capsys, n, checks, allowed):
-    code, out, err = run_cli(capsys, "verify", "--op", "g", "--n", str(n), "--checks", checks)
+    # the dense outputs (eval, gen --format latex) have their own cap;
+    # sparse gen json has none; eval --check-ybe also has the ybe cap
+    command = {
+        "eval": ["eval", "--op", "cg", "--q", "2", "--p", "1"],
+        "eval-ybe": ["eval", "--op", "cg", "--q", "2", "--p", "1", "--check-ybe"],
+        "gen-latex": ["gen", "--op", "cg", "--format", "latex"],
+        "gen-json": ["gen", "--op", "perm"],
+    }.get(checks, ["verify", "--op", "g", "--checks", checks])
+    code, out, err = run_cli(capsys, *command, "--n", str(n))
     if allowed:
         assert code == 0 and err == ""
     else:

@@ -6,17 +6,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgybe import TensorOp, g_op, lift12, lift23, oracles
 from cgybe.oracles import (
     IntWindow,
     _scan,
-    check_compat_coeffs,
-    check_eta_convolution,
-    check_eta_identities,
-    check_g_idempotent_identity,
-    check_step_identity,
-    check_ybe_coeffs,
-    check_zeta_closed_form,
-    check_zeta_symmetry,
     eta_convolution,
     eta_interval_sum,
     g_idem_sum,
@@ -64,19 +57,48 @@ def test_zeta_frozen_fixture_table():
         assert naive_zeta(1, 2, 3, c, h) == expected, (c, h)
 
 
-def test_compat_coeffs_windows():
-    assert check_compat_coeffs(1, 4).passed
-    assert check_compat_coeffs(-2, 3).passed
+ETA_IDENTITIES = [
+    "eta_translation",
+    "eta_antisymmetry",
+    "eta_reflection",
+    "eta_delta_adjacent",
+    "eta_interval_sum",
+    "eta_cocycle",
+    "eta_annihilation",
+    "eta_exchange",
+    "eta_splitting",
+]
+
+# (identity, lo, hi): every window each identity is swept on
+ORACLE_WINDOWS = [
+    ("compat_coeffs", 1, 4),
+    ("compat_coeffs", -2, 3),
+    ("step_identity", -3, 3),
+    ("step_identity", 5, 9),  # depends only on differences
+    *((name, lo, hi) for lo, hi in ((-3, 4), (1, 6)) for name in ETA_IDENTITIES),
+    ("eta_convolution", -2, 3),
+    ("eta_convolution", -3, 4),
+    ("zeta_closed_form", -1, 3),
+    ("zeta_closed_form", -3, 4),
+    ("ybe_coeffs", 1, 5),
+    ("ybe_coeffs", -2, 3),
+    ("zeta_symmetry", -1, 3),
+    ("zeta_symmetry", -3, 4),
+    ("g_idempotent", -2, 4),
+    ("g_idempotent", -3, 4),
+]
+
+
+@pytest.mark.parametrize("name, lo, hi", ORACLE_WINDOWS)
+def test_oracle_windows(name, lo, hi):
+    [report] = run_oracles(lo, hi, only=[name])
+    assert report.name == name
+    assert report.passed, report.counterexample
 
 
 def test_compat_coeffs_all_equal_tuple():
-    report = check_compat_coeffs(2, 2)
+    [report] = run_oracles(2, 2, only=["compat_coeffs"])
     assert report.passed  # the all-equal tuple gives 0 = 0
-
-
-def test_step_identity_windows():
-    assert check_step_identity(-3, 3).passed
-    assert check_step_identity(5, 9).passed  # depends only on differences
 
 
 def test_step_identity_origin_value():
@@ -93,28 +115,6 @@ def test_eta_identity_examples():
     assert naive_eta(1, 3, 2) == 1 == -naive_eta(3, 1, 2)
 
 
-def test_eta_identities_windows():
-    for report in check_eta_identities(-3, 4):
-        assert report.passed, report.name
-    for report in check_eta_identities(1, 6):
-        assert report.passed, report.name
-
-
-def test_eta_identities_only_filter():
-    reports = check_eta_identities(0, 3, only="eta_interval_sum")
-    assert [r.name for r in reports] == ["eta_interval_sum"]
-    assert reports[0].passed
-
-
-@pytest.mark.parametrize(
-    "only, message",
-    [("no_such", "unknown identity"), ("zeta_symmetry", "not an eta identity"), ("ids5", "unknown")],
-)
-def test_eta_identities_only_rejects_other_names(only, message):
-    with pytest.raises(ValueError, match=message):
-        check_eta_identities(0, 2, only=only)
-
-
 def test_convolution_empty_sum_case():
     # t = s: the sum is empty and each closed-form term carries a zero factor.
     for t in range(-2, 3):
@@ -125,11 +125,6 @@ def test_convolution_empty_sum_case():
                     assert (t - t) == 0
                     assert naive_eta(d - t, d - t, h) == 0
                     assert naive_eta(b + t, b + t, h) == 0
-
-
-def test_convolution_windows():
-    assert check_eta_convolution(-2, 3).passed
-    assert check_eta_convolution(-3, 4).passed
 
 
 def test_convolution_spot_value():
@@ -149,18 +144,8 @@ def test_zeta_closed_form_trivial_diagonal():
         assert zeta(t, t, t, 1, 0) == 0
 
 
-def test_zeta_closed_form_windows():
-    assert check_zeta_closed_form(-1, 3).passed
-    assert check_zeta_closed_form(-3, 4).passed
-
-
 def test_zeta_closed_form_spot_value():
     assert zeta(1, 2, 3, 2, 2) == naive_zeta(1, 2, 3, 2, 2) == 0
-
-
-def test_ybe_coeffs_windows():
-    assert check_ybe_coeffs(1, 5).passed
-    assert check_ybe_coeffs(-2, 3).passed
 
 
 def test_ybe_coeffs_spot_against_naive():
@@ -169,21 +154,11 @@ def test_ybe_coeffs_spot_against_naive():
         assert ybe_coeff_rhs(*tpl) == naive_ybe_rhs(*tpl), tpl
 
 
-def test_zeta_symmetry_windows():
-    assert check_zeta_symmetry(-1, 3).passed
-    assert check_zeta_symmetry(-3, 4).passed
-
-
 def test_zeta_symmetry_spot_value():
     i, j, k, c, h = 2, 3, 1, 2, 3
     lhs = naive_ybe_rhs(i, j, k, c, h)
     rhs = naive_zeta(i + j - k, i, j, h + c - k, i + j - h)
     assert lhs == rhs == 0
-
-
-def test_g_idempotent_identity_windows():
-    assert check_g_idempotent_identity(-2, 4).passed
-    assert check_g_idempotent_identity(-3, 4).passed
 
 
 def test_g_idempotent_spot_value():
@@ -207,6 +182,72 @@ def test_padding_never_changes_sums():
         assert eta_interval_sum(*pair) == eta_interval_sum(*pair, pad=3)
     for triple in itertools.product(range(-3, 4), repeat=3):
         assert g_idem_sum(*triple) == g_idem_sum(*triple, pad=3)
+
+
+def bridge_mismatches(word, oracle):
+    """Entries of a 3-fold word in g that differ from the oracle sum.
+
+    The coefficient of e_c⊗e_h⊗e_m on e_i⊗e_j⊗e_k, m = i+j+k-c-h, must be
+    oracle(i, j, k, c, h); a missing entry counts as 0, and an entry at an
+    output that does not conserve i+j+k must be 0.
+    """
+    n = word.n
+    expected = {}
+    for i, j, k, c, h in itertools.product(range(1, n + 1), repeat=5):
+        m = i + j + k - c - h
+        if 1 <= m <= n and (value := oracle(i, j, k, c, h)):
+            expected[((c, h, m), (i, j, k))] = value
+    actual = {key: coeff.constant_value() for key, coeff in word.entries.items()}
+    return sorted(
+        key for key in expected.keys() | actual.keys() if expected.get(key, 0) != actual.get(key, 0)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_g_words_are_the_ybe_oracle_sums(n):
+    # the two sides of YBE(g), entry by entry, are the two sides of ybe_coeffs
+    g12, g23 = lift12(g_op(n)), lift23(g_op(n))
+    assert bridge_mismatches(g12 @ g23 @ g12, ybe_coeff_rhs) == []
+    assert bridge_mismatches(g23 @ g12 @ g23, zeta) == []
+
+
+def test_bridge_reports_a_changed_entry():
+    g12, g23 = lift12(g_op(4)), lift23(g_op(4))
+    word = g12 @ g23 @ g12
+    key, coeff = word.sorted_entries()[0]
+    changed = TensorOp(4, 3, {**word.entries, key: coeff + 1})
+    assert bridge_mismatches(changed, ybe_coeff_rhs) == [key]
+
+
+def closed_interval_eta(i, j, k):
+    """A wrong eta: +1 on the closed interval i <= k <= j when i < j."""
+    if i < j and i <= k <= j:
+        return 1
+    return naive_eta(i, j, k)
+
+
+# With the wrong eta, only these identities still hold on [-2, 3]: the
+# interval sum never reaches k = j, translation and the step identity do not
+# see the change, and zeta_symmetry has the same wrong eta on both sides.
+MUTANT_STILL_HOLDS = {"eta_interval_sum", "eta_translation", "step_identity", "zeta_symmetry"}
+MUTANT_COUNTEREXAMPLES = {
+    "compat_coeffs": (-2, -2, -1, -2, -2),
+    "g_idempotent": (-2, -1, -2),
+    "eta_delta_adjacent": (-2, -1),
+}
+
+
+def test_wrong_eta_fails_through_the_registry(monkeypatch):
+    monkeypatch.setattr(oracles, "eta", closed_interval_eta)
+    reports = {report.name: report for report in run_oracles(-2, 3)}
+    failing = {name for name, report in reports.items() if not report.passed}
+    assert set(reports) - failing == MUTANT_STILL_HOLDS
+    assert len(failing) == 12
+    for name, counterexample in MUTANT_COUNTEREXAMPLES.items():
+        assert reports[name].counterexample == counterexample
+    # pad reaches the stage: the padded interval sum counts k = j too
+    [padded] = run_oracles(-2, 3, only=["eta_interval_sum"], pad=1)
+    assert padded.counterexample == (-2, -1)
 
 
 def test_run_oracles_selection_and_aliases():
@@ -257,7 +298,7 @@ def test_scan_reports_first_counterexample_lexicographically():
 
 
 def test_report_invariant():
-    passing = check_g_idempotent_identity(0, 2)
+    [passing] = run_oracles(0, 2, only=["g_idempotent"])
     assert passing.passed and passing.counterexample is None
     failing = _scan("demo", IntWindow(0, 1, 1), lambda: lambda a: False)
     assert not failing.passed and failing.counterexample == (0,)

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, endo_eq, g_op, lift12, lift23, linear_combo
 from cgybe import permutation_op, q
+from cgybe.laurent import rational_to_str
 from cgybe.tensor import compose_sum
 
 from helpers import (
@@ -246,6 +247,38 @@ def test_json_round_trip_and_sorting():
     keys = [(tuple(e["in"]), tuple(e["out"])) for e in obj["entries"]]
     assert keys == sorted(keys)
     assert TensorOp.from_json_obj(obj) == op
+
+
+def _dense_by_apply(op, cell):
+    """Reference dense rows: one apply call per input tuple."""
+    basis = op.basis_tuples()
+    return [
+        [cell(op.apply(*inp).get(out, LaurentQP.zero())) for out in basis] for inp in basis
+    ]
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(1, 2), (2, 2), (3, 2), (2, 3)]),
+    st.sampled_from([0.0, 0.1, 0.4]),
+)
+def test_dense_export_matches_per_input_apply(seed, shape, density):
+    op = random_op(random.Random(seed), *shape, density)
+    rows = _dense_by_apply(op, LaurentQP.to_latex)
+    body = " \\\\\n".join(" & ".join(row) for row in rows)
+    assert op.to_latex() == "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
+    numeric = op.eval_at(2, Fraction(3, 2))
+    rows = _dense_by_apply(numeric, LaurentQP.constant_value)
+    assert numeric.to_numeric_rows() == rows
+    csv = "\n".join(",".join(rational_to_str(cell) for cell in row) for row in rows) + "\n"
+    assert numeric.to_numeric_csv() == csv
+
+
+def test_dense_numeric_export_rejects_symbolic_entries():
+    with pytest.raises(ValueError, match="not a constant"):
+        (q * g_op(2)).to_numeric_rows()
+    with pytest.raises(ValueError, match="not a constant"):
+        (q * g_op(2)).to_numeric_csv()
 
 
 def test_entry_validation():
