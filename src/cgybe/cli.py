@@ -7,32 +7,31 @@ identity suites, and evaluate at numeric parameters.
     cgybe eval       --op cg2 --n 2 --q 2 --p 2 [--check-ybe]
 
 Exit codes: 0 when everything passes, 1 when at least one check fails,
-2 on a usage or configuration error, including --params hecke combined
-with --alpha/--beta, --alpha/--beta on a gen or eval operator that does
-not use them; for verify an unknown or empty --checks selection
-(``--checks ,``) or a rank above ``MAX_VERIFY_RANK_3FOLD`` (16, when
-ybe, compat or mixed is selected) or ``MAX_VERIFY_RANK_2FOLD`` (64,
-hecke, gp and quadratic only), rejected before any operator is built; for
-eval and gen --format latex a rank above ``MAX_DENSE_RANK`` (56), and for
-eval --check-ybe one above ``MAX_VERIFY_RANK_3FOLD``, also rejected before
-any operator is built; and for identities an empty window
-(--lo above --hi), an unknown or empty --only selection (``--only ,``),
-or windows holding more than ``oracles.MAX_WINDOW_TUPLES`` tuples in
-total, rejected before any scan starts.  Reports stream as JSON lines in
-sorted check order.
+2 on a usage or configuration error, found before any operator is built
+or any scan starts: --params hecke with --alpha/--beta; an --alpha/--beta
+that is malformed, nested too deeply, or read by neither the operator nor
+a selected check (see the ``reads`` of ``OPERATORS`` and ``CHECKS``); an
+unknown or empty --checks or --only selection (``--checks ,``); a rank
+above the cap of the selected checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with
+a 3-fold one, eval --check-ybe included, else ``MAX_VERIFY_RANK_2FOLD`` =
+64) or of dense output (``MAX_DENSE_RANK`` = 56, eval and gen --format
+latex); an empty window (--lo above --hi), or windows holding more than
+``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream as JSON
+lines in sorted check order.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .laurent import LaurentQP
 from .model import cg_op, cg_twisted_op, g_op, hecke_parameters, permutation_op
 from .oracles import DEFAULT_HI, DEFAULT_LO, run_oracles
-from .tensor import TensorOp
 from .verify import (
     check_compatibility,
     check_gp_relations,
@@ -44,8 +43,6 @@ from .verify import (
 
 USAGE_ERROR = 2
 
-VERIFY_CHECKS = ("compat", "gp", "hecke", "mixed", "quadratic", "ybe")
-
 # Largest rank verify accepts, checked before any operator is built.  The
 # 3-fold checks (ybe, compat, mixed) cost about n^5.5 in time and n^4 in
 # memory: all three take about 12 s at n = 14 and about 27 s and 320 MB at
@@ -53,13 +50,43 @@ VERIFY_CHECKS = ("compat", "gp", "hecke", "mixed", "quadratic", "ybe")
 # gp, quadratic) take about 22 s and 235 MB together at n = 64.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
-THREE_FOLD_CHECKS = frozenset({"compat", "mixed", "ybe"})
 
 # Largest rank of a dense matrix (eval, gen --format latex), which has n^4
-# cells: at n = 56, on the same VM, eval --op cg takes about 12 s and 1.6 GB
-# as JSON, 4.7 s as CSV, and gen --format latex 3.2 s.  gen --format json
-# stays sparse and is not capped.
+# cells: at n = 56, on the same VM, eval --op cg takes about 12 s and 840 MB
+# as JSON, 5-6 s and 240 MB as CSV, and gen --format latex 3.2 s.  gen
+# --format json stays sparse and is not capped.
 MAX_DENSE_RANK = 56
+
+
+class Operator(NamedTuple):
+    reads: tuple[str, ...]  # the parameters (alpha, beta) it is built from
+    build: Callable  # (n, alpha, beta) -> TensorOp
+
+
+class Check(NamedTuple):
+    power: int  # tensor power it works in: 2 or 3
+    reads: tuple[str, ...]  # the parameters it reads besides the operator
+    run: Callable  # (operator, n, alpha, beta) -> CheckReport
+
+
+# The rows call constructors and checks through this module's globals at
+# call time, never through a stored function object, so that a wrapper
+# installed over a global (bench/tracing.py does this) sees every call.
+OPERATORS = {
+    "perm": Operator((), lambda n, alpha, beta: permutation_op(n)),
+    "g": Operator((), lambda n, alpha, beta: g_op(n)),
+    "cg": Operator(("alpha", "beta"), lambda n, alpha, beta: cg_op(n, alpha, beta)),
+    "cg2": Operator((), lambda n, alpha, beta: cg_twisted_op(n)),
+}
+
+CHECKS = {
+    "compat": Check(3, (), lambda c, n, alpha, beta: check_compatibility(c)),
+    "gp": Check(2, (), lambda c, n, alpha, beta: check_gp_relations(n)),
+    "hecke": Check(2, ("alpha",), lambda c, n, alpha, beta: check_hecke(c, alpha)),
+    "mixed": Check(3, (), lambda c, n, alpha, beta: check_mixed_conditions(permutation_op(n), c)),
+    "quadratic": Check(2, ("alpha", "beta"), lambda c, n, a, b: check_quadratic(n, a, b)),
+    "ybe": Check(3, (), lambda c, n, alpha, beta: check_ybe(c)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +189,10 @@ def parse_laurent_expr(text: str) -> LaurentQP:
             return inner
         raise ValueError(f"malformed expression {text!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise ValueError(f"expression nested too deeply: {text[:40]!r}...") from None
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in expression {text!r}")
     return result
@@ -179,18 +209,17 @@ def _parse_rational(text: str) -> Fraction:
 # shared plumbing
 
 
-def _resolve_params(args, *, only_cg_reads: bool = False) -> tuple[LaurentQP, LaurentQP]:
-    """alpha and beta from the flags; rejects flags that would be ignored.
-
-    ``only_cg_reads`` marks subcommands (gen, eval) where the parameters
-    reach nothing but the ``cg`` operator; verify also feeds alpha to its
-    hecke and quadratic checks, whatever the operator.
-    """
+def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
+    """alpha and beta from the flags; rejects a flag that would be ignored:
+    one that neither the operator nor any of ``checks`` reads."""
     given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
     if given and args.params == "hecke":
         raise ValueError(f"--params hecke conflicts with {' and '.join(given)}")
-    if given and only_cg_reads and args.op != "cg":
-        raise ValueError(f"{' and '.join(given)} has no effect on --op {args.op}")
+    reads = set(OPERATORS[args.op].reads).union(*(CHECKS[name].reads for name in checks))
+    unread = [flag for flag in given if flag[2:] not in reads]
+    if unread:
+        selected = f" with --checks {','.join(checks)}" if checks else ""
+        raise ValueError(f"{' and '.join(unread)} has no effect on --op {args.op}{selected}")
     alpha, beta = hecke_parameters()
     if args.alpha is not None:
         alpha = parse_laurent_expr(args.alpha)
@@ -199,94 +228,67 @@ def _resolve_params(args, *, only_cg_reads: bool = False) -> tuple[LaurentQP, La
     return alpha, beta
 
 
-def _build_operator(op: str, n: int, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:
-    if op == "perm":
-        return permutation_op(n)
-    if op == "g":
-        return g_op(n)
-    if op == "cg":
-        return cg_op(n, alpha, beta)
-    if op == "cg2":
-        return cg_twisted_op(n)
-    raise ValueError(f"unknown operator: {op}")
-
-
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(write: Callable, out_path: str | None) -> None:
+    """Call ``write(handle)`` on the file at ``out_path``, or on stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(handle)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _require_positive_n(n: int) -> None:
+def _report(reports, stream) -> int:
+    """Write each report to ``stream`` as a JSON line as it arrives; the exit code."""
+    all_passed = True
+    for report in reports:
+        stream.write(json.dumps(report.to_json_obj()) + "\n")
+        all_passed &= report.passed
+    return 0 if all_passed else 1
+
+
+def _require_rank(n: int, cap: int | None, kind: str = "dense output") -> None:
+    """Reject --n below 1 or above ``cap``, before any operator is built."""
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
+    if cap is not None and n > cap:
+        raise ValueError(f"--n {n} exceeds the cap of {cap} for {kind}")
+
+
+def _require_verify_rank(n: int, names) -> None:
+    """Reject a rank above the cap of the selected checks, before any work."""
+    power = max(CHECKS[name].power for name in names)
+    cap = MAX_VERIFY_RANK_3FOLD if power == 3 else MAX_VERIFY_RANK_2FOLD
+    kind = ", ".join(name for name, check in CHECKS.items() if check.power == power)
+    _require_rank(n, cap, f"{power}-fold checks ({kind})")
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
 
-def _require_dense_rank(n: int) -> None:
-    if n > MAX_DENSE_RANK:
-        raise ValueError(f"--n {n} exceeds the cap of {MAX_DENSE_RANK} for dense output")
-
-
 def cmd_gen(args) -> int:
-    _require_positive_n(args.n)
-    if args.format == "latex":
-        _require_dense_rank(args.n)
-    alpha, beta = _resolve_params(args, only_cg_reads=True)
-    operator = _build_operator(args.op, args.n, alpha, beta)
+    _require_rank(args.n, MAX_DENSE_RANK if args.format == "latex" else None)
+    alpha, beta = _resolve_params(args)
+    operator = OPERATORS[args.op].build(args.n, alpha, beta)
     if args.format == "json":
         text = json.dumps(operator.to_json_obj(), indent=2) + "\n"
-    elif args.format == "latex":
-        text = operator.to_latex()
     else:
-        raise ValueError("csv output is only available for eval (numeric matrices)")
-    _write_output(text, args.out)
+        text = operator.to_latex()
+    _write_output(lambda handle: handle.write(text), args.out)
     return 0
 
 
-def _require_verify_rank(n: int, names: set[str]) -> None:
-    """Reject a rank above the cap of the selected checks, before any work."""
-    if names & THREE_FOLD_CHECKS:
-        cap, kind = MAX_VERIFY_RANK_3FOLD, "3-fold checks (compat, mixed, ybe)"
-    else:
-        cap, kind = MAX_VERIFY_RANK_2FOLD, "2-fold checks (gp, hecke, quadratic)"
-    if n > cap:
-        raise ValueError(f"--n {n} exceeds the cap of {cap} for {kind}")
-
-
 def cmd_verify(args) -> int:
-    _require_positive_n(args.n)
-    alpha, beta = _resolve_params(args)
-    names = [name.strip() for name in args.checks.split(",") if name.strip()]
+    names = sorted({name.strip() for name in args.checks.split(",") if name.strip()})
     if not names:
-        raise ValueError(f"no check selected (choose from {', '.join(VERIFY_CHECKS)})")
+        raise ValueError(f"no check selected (choose from {', '.join(CHECKS)})")
     for name in names:
-        if name not in VERIFY_CHECKS:
-            raise ValueError(f"unknown check: {name} (choose from {', '.join(VERIFY_CHECKS)})")
-    selected = set(names)
-    _require_verify_rank(args.n, selected)
-    operator = _build_operator(args.op, args.n, alpha, beta)
-    n = args.n
-
-    thunks = {
-        "ybe": lambda: check_ybe(operator),
-        "compat": lambda: check_compatibility(operator),
-        "mixed": lambda: check_mixed_conditions(permutation_op(n), operator),
-        "hecke": lambda: check_hecke(operator, alpha),
-        "gp": lambda: check_gp_relations(n),
-        "quadratic": lambda: check_quadratic(n, alpha, beta),
-    }
-    all_passed = True
-    for name in sorted(selected):
-        report = thunks[name]()
-        sys.stdout.write(json.dumps(report.to_json_obj()) + "\n")
-        all_passed &= report.passed
-    return 0 if all_passed else 1
+        if name not in CHECKS:
+            raise ValueError(f"unknown check: {name} (choose from {', '.join(CHECKS)})")
+    alpha, beta = _resolve_params(args, names)
+    _require_verify_rank(args.n, names)
+    operator = OPERATORS[args.op].build(args.n, alpha, beta)
+    return _report((CHECKS[name].run(operator, args.n, alpha, beta) for name in names), sys.stdout)
 
 
 def cmd_identities(args) -> int:
@@ -295,30 +297,25 @@ def cmd_identities(args) -> int:
     only = None
     if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
-    reports = run_oracles(args.lo, args.hi, only=only)
-    all_passed = True
-    for report in reports:
-        sys.stdout.write(json.dumps(report.to_json_obj()) + "\n")
-        all_passed &= report.passed
-    return 0 if all_passed else 1
+    return _report(run_oracles(args.lo, args.hi, only=only), sys.stdout)
 
 
 def cmd_eval(args) -> int:
-    _require_positive_n(args.n)
-    _require_dense_rank(args.n)
+    _require_rank(args.n, MAX_DENSE_RANK)
     if args.check_ybe:
-        _require_verify_rank(args.n, {"ybe"})
-    alpha, beta = _resolve_params(args, only_cg_reads=True)
+        _require_verify_rank(args.n, ["ybe"])
+    alpha, beta = _resolve_params(args)
     qval = _parse_rational(args.q)
     pval = _parse_rational(args.p)
     if qval == 0 or pval == 0:
         raise ValueError("q and p must be nonzero")
-    operator = _build_operator(args.op, args.n, alpha, beta)
+    operator = OPERATORS[args.op].build(args.n, alpha, beta)
     numeric = operator.eval_at(qval, pval)
 
-    if args.format == "csv":
-        text = numeric.to_numeric_csv()
-    else:
+    def write(handle) -> None:
+        if args.format == "csv":
+            handle.write(numeric.to_numeric_csv())
+            return
         payload = {
             "op": args.op,
             "n": args.n,
@@ -326,14 +323,15 @@ def cmd_eval(args) -> int:
             "p": str(pval),
             "rows": [[str(cell) for cell in row] for row in numeric.to_numeric_rows()],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    _write_output(text, args.out)
+        # in batches of chunks: json.dumps would hold every chunk and their
+        # join at once, and one write per chunk (json.dump) takes twice as long
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        for batch in iter(lambda: list(itertools.islice(chunks, 1 << 12)), []):
+            handle.write("".join(batch))
+        handle.write("\n")
 
-    if args.check_ybe:
-        report = check_ybe(numeric, name="ybe_numeric")
-        sys.stderr.write(json.dumps(report.to_json_obj()) + "\n")
-        return 0 if report.passed else 1
-    return 0
+    _write_output(write, args.out)
+    return _report([check_ybe(numeric, name="ybe_numeric")] if args.check_ybe else [], sys.stderr)
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_operator_flags(sp, ops=("perm", "g", "cg", "cg2")):
-        sp.add_argument("--op", choices=ops, default="cg", help="operator to build")
+    def add_operator_flags(sp):
+        sp.add_argument("--op", choices=OPERATORS, default="cg", help="operator to build")
         sp.add_argument("--n", type=int, required=True, help="rank of the base space")
         sp.add_argument("--alpha", help="flip coefficient (expression in q, p)")
         sp.add_argument("--beta", help="shift coefficient (expression, or 'hecke')")
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="emit an operator in JSON or LaTeX")
     add_operator_flags(sp)
-    sp.add_argument("--format", choices=["json", "csv", "latex"], default="json")
+    sp.add_argument("--format", choices=["json", "latex"], default="json")
     sp.add_argument("--out", help="write to this path instead of stdout")
     sp.set_defaults(func=cmd_gen)
 
@@ -364,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_operator_flags(sp)
     sp.add_argument(
         "--checks",
-        default=",".join(VERIFY_CHECKS),
-        help=f"comma list from: {', '.join(VERIFY_CHECKS)}",
+        default=",".join(CHECKS),
+        help=f"comma list from: {', '.join(CHECKS)}",
     )
     sp.set_defaults(func=cmd_verify)
 

@@ -36,10 +36,28 @@ def test_parse_expr_symbols_and_powers():
     assert parse_laurent_expr("(q + p)^2") == (q + p) * (q + p)
 
 
-@pytest.mark.parametrize("bad", ["q +", "x", "q^", "q^^2", "(q", "3/2"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "q +",
+        "x",
+        "q^",
+        "q^^2",
+        "(q",
+        "3/2",
+        # nesting deeper than the recursion limit is a usage error, not a crash
+        pytest.param("(" * 5000 + "q" + ")" * 5000, id="5000-parentheses"),
+        pytest.param("-" * 5000 + "q", id="5000-minus-signs"),
+    ],
+)
 def test_parse_expr_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_laurent_expr(bad)
+
+
+def test_parse_expr_long_flat_sum():
+    # a flat sum is parsed by a loop, not by recursion, whatever its length
+    assert parse_laurent_expr("+".join(["q"] * 10000)) == 10000 * q
 
 
 def test_gen_cg_hecke_preset(capsys):
@@ -81,9 +99,10 @@ def test_gen_latex(capsys):
 
 
 def test_gen_csv_rejected(capsys):
-    code, _, err = run_cli(capsys, "gen", "--op", "cg", "--n", "2", "--format", "csv")
-    assert code == 2
-    assert "csv" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--op", "cg", "--n", "2", "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert "csv" in capsys.readouterr().err
 
 
 def test_gen_invalid_n(capsys):
@@ -216,8 +235,7 @@ def test_verify_oversized_rank_fails_fast():
     assert time.perf_counter() - started < 10
 
 
-def test_verify_worker_env(capsys, monkeypatch):
-    monkeypatch.setenv("CGYBE_WORKERS", "3")
+def test_verify_reports_in_sorted_check_order(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--op", "cg", "--n", "2", "--checks", "ybe,gp"
     )
@@ -238,6 +256,10 @@ def test_verify_worker_env(capsys, monkeypatch):
         ("eval", "--op", "perm", "--n", "2", "--q", "2", "--p", "3", "--beta", "1"),
         ("eval", "--op", "g", "--n", "2", "--q", "2", "--p", "3", "--alpha", "q"),
         ("eval", "--op", "cg2", "--n", "2", "--q", "2", "--p", "3", "--alpha", "q"),
+        # verify: a flag must be read by the operator or by a selected check
+        ("verify", "--op", "g", "--n", "2", "--checks", "ybe", "--alpha", "q"),
+        ("verify", "--op", "cg2", "--n", "2", "--checks", "gp,mixed", "--beta", "1"),
+        ("verify", "--op", "perm", "--n", "2", "--checks", "hecke", "--beta", "1"),
     ],
 )
 def test_conflicting_or_ignored_param_flags_rejected(capsys, argv):
@@ -247,12 +269,15 @@ def test_conflicting_or_ignored_param_flags_rejected(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_verify_alpha_accepted_for_any_op(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--op", "g", "--n", "2", "--checks", "hecke", "--alpha", "q"
-    )
+@pytest.mark.parametrize(
+    "check, flags",
+    [("hecke", ("--alpha", "q")), ("quadratic", ("--alpha", "q", "--beta", "1"))],
+    ids=["hecke-alpha", "quadratic-alpha-beta"],
+)
+def test_verify_alpha_accepted_for_any_op(capsys, check, flags):
+    code, out, _ = run_cli(capsys, "verify", "--op", "g", "--n", "2", "--checks", check, *flags)
     assert code in (0, 1)
-    assert [json.loads(line)["name"] for line in out.splitlines()] == ["hecke"]
+    assert [json.loads(line)["name"] for line in out.splitlines()] == [check]
 
 
 def test_identities_default_window(capsys):
