@@ -11,6 +11,7 @@ from cgybe import (
     TensorOp,
     cg_op,
     cg_twisted_op,
+    compose_sum,
     check_compatibility,
     check_gp_relations,
     check_hecke,
@@ -19,7 +20,6 @@ from cgybe import (
     check_ybe,
     g_op,
     hecke_parameters,
-    linear_combo,
     permutation_op,
     p,
     q,
@@ -51,7 +51,7 @@ for n in (2, 3, 4):
     show(check_quadratic(n, alpha, beta))
 
 print("\nThe linear combination q*P + p*g with two independent symbols:")
-show(check_ybe(linear_combo(q, permutation_op(3), p, g_op(3)), name="ybe_ind"))
+show(check_ybe(compose_sum([(q, permutation_op(3)), (p, g_op(3))]), name="ybe_ind"))
 
 print("\nAnd a deliberate failure, to see a counterexample witness:")
 show(check_compatibility(TensorOp.identity(2), name="compat_id"))

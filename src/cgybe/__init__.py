@@ -20,7 +20,7 @@ from .model import (
     step_u,
 )
 from .oracles import IntWindow, OracleReport, run_oracles, zeta
-from .tensor import TensorOp, endo_eq, lift12, lift23, linear_combo
+from .tensor import TensorOp, compose_sum, endo_eq, lift12, lift23
 from .verify import (
     CheckReport,
     check_compatibility,
@@ -41,9 +41,9 @@ __all__ = [
     "one",
     "zero",
     "TensorOp",
+    "compose_sum",
     "lift12",
     "lift23",
-    "linear_combo",
     "endo_eq",
     "eta",
     "step_u",

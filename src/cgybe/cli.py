@@ -9,20 +9,23 @@ identity suites, and evaluate at numeric parameters.
 Exit codes: 0 when everything passes, 1 when at least one check fails,
 2 on a usage or configuration error, found before any operator is built
 or any scan starts: --params hecke with --alpha/--beta; an --alpha/--beta
-that is malformed, nested too deeply, or read by neither the operator nor
-a selected check (see the ``reads`` of ``OPERATORS`` and ``CHECKS``); an
-unknown or empty --checks or --only selection (``--checks ,``); a rank
-above the cap of the selected checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with
-a 3-fold one, eval --check-ybe included, else ``MAX_VERIFY_RANK_2FOLD`` =
-64) or of dense output (``MAX_DENSE_RANK`` = 56, eval and gen --format
-latex); an empty window (--lo above --hi), or windows holding more than
-``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream as JSON
-lines in sorted check order.
+that is malformed, nested too deeply, over the parse budget
+(``MAX_PARSE_WORK`` term operations, ``MAX_PARSE_COEFF_BITS`` coefficient
+bits), or read by neither the operator nor a selected check (see the
+``reads`` of ``OPERATORS`` and ``CHECKS``); an unknown or empty --checks
+or --only selection (``--checks ,``); a rank above the cap of the selected
+checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with a 3-fold one, eval --check-ybe
+included, else ``MAX_VERIFY_RANK_2FOLD`` = 64, which also caps gen
+--format json) or of dense output (``MAX_DENSE_RANK`` = 56, eval and gen
+--format latex); an empty window (--lo above --hi), or windows holding
+more than ``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream
+as JSON lines in sorted check order.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -54,7 +57,8 @@ MAX_VERIFY_RANK_2FOLD = 64
 # Largest rank of a dense matrix (eval, gen --format latex), which has n^4
 # cells: at n = 56, on the same VM, eval --op cg takes about 12 s and 840 MB
 # as JSON, 5-6 s and 240 MB as CSV, and gen --format latex 3.2 s.  gen
-# --format json stays sparse and is not capped.
+# --format json stays sparse and shares MAX_VERIFY_RANK_2FOLD, the cap of
+# the same 2-fold operators in verify.
 MAX_DENSE_RANK = 56
 
 
@@ -66,12 +70,14 @@ class Operator(NamedTuple):
 class Check(NamedTuple):
     power: int  # tensor power it works in: 2 or 3
     reads: tuple[str, ...]  # the parameters it reads besides the operator
-    run: Callable  # (operator, n, alpha, beta) -> CheckReport
+    run: Callable  # (operator builder, n, alpha, beta) -> CheckReport
 
 
 # The rows call constructors and checks through this module's globals at
 # call time, never through a stored function object, so that a wrapper
 # installed over a global (bench/tracing.py does this) sees every call.
+# A check row gets a zero-argument builder of the --op operator and calls
+# it only if it reads the operator; gp and quadratic never do.
 OPERATORS = {
     "perm": Operator((), lambda n, alpha, beta: permutation_op(n)),
     "g": Operator((), lambda n, alpha, beta: g_op(n)),
@@ -80,12 +86,12 @@ OPERATORS = {
 }
 
 CHECKS = {
-    "compat": Check(3, (), lambda c, n, alpha, beta: check_compatibility(c)),
+    "compat": Check(3, (), lambda c, n, alpha, beta: check_compatibility(c())),
     "gp": Check(2, (), lambda c, n, alpha, beta: check_gp_relations(n)),
-    "hecke": Check(2, ("alpha",), lambda c, n, alpha, beta: check_hecke(c, alpha)),
-    "mixed": Check(3, (), lambda c, n, alpha, beta: check_mixed_conditions(permutation_op(n), c)),
+    "hecke": Check(2, ("alpha",), lambda c, n, alpha, beta: check_hecke(c(), alpha)),
+    "mixed": Check(3, (), lambda c, n, alpha, beta: check_mixed_conditions(permutation_op(n), c())),
     "quadratic": Check(2, ("alpha", "beta"), lambda c, n, a, b: check_quadratic(n, a, b)),
-    "ybe": Check(3, (), lambda c, n, alpha, beta: check_ybe(c)),
+    "ybe": Check(3, (), lambda c, n, alpha, beta: check_ybe(c())),
 }
 
 
@@ -97,6 +103,15 @@ CHECKS = {
 #   power  := atom ('^' signed-int)?
 #   atom   := integer | 'q' | 'p' | 'hecke' | '(' expr ')'
 # 'hecke' is the preset q - q^-1.
+
+# Work budget of one parse, in term operations: a sum, difference or
+# negation charges the terms of its operands, a product len(a) * len(b),
+# and '^' runs as repeated squaring through the same charged product.
+# Before each product, bounds on the l1 norms of the two factors, which
+# bound its coefficients, may hold MAX_PARSE_COEFF_BITS bits together.  Without them
+# (q+1)^100000 runs for hours; (q+1)^500 uses about a tenth of the budget.
+MAX_PARSE_WORK = 10**6
+MAX_PARSE_COEFF_BITS = 10**6
 
 
 def _tokenize(text: str) -> list[tuple[str, int | None]]:
@@ -126,10 +141,23 @@ def _tokenize(text: str) -> list[tuple[str, int | None]]:
     return tokens
 
 
+def _l1_bits(value: LaurentQP) -> int:
+    """Bits of a bound on the l1 norm of the coefficients: those of the
+    widest coefficient (numerator and denominator) and of the term count."""
+    bits = (c.numerator.bit_length() + c.denominator.bit_length() for _, c in value)
+    return max(bits, default=0) + len(value).bit_length()
+
+
 def parse_laurent_expr(text: str) -> LaurentQP:
-    """Parse the CLI parameter grammar into an exact Laurent polynomial."""
+    """Parse the CLI parameter grammar into an exact Laurent polynomial.
+
+    Raises ValueError on a malformed expression, one nested too deeply, and
+    one whose evaluation exceeds ``MAX_PARSE_WORK`` or whose coefficients
+    would exceed ``MAX_PARSE_COEFF_BITS``.
+    """
     tokens = _tokenize(text)
     pos = 0
+    work = 0
 
     def peek():
         return tokens[pos][0] if pos < len(tokens) else None
@@ -142,11 +170,42 @@ def parse_laurent_expr(text: str) -> LaurentQP:
         pos += 1
         return tok
 
+    def charge(cost: int) -> None:
+        nonlocal work
+        work += cost
+        if work > MAX_PARSE_WORK:
+            raise ValueError(
+                f"expression {text[:40]!r} exceeds the work budget of {MAX_PARSE_WORK} "
+                "term operations"
+            )
+
+    def multiply(a: LaurentQP, b: LaurentQP) -> LaurentQP:
+        charge(len(a) * len(b))
+        if _l1_bits(a) + _l1_bits(b) > MAX_PARSE_COEFF_BITS:
+            raise ValueError(
+                f"expression {text[:40]!r} exceeds the coefficient budget of "
+                f"{MAX_PARSE_COEFF_BITS} bits"
+            )
+        return a * b
+
+    def power(base: LaurentQP, exponent: int) -> LaurentQP:
+        if exponent < 0:
+            base, exponent = base.unit_inverse(), -exponent
+        result = LaurentQP.one()
+        while True:
+            if exponent & 1:
+                result = multiply(result, base)
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = multiply(base, base)
+
     def parse_expr() -> LaurentQP:
         value = parse_term()
         while peek() in ("+", "-"):
             op = take()[0]
             rhs = parse_term()
+            charge(len(value) + len(rhs))
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -154,13 +213,15 @@ def parse_laurent_expr(text: str) -> LaurentQP:
         value = parse_unary()
         while peek() == "*":
             take()
-            value = value * parse_unary()
+            value = multiply(value, parse_unary())
         return value
 
     def parse_unary() -> LaurentQP:
         if peek() == "-":
             take()
-            return -parse_unary()
+            value = parse_unary()
+            charge(len(value))
+            return -value
         return parse_power()
 
     def parse_power() -> LaurentQP:
@@ -171,8 +232,7 @@ def parse_laurent_expr(text: str) -> LaurentQP:
             if peek() == "-":
                 take()
                 sign = -1
-            exponent = sign * take("int")[1]
-            return base**exponent
+            return power(base, sign * take("int")[1])
         return base
 
     def parse_atom() -> LaurentQP:
@@ -228,6 +288,16 @@ def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
     return alpha, beta
 
 
+def _write_json(payload, handle) -> None:
+    """Write ``payload`` as indented JSON and a newline, in batches of encoder
+    chunks: json.dumps would hold every chunk and their join at once, and
+    one write per chunk (json.dump) takes twice as long."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    for batch in iter(lambda: list(itertools.islice(chunks, 1 << 12)), []):
+        handle.write("".join(batch))
+    handle.write("\n")
+
+
 def _write_output(write: Callable, out_path: str | None) -> None:
     """Call ``write(handle)`` on the file at ``out_path``, or on stdout."""
     if out_path:
@@ -246,11 +316,11 @@ def _report(reports, stream) -> int:
     return 0 if all_passed else 1
 
 
-def _require_rank(n: int, cap: int | None, kind: str = "dense output") -> None:
+def _require_rank(n: int, cap: int, kind: str = "dense output") -> None:
     """Reject --n below 1 or above ``cap``, before any operator is built."""
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    if cap is not None and n > cap:
+    if n > cap:
         raise ValueError(f"--n {n} exceeds the cap of {cap} for {kind}")
 
 
@@ -267,14 +337,16 @@ def _require_verify_rank(n: int, names) -> None:
 
 
 def cmd_gen(args) -> int:
-    _require_rank(args.n, MAX_DENSE_RANK if args.format == "latex" else None)
+    if args.format == "json":
+        _require_rank(args.n, MAX_VERIFY_RANK_2FOLD, "sparse output")
+    else:
+        _require_rank(args.n, MAX_DENSE_RANK)
     alpha, beta = _resolve_params(args)
     operator = OPERATORS[args.op].build(args.n, alpha, beta)
     if args.format == "json":
-        text = json.dumps(operator.to_json_obj(), indent=2) + "\n"
+        _write_output(lambda handle: _write_json(operator.to_json_obj(), handle), args.out)
     else:
-        text = operator.to_latex()
-    _write_output(lambda handle: handle.write(text), args.out)
+        _write_output(lambda handle: handle.write(operator.to_latex()), args.out)
     return 0
 
 
@@ -287,7 +359,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown check: {name} (choose from {', '.join(CHECKS)})")
     alpha, beta = _resolve_params(args, names)
     _require_verify_rank(args.n, names)
-    operator = OPERATORS[args.op].build(args.n, alpha, beta)
+    operator = functools.cache(lambda: OPERATORS[args.op].build(args.n, alpha, beta))
     return _report((CHECKS[name].run(operator, args.n, alpha, beta) for name in names), sys.stdout)
 
 
@@ -323,12 +395,7 @@ def cmd_eval(args) -> int:
             "p": str(pval),
             "rows": [[str(cell) for cell in row] for row in numeric.to_numeric_rows()],
         }
-        # in batches of chunks: json.dumps would hold every chunk and their
-        # join at once, and one write per chunk (json.dump) takes twice as long
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
-        for batch in iter(lambda: list(itertools.islice(chunks, 1 << 12)), []):
-            handle.write("".join(batch))
-        handle.write("\n")
+        _write_json(payload, handle)
 
     _write_output(write, args.out)
     return _report([check_ybe(numeric, name="ybe_numeric")] if args.check_ybe else [], sys.stderr)

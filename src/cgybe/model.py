@@ -25,7 +25,7 @@ All constructors are pure and return immutable operators.
 from __future__ import annotations
 
 from .laurent import LaurentQP, as_laurent, q
-from .tensor import TensorOp, linear_combo
+from .tensor import TensorOp, compose_sum
 
 __all__ = [
     "eta",
@@ -88,7 +88,7 @@ def cg_op(n: int, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:
     """The one-parameter family alpha*P + beta*g on an n-space."""
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
-    return linear_combo(alpha, permutation_op(n), beta, g_op(n))
+    return compose_sum([(alpha, permutation_op(n)), (beta, g_op(n))])
 
 
 def hecke_parameters() -> tuple[LaurentQP, LaurentQP]:
@@ -140,5 +140,6 @@ def cg_inverse(rmat: TensorOp, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:
             f"alpha*(alpha-beta) = {scalar} is not a unit of the Laurent ring; "
             "the closed-form inverse leaves the coefficient ring"
         )
+    inverse = scalar.unit_inverse()
     identity = TensorOp.identity(rmat.n, rmat.arity)
-    return (rmat - identity.scale(beta)).scale(scalar.unit_inverse())
+    return compose_sum([(inverse, rmat), (-beta * inverse, identity)])

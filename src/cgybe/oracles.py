@@ -126,7 +126,12 @@ def _scan(name: str, window: IntWindow, stage: Stage) -> OracleReport:
 
 
 def _support(x: int, y: int, pad: int) -> range:
-    """Summation range covering the support of eta(x, y, .), padded both sides."""
+    """Summation range covering the support of eta(x, y, .), padded both sides.
+
+    A negative pad would cut terms off the support, so it raises ValueError.
+    """
+    if pad < 0:
+        raise ValueError(f"pad must not be negative, got {pad}")
     return range(min(x, y) - pad, max(x, y) + pad)
 
 
@@ -462,9 +467,11 @@ def run_oracles(
     """Run all (or the selected) identity checks; reports sorted by name.
 
     Raises ValueError for an unknown or empty selection, an empty window,
-    or windows holding more than MAX_WINDOW_TUPLES tuples in total; all
-    before any scan starts.
+    windows holding more than MAX_WINDOW_TUPLES tuples in total, or a
+    negative pad; all before any scan starts.
     """
+    if pad < 0:
+        raise ValueError(f"pad must not be negative, got {pad}")
     if only is None:
         selected = set(_BY_NAME)
     else:

@@ -11,20 +11,19 @@ Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
 first).
 
-All of that arithmetic runs through one fused sparse multiply-accumulate
-kernel, ``LaurentQP._sums_of_products``.  Every result entry is a sum of
-coefficient products x*y; in a sum, difference or scalar multiple one
-factor is a constant such as 1 or -1, so a difference is a signed merge of
-the two term dicts.  The kernel adds every product of terms straight into
-one raw ``{(a, b): coeff}`` dict per entry, with no intermediate
-:class:`~cgybe.laurent.LaurentQP` per product or partial sum, then
-canonicalizes each entry once through ``LaurentQP._trusted`` and drops the
-entries that sum to zero.
-
-:func:`compose_sum` feeds a whole signed sum of products, such as
-c12∘c23∘c12 − c23∘c12∘c23 written as x∘c12 + (−c23)∘x with x = c12∘c23,
-to one kernel call, so an equation is checked without building its two
-sides or their difference.  ``compose`` is its one-pair case.
+All of that arithmetic is one call of :func:`compose_sum`, the only
+caller of the fused sparse multiply-accumulate kernel of
+:class:`~cgybe.laurent.LaurentQP`.  Each term is a pair (f, g): an operator
+f adds f∘g, a scalar f (``int``, ``Fraction`` or ``LaurentQP``) adds f·g.
+So ``f + g`` is [(1, f), (1, g)], ``-f`` is [(-1, f)], ``s * f`` is
+[(s, f)] and the Yang-Baxter sum c12∘c23∘c12 − c23∘c12∘c23 is
+[(x, c12), (−c23, x)] with x = c12∘c23.  The kernel adds every product of
+coefficients straight into one raw ``{(a, b): coeff}`` dict per entry,
+with no intermediate :class:`~cgybe.laurent.LaurentQP` per product or
+partial sum, then canonicalizes each entry once through
+``LaurentQP._trusted`` and drops the entries that sum to zero.  An
+equation is therefore checked without building its two sides or their
+difference.
 
 The public constructor validates its input (user code, JSON): indices and
 the shape must be ``int``.  Results built from operators that are already
@@ -42,7 +41,7 @@ from typing import Mapping
 
 from .laurent import LaurentQP, as_laurent, rational_to_str
 
-__all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "linear_combo", "endo_eq"]
+__all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
@@ -176,37 +175,17 @@ class TensorOp:
                 f"vs n={other.n},arity={other.arity}"
             )
 
-    def _sums_of_products(self, products) -> "TensorOp":
-        """Operator of this shape with entries sum(x*y) over (key, x, y) in ``products``."""
-        return TensorOp._trusted(self.n, self.arity, LaurentQP._sums_of_products(products))
-
-    def _signed_sum(self, other, sign: int):
-        """self + sign*other, merging the term dicts of shared entries."""
-        if not isinstance(other, TensorOp):
-            return NotImplemented
-        self._check_match(other)
-        return self._sums_of_products(
-            itertools.chain(
-                ((key, coeff, 1) for key, coeff in self._entries.items()),
-                ((key, coeff, sign) for key, coeff in other._entries.items()),
-            )
-        )
-
     def __add__(self, other: "TensorOp") -> "TensorOp":
-        return self._signed_sum(other, 1)
+        return compose_sum([(1, self), (1, other)])
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        return self._signed_sum(other, -1)
+        return compose_sum([(1, self), (-1, other)])
 
     def __neg__(self) -> "TensorOp":
-        return self.scale(-1)
+        return compose_sum([(-1, self)])
 
     def scale(self, scalar) -> "TensorOp":
-        if type(scalar) is not int:
-            scalar = as_laurent(scalar)
-        return self._sums_of_products(
-            (key, coeff, scalar) for key, coeff in self._entries.items()
-        )
+        return compose_sum([(scalar, self)])
 
     def __rmul__(self, scalar) -> "TensorOp":
         if isinstance(scalar, (LaurentQP, Fraction, int)):
@@ -320,17 +299,11 @@ def lift23(f: TensorOp) -> TensorOp:
     return TensorOp._trusted(f.n, 3, entries)
 
 
-def linear_combo(a, f: TensorOp, b, g: TensorOp) -> TensorOp:
-    """a*f + b*g with LaurentQP (or rational) scalars a, b."""
-    f._check_match(g)
-    return f.scale(a) + g.scale(b)
-
-
-def _term_products(term):
-    """(key, x, y) triples whose sums per key are the entries of one term."""
-    if isinstance(term, TensorOp):
-        return ((key, coeff, 1) for key, coeff in term._entries.items())
-    f, g = term
+def _term_products(f, g):
+    """(key, x, y) triples whose sums per key are the entries of f∘g, or of f·g
+    for a scalar f."""
+    if not isinstance(f, TensorOp):
+        return ((key, coeff, f) for key, coeff in g._entries.items())
     by_input: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentQP]]] = {}
     for (out, mid), coeff in f._entries.items():
         by_input.setdefault(mid, []).append((out, coeff))
@@ -342,25 +315,39 @@ def _term_products(term):
 
 
 def compose_sum(terms) -> TensorOp:
-    """The sum of ``terms``: a pair (f, g) adds f∘g, a lone operator adds itself.
+    """The sum of ``terms``, each a pair (f, g) of an operator g and a left
+    factor f: an operator f adds f∘g, a scalar f (int, Fraction or
+    LaurentQP) adds f·g.
 
-    Every term feeds one call of the multiply-accumulate kernel, so no
-    product or partial sum is built as an operator; each pair's index is
-    built only when the kernel reaches it.  A term is negated by negating
-    one of its factors; negate the smallest, usually a lifted 2-fold
-    operator.  All operators must share one rank and arity.
+    The one caller of the multiply-accumulate kernel: every term feeds one
+    kernel call, so no product, scalar multiple or partial sum is built as
+    an operator, and each pair's index is built only when the kernel
+    reaches it.  A term of two operators is negated by negating one of
+    them; negate the smallest, usually a lifted 2-fold operator.  All
+    operators must share one rank and arity.  A term that is not a pair,
+    or whose right factor is not an operator, raises TypeError.
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("compose_sum needs at least one term")
-    shape = terms[0] if isinstance(terms[0], TensorOp) else terms[0][0]
+    pairs = []
     for term in terms:
-        for op in (term,) if isinstance(term, TensorOp) else term:
-            shape._check_match(op)
+        if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], TensorOp)):
+            raise TypeError(f"a compose_sum term must be a pair (f, operator), got {term!r}")
+        f, g = term
+        if not isinstance(f, TensorOp) and type(f) is not int:
+            f = as_laurent(f)
+        pairs.append((f, g))
+    if not pairs:
+        raise ValueError("compose_sum needs at least one term")
+    shape = pairs[0][1]
+    for f, g in pairs:
+        shape._check_match(g)
+        if isinstance(f, TensorOp):
+            shape._check_match(f)
     return TensorOp._trusted(
         shape.n,
         shape.arity,
-        LaurentQP._sums_of_products(itertools.chain.from_iterable(map(_term_products, terms))),
+        LaurentQP._sums_of_products(
+            itertools.chain.from_iterable(itertools.starmap(_term_products, pairs))
+        ),
     )
 
 
@@ -371,6 +358,5 @@ def endo_eq(f: TensorOp, g: TensorOp):
     where (input, output) is the lexicographically smallest differing entry
     and diff the nonzero coefficient of f - g there.
     """
-    f._check_match(g)
-    witness = (f - g).first_entry()
+    witness = compose_sum([(1, f), (-1, g)]).first_entry()
     return witness is None, witness

@@ -16,7 +16,6 @@ deterministic across runs.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ __all__ = [
     "check_hecke",
     "check_gp_relations",
     "check_quadratic",
-    "reports_to_json",
 ]
 
 
@@ -147,9 +145,9 @@ def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> Chec
     if not qscalar.is_unit():
         raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {qscalar}")
     started = time.perf_counter()
-    neg_identity = -TensorOp.identity(rmat.n, rmat.arity)
-    linear = rmat.scale(qscalar.unit_inverse() - qscalar)
-    return _report(name, [lambda: compose_sum([(rmat, rmat), linear, neg_identity])], started)
+    identity = TensorOp.identity(rmat.n, rmat.arity)
+    terms = [(rmat, rmat), (qscalar.unit_inverse() - qscalar, rmat), (-1, identity)]
+    return _report(name, [lambda: compose_sum(terms)], started)
 
 
 def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
@@ -160,9 +158,9 @@ def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
     return _report(
         name,
         [
-            lambda: compose_sum([(g, g), -g]),
-            lambda: compose_sum([(g, perm), g]),
-            lambda: compose_sum([(perm, g), -g, -perm, TensorOp.identity(n)]),
+            lambda: compose_sum([(g, g), (-1, g)]),
+            lambda: compose_sum([(g, perm), (1, g)]),
+            lambda: compose_sum([(perm, g), (-1, g), (-1, perm), (1, TensorOp.identity(n))]),
         ],
         started,
     )
@@ -174,11 +172,5 @@ def check_quadratic(
     """R^2 = beta*R + alpha*(alpha-beta)*I for R = alpha*P + beta*g."""
     started = time.perf_counter()
     rmat = cg_op(n, alpha, beta)
-    linear = rmat.scale(-beta)
-    constant = TensorOp.identity(n).scale(-(alpha * (alpha - beta)))
-    return _report(name, [lambda: compose_sum([(rmat, rmat), linear, constant])], started)
-
-
-def reports_to_json(reports: list[CheckReport]) -> str:
-    """Serialize a batch of reports as one JSON array."""
-    return json.dumps([report.to_json_obj() for report in reports], indent=2)
+    terms = [(rmat, rmat), (-beta, rmat), (-(alpha * (alpha - beta)), TensorOp.identity(n))]
+    return _report(name, [lambda: compose_sum(terms)], started)

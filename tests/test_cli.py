@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,12 @@ def test_parse_expr_symbols_and_powers():
     assert parse_laurent_expr("2*q^2*p^-1 + 1") == 2 * q**2 * p**-1 + LaurentQP.one()
     assert parse_laurent_expr("-q") == -q
     assert parse_laurent_expr("(q + p)^2") == (q + p) * (q + p)
+    assert parse_laurent_expr("(q+p)^0") == LaurentQP.one()
+    assert parse_laurent_expr("2^-3") == LaurentQP.const(Fraction(1, 8))
+    # within the parse budget
+    assert parse_laurent_expr("(q+1)^500") == (q + 1) ** 500
+    assert parse_laurent_expr("2^100000") == LaurentQP.const(2**100000)
+    assert parse_laurent_expr("q^-100000") == q**-100000
 
 
 @pytest.mark.parametrize(
@@ -48,6 +55,12 @@ def test_parse_expr_symbols_and_powers():
         # nesting deeper than the recursion limit is a usage error, not a crash
         pytest.param("(" * 5000 + "q" + ")" * 5000, id="5000-parentheses"),
         pytest.param("-" * 5000 + "q", id="5000-minus-signs"),
+        # work or coefficients over the parse budget are usage errors too
+        "(q+1)^100000",
+        "((q+1)^64)^64",
+        "((2^1000)^1000)^1000",
+        pytest.param("*".join(["(q+1)"] * 20000), id="20000-factor-chain"),
+        pytest.param("+".join(f"q^{i}" for i in range(1, 8001)), id="8000-power-sum"),
     ],
 )
 def test_parse_expr_rejects_malformed(bad):
@@ -58,6 +71,24 @@ def test_parse_expr_rejects_malformed(bad):
 def test_parse_expr_long_flat_sum():
     # a flat sum is parsed by a loop, not by recursion, whatever its length
     assert parse_laurent_expr("+".join(["q"] * 10000)) == 10000 * q
+
+
+def test_parse_over_budget_fails_fast():
+    # In a child process with a timeout, so a parse that runs away cannot hang the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cgybe", "verify", "--n", "2", "--checks", "hecke"]
+        + ["--alpha", "(q+1)^100000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and "budget" in result.stderr
+    assert time.perf_counter() - started < 5
 
 
 def test_gen_cg_hecke_preset(capsys):
@@ -198,11 +229,12 @@ def test_verify_empty_selection_rejected(capsys, checks):
         (MAX_VERIFY_RANK_3FOLD + 1, "eval-ybe", False),
         (MAX_DENSE_RANK + 1, "gen-latex", False),
         (MAX_DENSE_RANK + 1, "gen-json", True),
+        (MAX_VERIFY_RANK_2FOLD + 1, "gen-json", False),
     ],
 )
 def test_verify_rank_cap_follows_selected_checks(capsys, n, checks, allowed):
     # the dense outputs (eval, gen --format latex) have their own cap;
-    # sparse gen json has none; eval --check-ybe also has the ybe cap
+    # sparse gen json has the 2-fold cap; eval --check-ybe also has the ybe cap
     command = {
         "eval": ["eval", "--op", "cg", "--q", "2", "--p", "1"],
         "eval-ybe": ["eval", "--op", "cg", "--q", "2", "--p", "1", "--check-ybe"],
@@ -278,6 +310,25 @@ def test_verify_alpha_accepted_for_any_op(capsys, check, flags):
     code, out, _ = run_cli(capsys, "verify", "--op", "g", "--n", "2", "--checks", check, *flags)
     assert code in (0, 1)
     assert [json.loads(line)["name"] for line in out.splitlines()] == [check]
+
+
+@pytest.mark.parametrize(
+    "checks, builds", [("gp,quadratic", 0), ("ybe,hecke,compat", 1)], ids=["unread", "shared"]
+)
+def test_verify_builds_operator_only_if_read(capsys, monkeypatch, checks, builds):
+    # gp and quadratic build their own operators; the checks that read
+    # --op share one build
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return cg_twisted_op(n)
+
+    monkeypatch.setattr("cgybe.cli.cg_twisted_op", counting)
+    code, out, _ = run_cli(capsys, "verify", "--op", "cg2", "--n", "2", "--checks", checks)
+    assert code in (0, 1)
+    assert len(out.splitlines()) == len(checks.split(","))
+    assert calls == [2] * builds
 
 
 def test_identities_default_window(capsys):

@@ -264,6 +264,21 @@ def test_run_oracles_rejects_empty_selection():
         run_oracles(0, 3, only=[])
 
 
+def test_negative_pad_rejected():
+    # a negative pad truncates the support, so true identities would fail
+    with pytest.raises(ValueError, match="pad"):
+        run_oracles(-3, 4, pad=-1)
+    for helper, args in (
+        (zeta, (1, 2, 3, 0, 0)),
+        (ybe_coeff_rhs, (1, 2, 3, 0, 0)),
+        (eta_convolution, (1, 3, 0, 0, 0)),
+        (g_idem_sum, (1, 3, 2)),
+        (eta_interval_sum, (1, 3)),
+    ):
+        with pytest.raises(ValueError, match="pad"):
+            helper(*args, pad=-1)
+
+
 def test_run_oracles_rejects_oversized_window_before_scanning():
     started = time.perf_counter()
     with pytest.raises(ValueError, match="cap"):

@@ -10,10 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cgybe import LaurentQP, TensorOp, endo_eq, g_op, lift12, lift23, linear_combo
+from cgybe import LaurentQP, TensorOp, compose_sum, endo_eq, g_op, lift12, lift23
 from cgybe import permutation_op, q
 from cgybe.laurent import rational_to_str
-from cgybe.tensor import compose_sum
 
 from helpers import (
     dense_compose,
@@ -72,18 +71,18 @@ def test_compose_rank_mismatch():
         permutation_op(2).compose(permutation_op(3))
 
 
-def test_linear_combo_matches_display():
+def test_linear_combination_matches_display():
     P = permutation_op(2)
     g = g_op(2)
-    c = linear_combo(q, P, q - q**-1, g)
+    c = compose_sum([(q, P), (q - q**-1, g)])
     assert c.apply(1, 2) == {(2, 1): q, (1, 2): q - q**-1}
 
 
-def test_linear_combo_degenerate():
+def test_linear_combination_degenerate():
     f = random_op(random.Random(5), 3)
     g = random_op(random.Random(6), 3)
-    assert linear_combo(1, f, 0, g) == f
-    assert linear_combo(1, g, -1, g).is_zero()
+    assert compose_sum([(1, f), (0, g)]) == f
+    assert compose_sum([(1, g), (-1, g)]).is_zero()
 
 
 def test_lift12_flip():
@@ -161,13 +160,20 @@ def test_compose_sum_shapes():
     with pytest.raises(ValueError):
         compose_sum([])
     with pytest.raises(ValueError):
-        compose_sum([(permutation_op(2), permutation_op(2)), permutation_op(3)])
+        compose_sum([(permutation_op(2), permutation_op(2)), (1, permutation_op(3))])
     with pytest.raises(ValueError):
-        compose_sum([TensorOp.identity(2), (permutation_op(2), TensorOp.identity(2, 3))])
+        compose_sum([(1, TensorOp.identity(2)), (permutation_op(2), TensorOp.identity(2, 3))])
     P = permutation_op(3)
+    # a lone operator, a scalar right factor, a term of one or three, a float
+    for bad in ([P], [(P, q)], [(P, 2)], [(1, P, P)], [(P,)], [(1.5, P)]):
+        with pytest.raises(TypeError):
+            compose_sum(bad)
     assert compose_sum([(P, P)]) == P @ P
-    assert compose_sum([P]) == P
-    assert compose_sum([(P, P), -TensorOp.identity(3)]).is_zero()
+    assert compose_sum([(1, P)]) == P
+    assert compose_sum([(P, P), (-1, TensorOp.identity(3))]).is_zero()
+    assert compose_sum([(q, P), (Fraction(1, 2), P)]).apply(1, 2) == {
+        (2, 1): q + LaurentQP.const(Fraction(1, 2))
+    }
 
 
 def test_endo_eq_g_idempotent():
@@ -241,7 +247,7 @@ def test_scale_by_laurent_and_int():
 
 
 def test_json_round_trip_and_sorting():
-    op = linear_combo(q, permutation_op(2), q - q**-1, g_op(2))
+    op = compose_sum([(q, permutation_op(2)), (q - q**-1, g_op(2))])
     obj = op.to_json_obj()
     assert obj["n"] == 2 and obj["arity"] == 2
     keys = [(tuple(e["in"]), tuple(e["out"])) for e in obj["entries"]]
@@ -410,10 +416,13 @@ def test_kernel_matches_naive_reference(seed, shape, kind, cancel):
 
 
 def _naive_compose_sum(terms):
-    """Entries of the same sum, from the naive products and LaurentQP + only."""
+    """Entries of the same sum, from the naive products, LaurentQP + and *."""
     acc = {}
-    for term in terms:
-        entries = term.entries if isinstance(term, TensorOp) else _naive_compose(*term)
+    for f, g in terms:
+        if isinstance(f, TensorOp):
+            entries = _naive_compose(f, g)
+        else:
+            entries = {key: coeff * f for key, coeff in g.entries.items()}
         for key, coeff in entries.items():
             acc[key] = acc.get(key, LaurentQP.zero()) + coeff
     return {key: coeff for key, coeff in acc.items() if not coeff.is_zero()}
@@ -423,7 +432,7 @@ def _naive_compose_sum(terms):
     st.integers(0, 2**32),
     st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]),
     st.sampled_from(sorted(COEFF_KINDS)),
-    st.lists(st.sampled_from(["pair", "lone"]), min_size=1, max_size=4),
+    st.lists(st.sampled_from(["pair", "scalar"]), min_size=1, max_size=4),
     st.booleans(),
 )
 def test_compose_sum_matches_naive_sum(seed, shape, kind, kinds, cancel):
@@ -436,16 +445,16 @@ def test_compose_sum_matches_naive_sum(seed, shape, kind, kinds, cancel):
     if cancel and n > 1:
         f, g = _with_cancellation(rng, f, g)
     pool = [f, g, -f, -g]
+    laurent = random_laurent(rng, coeff=coeff)
+    scalars = [1, -1, random_int(rng), random_proper_fraction(rng), laurent]
     terms = []
     for kind_of_term in kinds:
-        if kind_of_term == "pair":
-            terms.append((rng.choice(pool), rng.choice(pool)))
-        else:
-            terms.append(rng.choice(pool))
+        left = rng.choice(pool if kind_of_term == "pair" else scalars)
+        terms.append((left, rng.choice(pool)))
     if cancel:
         # the negated copy of a term cancels it exactly
-        first = terms[0]
-        terms.append((-first[0], first[1]) if isinstance(first, tuple) else -first)
+        first, second = terms[0]
+        terms.append((-first, second))
     result = compose_sum(terms)
     _assert_canonical(result)
     assert (result.n, result.arity) == (n, arity)
