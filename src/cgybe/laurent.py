@@ -15,10 +15,10 @@ than ±1), rational ``eval``/``subs_p`` points or rational input, and is
 demoted back to ``int`` whenever a result is integral.
 
 No floating point enters anywhere in this package: a ``float``
-coefficient or exponent is rejected with ``TypeError``, because every
-downstream identity check relies on "this coefficient is zero" being an
-exact statement.  JSON input follows the same rule: a coefficient is an
-integer or a ``"num/den"`` string, never a JSON float.
+coefficient, exponent or evaluation point is rejected with ``TypeError``,
+because every downstream identity check relies on "this coefficient is
+zero" being an exact statement.  JSON input follows the same rule: a
+coefficient is an integer or a ``"num/den"`` string, never a JSON float.
 """
 
 from __future__ import annotations
@@ -56,6 +56,13 @@ def _canonical(value) -> Coeff:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
+
+
+def _exact_point(value) -> Fraction:
+    """An evaluation point as a Fraction; a float or any other type raises."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"evaluation points must be int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
 
 
 def _coeff_from_json(value) -> Coeff:
@@ -109,11 +116,12 @@ class LaurentQP:
         """``{key: sum of x*y}`` over the (key, x, y) triples of ``products``.
 
         The fused multiply-accumulate kernel behind every operator product,
-        sum, difference and scalar multiple in ``cgybe.tensor``.  A key may
-        repeat; y is a LaurentQP, or a plain int factor such as the sign of
-        a sum or difference.  Every product of terms is added straight into
-        one raw term dict per key: no LaurentQP is built per product or per
-        partial sum.  Each raw dict is then replaced in place by its
+        sum, difference and scalar multiple in ``cgybe.tensor`` in which q
+        or p occurs; constant ones take ``compose_sum``'s int and Fraction
+        path instead.  A key may repeat; y is a LaurentQP, or a plain int
+        factor such as the sign of a sum or difference.  Every product of
+        terms is added straight into one raw term dict per key: no LaurentQP
+        is built per product or per partial sum.  Each raw dict is then replaced in place by its
         ``_trusted`` value, so it is freed as soon as it is canonical, and
         the keys whose sum is zero are dropped.
         """
@@ -289,7 +297,7 @@ class LaurentQP:
 
     def eval(self, qval: Coeff, pval: Coeff) -> Fraction:
         """Exact value at the point (qval, pval); both must be nonzero."""
-        qval, pval = Fraction(qval), Fraction(pval)
+        qval, pval = _exact_point(qval), _exact_point(pval)
         if qval == 0 or pval == 0:
             raise ValueError("q and p substitutions must be nonzero")
         total = Fraction(0)
@@ -299,7 +307,7 @@ class LaurentQP:
 
     def subs_p(self, pval: Coeff) -> "LaurentQP":
         """Substitute a nonzero rational for p, leaving q symbolic."""
-        pval = Fraction(pval)
+        pval = _exact_point(pval)
         if pval == 0:
             raise ValueError("p substitution must be nonzero")
         acc: dict[ExpPair, Coeff] = {}

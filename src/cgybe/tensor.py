@@ -25,6 +25,18 @@ partial sum, then canonicalizes each entry once through
 equation is therefore checked without building its two sides or their
 difference.
 
+The data alone choose a faster path.  When every operator in the terms
+has only constant coefficients and every scalar is a constant -- P, g,
+their lifts and products, any operator evaluated at a rational point --
+:func:`compose_sum` multiplies per-operator column views
+``{input: {output: value}}`` of plain ``int`` and ``Fraction`` values
+instead, with no exponent pairs or term dicts.  Each operator builds its
+view on first use and caches it.  A constant result keeps the columns it
+was summed in and builds its ``LaurentQP`` entries only when they are
+read, so the intermediate products of a check never build any.  Both
+paths give the same operator: zero sums dropped, integral ``Fraction``
+values stored as ``int``.
+
 The public constructor validates its input (user code, JSON): indices and
 the shape must be ``int``.  Results built from operators that are already
 valid (products, sums, differences, negations, scalar multiples and the
@@ -45,12 +57,13 @@ __all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
+Columns = dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]]
 
 
 class TensorOp:
     """Sparse endomorphism of the arity-fold tensor power of an n-space."""
 
-    __slots__ = ("n", "arity", "_entries")
+    __slots__ = ("n", "arity", "_stored", "_columns")
 
     def __init__(
         self,
@@ -83,21 +96,68 @@ class TensorOp:
                 normalized[(out, inp)] = coeff
         self.n = n
         self.arity = arity
-        self._entries = normalized
+        self._stored = normalized
+        self._columns = None
 
     @classmethod
-    def _trusted(cls, n: int, arity: int, entries: dict[Key, LaurentQP]) -> "TensorOp":
+    def _trusted(
+        cls,
+        n: int,
+        arity: int,
+        entries: dict[Key, LaurentQP] | None,
+        columns: Columns | None = None,
+    ) -> "TensorOp":
         """Operator adopting ``entries`` as they are, skipping ``__init__``.
 
         For results built from already-valid operators: every key is a pair
         of arity-tuples with indices in 1..n and every value a nonzero
-        LaurentQP.
+        LaurentQP.  A constant result passes its nonzero ``columns`` (see
+        ``_constant_columns``) and None for ``entries``, which are built
+        from the columns on first use.
         """
         result = object.__new__(cls)
         result.n = n
         result.arity = arity
-        result._entries = entries
+        result._stored = entries
+        result._columns = columns
         return result
+
+    @property
+    def _entries(self) -> dict[Key, LaurentQP]:
+        """The entries; a result held as columns builds them on first read."""
+        entries = self._stored
+        if entries is None:
+            entries = self._stored = {
+                (out, inp): _constant_coeff(value)
+                for inp, column in self._columns.items()
+                for out, value in column.items()
+            }
+        return entries
+
+    def _constant_columns(self) -> Columns | bool:
+        """``{input: {output: value}}`` if every coefficient is a constant,
+        else False.
+
+        Built by one scan of the entries, which stops at the first
+        coefficient in which q or p occurs, and cached: operators are
+        immutable, so the cache never goes stale.  A constant
+        :func:`compose_sum` result starts with its columns cached.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = {}
+            for (out, inp), coeff in self._entries.items():
+                terms = coeff._terms
+                value = terms.get((0, 0))
+                if value is None or len(terms) != 1:
+                    columns = False
+                    break
+                column = columns.get(inp)
+                if column is None:
+                    column = columns[inp] = {}
+                column[out] = value
+            self._columns = columns
+        return columns
 
     # ------------------------------------------------------------------
     # constructors
@@ -144,6 +204,8 @@ class TensorOp:
         if len(indices) != self.arity:
             raise ValueError(f"expected {self.arity} indices, got {len(indices)}")
         for idx in indices:
+            if not isinstance(idx, int):
+                raise TypeError(f"index {idx!r} is not an int")
             if not 1 <= idx <= self.n:
                 raise ValueError(f"index {idx} out of range 1..{self.n}")
         inp = tuple(indices)
@@ -314,6 +376,65 @@ def _term_products(f, g):
     )
 
 
+def _constant_coeff(value: int | Fraction) -> LaurentQP:
+    """The LaurentQP of a nonzero value in canonical form, skipping ``__init__``."""
+    coeff = object.__new__(LaurentQP)
+    coeff._terms = {(0, 0): value}
+    return coeff
+
+
+def _constant_pairs(pairs):
+    """The pairs with each operator replaced by its constant columns and each
+    scalar by its plain value, or None if q or p occurs in any of them."""
+    constant = []
+    for f, g in pairs:
+        if isinstance(f, TensorOp):
+            f = f._constant_columns()
+        elif type(f) is not int:
+            f = f.constant_value() if f.is_constant() else False
+        g = g._constant_columns()
+        if f is False or g is False:
+            return None
+        constant.append((f, g))
+    return constant
+
+
+def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
+    """The sum of the constant pairs from :func:`_constant_pairs`, in plain
+    int and Fraction arithmetic.
+
+    Each input column of the result accumulates ``{output: value}``; its
+    zeros are dropped and its integral Fractions demoted to int, as
+    ``LaurentQP._trusted`` does.  The result holds only these columns,
+    so a chained product never rescans it; its one-term LaurentQP entries
+    are built when first read.
+    """
+    acc: Columns = {}
+    for f, g in pairs:
+        for inp, g_column in g.items():
+            column = acc.get(inp)
+            if column is None:
+                column = acc[inp] = {}
+            if type(f) is dict:
+                for mid, c_g in g_column.items():
+                    for out, c_f in f.get(mid, {}).items():
+                        column[out] = column.get(out, 0) + c_f * c_g
+            else:
+                for out, c_g in g_column.items():
+                    column[out] = column.get(out, 0) + f * c_g
+    columns: Columns = {}
+    for inp, column in acc.items():
+        kept = {}
+        for out, value in column.items():
+            if value:
+                if type(value) is not int and value.denominator == 1:
+                    value = value.numerator
+                kept[out] = value
+        if kept:
+            columns[inp] = kept
+    return TensorOp._trusted(n, arity, None, columns)
+
+
 def compose_sum(terms) -> TensorOp:
     """The sum of ``terms``, each a pair (f, g) of an operator g and a left
     factor f: an operator f adds f∘g, a scalar f (int, Fraction or
@@ -326,6 +447,10 @@ def compose_sum(terms) -> TensorOp:
     them; negate the smallest, usually a lifted 2-fold operator.  All
     operators must share one rank and arity.  A term that is not a pair,
     or whose right factor is not an operator, raises TypeError.
+
+    If no operator or scalar in the terms carries q or p, the sum is taken
+    over the operators' cached constant columns in plain int and Fraction
+    arithmetic instead (see the module docstring); the result is the same.
     """
     pairs = []
     for term in terms:
@@ -342,6 +467,9 @@ def compose_sum(terms) -> TensorOp:
         shape._check_match(g)
         if isinstance(f, TensorOp):
             shape._check_match(f)
+    constant = _constant_pairs(pairs)
+    if constant is not None:
+        return _constant_sum(shape.n, shape.arity, constant)
     return TensorOp._trusted(
         shape.n,
         shape.arity,

@@ -75,6 +75,25 @@ def test_eval_rejects_zero_point():
         p.subs_p(0)
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/2"])
+def test_eval_rejects_non_rational_point(bad):
+    # (q + p).eval(0.1, 1) would silently evaluate at the binary float
+    # 3602879701896397/36028797018963968, not at 1/10.
+    with pytest.raises(TypeError):
+        (q + p).eval(bad, 1)
+    with pytest.raises(TypeError):
+        (q + p).eval(1, bad)
+    with pytest.raises(TypeError):
+        (q + p).subs_p(bad)
+
+
+def test_exact_points_still_evaluate():
+    # the CLI passes Fraction(text), which reads "0.5" exactly
+    assert (q + p).eval(Fraction("0.1"), 1) == Fraction(11, 10)
+    assert (q + p).subs_p(Fraction("0.5")) == q + Fraction(1, 2)
+    assert (q + p).eval(3, Fraction(1, 2)) == Fraction(7, 2)
+
+
 def test_unit_inverse():
     u = LaurentQP.monomial(Fraction(3, 2), 2, -1)
     assert u.is_unit()

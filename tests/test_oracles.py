@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgybe import TensorOp, g_op, lift12, lift23, oracles
+from cgybe import TensorOp, compose_sum, g_op, lift12, lift23, oracles, permutation_op
 from cgybe.oracles import (
     IntWindow,
     _scan,
@@ -185,7 +185,7 @@ def test_padding_never_changes_sums():
 
 
 def bridge_mismatches(word, oracle):
-    """Entries of a 3-fold word in g that differ from the oracle sum.
+    """Entries of a 3-fold word, or sum of words, that differ from the oracle sum.
 
     The coefficient of e_c⊗e_h⊗e_m on e_i⊗e_j⊗e_k, m = i+j+k-c-h, must be
     oracle(i, j, k, c, h); a missing entry counts as 0, and an entry at an
@@ -209,6 +209,36 @@ def test_g_words_are_the_ybe_oracle_sums(n):
     g12, g23 = lift12(g_op(n)), lift23(g_op(n))
     assert bridge_mismatches(g12 @ g23 @ g12, ybe_coeff_rhs) == []
     assert bridge_mismatches(g23 @ g12 @ g23, zeta) == []
+
+
+def compat_lhs(i, j, k, a, b):
+    """The left side of the ``_compat_coeffs`` docstring, with helpers' eta."""
+    return (
+        naive_eta(i, k, a + b - j) * naive_eta(j, a + b - j, a)
+        + naive_eta(i, j, b + a - k) * naive_eta(b + a - k, k, a)
+        + naive_eta(i, j, b) * naive_eta(i + j - b, k, a)
+    )
+
+
+def compat_rhs(i, j, k, a, b):
+    """The right side of the ``_compat_coeffs`` docstring, with helpers' eta."""
+    return (
+        naive_eta(i, k, a) * naive_eta(i + k - a, j, b)
+        + naive_eta(j, k, a) * naive_eta(i, j + k - a, b)
+        + naive_eta(j, k, j + k - b) * naive_eta(i, j + k - b, a)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compat_words_are_the_compat_oracle_sums(n):
+    # the two sides of the first mixed condition of (P, g), which is the
+    # compatibility check, are the two sides of compat_coeffs
+    g12, g23 = lift12(g_op(n)), lift23(g_op(n))
+    p12, p23 = lift12(permutation_op(n)), lift23(permutation_op(n))
+    lhs = compose_sum([(g12 @ g23, p12), (g12 @ p23, g12), (p12 @ g23, g12)])
+    rhs = compose_sum([(g23 @ g12, p23), (g23 @ p12, g23), (p23 @ g12, g23)])
+    assert bridge_mismatches(lhs, compat_lhs) == []
+    assert bridge_mismatches(rhs, compat_rhs) == []
 
 
 def test_bridge_reports_a_changed_entry():

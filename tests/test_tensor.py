@@ -4,8 +4,10 @@ Composition and lifted application are cross-checked against independent
 dense and nested-loop oracles from helpers.py.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,18 @@ def test_apply_index_out_of_range():
         P.apply(0, 1)
     with pytest.raises(ValueError):
         P.apply(1, 3)
+
+
+@pytest.mark.parametrize("indices", [(1.0, 3), (1, Fraction(2)), ("1", 2)])
+def test_apply_non_int_index_rejected(indices):
+    with pytest.raises(TypeError):
+        g_op(3).apply(*indices)
+
+
+def test_eval_at_rejects_float_point():
+    with pytest.raises(TypeError):
+        (q * g_op(2)).eval_at(0.1, 1)
+    assert (q * g_op(2)).eval_at(Fraction("0.1"), 1) == g_op(2).scale(Fraction(1, 10))
 
 
 def test_compose_flip_squares_to_identity():
@@ -461,3 +475,93 @@ def test_compose_sum_matches_naive_sum(seed, shape, kind, kinds, cancel):
     assert dict(result.entries) == _naive_compose_sum(terms)
     if cancel:
         assert dict(result.entries) == _naive_compose_sum(terms[1:-1])
+
+
+# ----------------------------------------------------------------------
+# the constant-coefficient path of compose_sum against the same naive
+# reference: operators whose every entry is an int or a Fraction
+
+
+def _random_half(rng):
+    """An odd multiple of 1/2: two of them may sum to an int, 1/2 + 1/2 = 1."""
+    return Fraction(rng.choice([-3, -1, 1, 3]), 2)
+
+
+CONSTANT_KINDS = {**COEFF_KINDS, "half": _random_half}
+
+
+def _constant_op(rng, n, arity, density, coeff):
+    basis = list(itertools.product(range(1, n + 1), repeat=arity))
+    entries = {(out, inp): coeff(rng) for out in basis for inp in basis if rng.random() < density}
+    return TensorOp(n, arity, entries)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]),
+    st.sampled_from(sorted(CONSTANT_KINDS)),
+    st.lists(st.sampled_from(["pair", "scalar"]), min_size=1, max_size=4),
+    st.booleans(),
+    st.sampled_from([None, "operator", "scalar"]),
+)
+def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbolic):
+    rng = random.Random(seed)
+    n, arity = shape
+    density = 0.15 if (n, arity) == (3, 3) else 0.5
+    coeff = CONSTANT_KINDS[kind]
+    f = _constant_op(rng, n, arity, density, coeff)
+    g = _constant_op(rng, n, arity, density, coeff)
+    if cancel and n > 1:
+        f, g = _with_cancellation(rng, f, g)
+    pool = [f, g, -f, -g, TensorOp.zero(n, arity)]
+    scalars = [
+        1,
+        -1,
+        random_int(rng),
+        random_proper_fraction(rng),
+        LaurentQP.const(random_fraction(rng)),
+    ]
+    terms = []
+    for kind_of_term in kinds:
+        left = rng.choice(pool if kind_of_term == "pair" else scalars)
+        terms.append((left, rng.choice(pool)))
+    if cancel:
+        first, second = terms[0]
+        terms.append((-first, second))
+    if symbolic == "operator":
+        # random_op has q and p exponents in -2..2, so q^3 cannot cancel
+        symbolic_op = random_op(rng, n, arity, density) + q**3 * TensorOp.identity(n, arity)
+        terms.append((rng.choice(pool), symbolic_op))
+    elif symbolic == "scalar":
+        terms.append((q + random_int(rng), rng.choice(pool)))
+    expected = _naive_compose_sum(terms)
+    kernel = LaurentQP._sums_of_products
+    with mock.patch.object(LaurentQP, "_sums_of_products", side_effect=kernel) as calls:
+        result = compose_sum(terms)
+    # q or p anywhere in the terms takes the LaurentQP kernel, else it is skipped
+    assert calls.called == (symbolic is not None)
+    _assert_canonical(result)
+    assert (result.n, result.arity) == (n, arity)
+    assert dict(result.entries) == expected
+    reference = TensorOp(n, arity, expected)
+    witness = result.first_entry()
+    assert witness == reference.first_entry()
+    if witness is not None:
+        assert witness[2].to_json_obj() == reference.first_entry()[2].to_json_obj()
+    assert result.to_json_obj() == reference.to_json_obj()
+    if cancel and symbolic is None:
+        assert dict(result.entries) == _naive_compose_sum(terms[1:-1])
+
+
+def test_constant_path_demotes_integral_sums_and_drops_zeros():
+    a = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(1, 2), ((1, 1), (1, 1)): Fraction(1, 3)})
+    b = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(1, 2), ((1, 1), (1, 1)): Fraction(-1, 3)})
+    total = compose_sum([(1, a), (1, b)])  # 1/2 + 1/2 = 1 and 1/3 - 1/3 = 0
+    ((key, coeff),) = total.entries.items()
+    assert key == ((1, 2), (2, 1))
+    assert coeff.terms() == {(0, 0): 1} and type(coeff.terms()[(0, 0)]) is int
+    assert total.first_entry() == ((2, 1), (1, 2), LaurentQP.one())
+    assert total.to_json_obj()["entries"] == [
+        {"out": [1, 2], "in": [2, 1], "coeff": [{"q": 0, "p": 0, "coeff": "1/1"}]}
+    ]
+    assert compose_sum([(1, a), (LaurentQP.const(-1), a)]).is_zero()

@@ -245,17 +245,16 @@ def test_twisted_ybe_small():
 
 def test_mixed_conditions_stop_at_first_failure(monkeypatch):
     # (P, cg2) fails the first mixed condition, so the second must never be
-    # built: the failing check makes half the kernel calls of a passing one.
+    # built: the failing check makes half the compose_sum calls of a passing one.
     n = 3
     perm, twisted, g = permutation_op(n), cg_twisted_op(n), g_op(n)
     calls = []
-    kernel = LaurentQP._sums_of_products
 
-    def counting(products):
+    def counting(terms):
         calls.append(1)
-        return kernel(products)
+        return compose_sum(terms)
 
-    monkeypatch.setattr(LaurentQP, "_sums_of_products", staticmethod(counting))
+    monkeypatch.setattr(verify, "compose_sum", counting)
     failing = check_mixed_conditions(perm, twisted)
     failing_calls = len(calls)
     calls.clear()
@@ -269,6 +268,23 @@ def test_mixed_conditions_stop_at_first_failure(monkeypatch):
     lhs = f12 @ g23 @ g12 + g12 @ f23 @ g12 + g12 @ g23 @ f12
     rhs = f23 @ g12 @ g23 + g23 @ f12 @ g23 + g23 @ g12 @ f23
     assert (False, failing.witness) == endo_eq(lhs, rhs)
+
+
+def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
+    # g has integer entries, so its check never reaches the LaurentQP
+    # kernel; the q- and p-carrying twisted matrix does.
+    calls = []
+    kernel = LaurentQP._sums_of_products
+
+    def counting(products):
+        calls.append(1)
+        return kernel(products)
+
+    monkeypatch.setattr(LaurentQP, "_sums_of_products", staticmethod(counting))
+    assert check_ybe(g_op(3)).passed
+    assert calls == []
+    assert check_ybe(cg_twisted_op(3)).passed
+    assert len(calls) >= 1
 
 
 # ----------------------------------------------------------------------
