@@ -117,7 +117,7 @@ class LaurentQP:
 
         The fused multiply-accumulate kernel behind every operator product,
         sum, difference and scalar multiple in ``cgybe.tensor`` in which q
-        or p occurs; constant ones take ``compose_sum``'s int and Fraction
+        or p occurs; constant ones take ``compose_sum``'s integer column
         path instead.  A key may repeat; y is a LaurentQP, or a plain int
         factor such as the sign of a sum or difference.  Every product of
         terms is added straight into one raw term dict per key: no LaurentQP

@@ -28,14 +28,18 @@ difference.
 The data alone choose a faster path.  When every operator in the terms
 has only constant coefficients and every scalar is a constant -- P, g,
 their lifts and products, any operator evaluated at a rational point --
-:func:`compose_sum` multiplies per-operator column views
-``{input: {output: value}}`` of plain ``int`` and ``Fraction`` values
-instead, with no exponent pairs or term dicts.  Each operator builds its
-view on first use and caches it.  A constant result keeps the columns it
-was summed in and builds its ``LaurentQP`` entries only when they are
-read, so the intermediate products of a check never build any.  Both
-paths give the same operator: zero sums dropped, integral ``Fraction``
-values stored as ``int``.
+:func:`compose_sum` multiplies per-operator column views instead, with no
+exponent pairs, term dicts or ``Fraction`` arithmetic.  A view is
+``(den, {input: {output: int}})``: ``den`` is one common denominator of
+the operator's entries and each int is an entry times ``den``.  A sum
+works over the lcm L of its terms' denominators, so it adds only int
+products, and a sum that vanishes is exactly int 0.  Each operator builds
+its view on first use and caches it.  A constant result, and the lift of
+a constant operator, keeps its columns and builds its ``LaurentQP``
+entries, ``Fraction(value, L)`` demoted to ``int`` when integral, only
+when they are read; its witness builds one entry.  So the intermediate
+products of a check never build any, and both paths give the same
+operator: zero sums dropped, integral values stored as ``int``.
 
 The public constructor validates its input (user code, JSON): indices and
 the shape must be ``int``.  Results built from operators that are already
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -57,7 +62,7 @@ __all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
-Columns = dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]]
+Columns = tuple[int, dict[tuple[int, ...], dict[tuple[int, ...], int]]]
 
 
 class TensorOp:
@@ -111,9 +116,9 @@ class TensorOp:
 
         For results built from already-valid operators: every key is a pair
         of arity-tuples with indices in 1..n and every value a nonzero
-        LaurentQP.  A constant result passes its nonzero ``columns`` (see
-        ``_constant_columns``) and None for ``entries``, which are built
-        from the columns on first use.
+        LaurentQP.  A constant result passes its ``columns`` (see
+        ``_constant_columns``), with no zero value or empty column, and None
+        for ``entries``, which are built from the columns on first use.
         """
         result = object.__new__(cls)
         result.n = n
@@ -127,24 +132,28 @@ class TensorOp:
         """The entries; a result held as columns builds them on first read."""
         entries = self._stored
         if entries is None:
+            den, columns = self._columns
             entries = self._stored = {
-                (out, inp): _constant_coeff(value)
-                for inp, column in self._columns.items()
+                (out, inp): _constant_coeff(value, den)
+                for inp, column in columns.items()
                 for out, value in column.items()
             }
         return entries
 
     def _constant_columns(self) -> Columns | bool:
-        """``{input: {output: value}}`` if every coefficient is a constant,
-        else False.
+        """``(den, {input: {output: value * den}})`` if every coefficient is
+        a constant, else False.
 
-        Built by one scan of the entries, which stops at the first
-        coefficient in which q or p occurs, and cached: operators are
-        immutable, so the cache never goes stale.  A constant
-        :func:`compose_sum` result starts with its columns cached.
+        ``den`` is the lcm of the entries' denominators, so every stored
+        value is an int.  Built by one scan of the entries, which stops at
+        the first coefficient in which q or p occurs, and cached: operators
+        are immutable, so the cache never goes stale.  A constant
+        :func:`compose_sum` result and a constant lift start with their
+        columns cached.
         """
         columns = self._columns
         if columns is None:
+            den = 1
             columns = {}
             for (out, inp), coeff in self._entries.items():
                 terms = coeff._terms
@@ -152,10 +161,18 @@ class TensorOp:
                 if value is None or len(terms) != 1:
                     columns = False
                     break
+                if type(value) is not int and den % value.denominator:
+                    den = lcm(den, value.denominator)
                 column = columns.get(inp)
                 if column is None:
                     column = columns[inp] = {}
                 column[out] = value
+            if columns is not False:
+                if den != 1:
+                    for column in columns.values():
+                        for out, value in column.items():
+                            column[out] = value.numerator * (den // value.denominator)
+                columns = (den, columns)
             self._columns = columns
         return columns
 
@@ -192,8 +209,18 @@ class TensorOp:
         """(input, output, coeff) of the entry with the smallest (input, output).
 
         None for the zero operator.  Applied to a difference it is the
-        deterministic witness of an inequality.
+        deterministic witness of an inequality.  An operator with cached
+        constant columns takes the least input and its least output there
+        and builds only that coefficient.
         """
+        if self._columns:
+            den, columns = self._columns
+            if not columns:
+                return None
+            inp = min(columns)
+            column = columns[inp]
+            out = min(column)
+            return inp, out, _constant_coeff(column[out], den)
         if not self._entries:
             return None
         (out, inp), coeff = min(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -343,21 +370,35 @@ def lift12(f: TensorOp) -> TensorOp:
     """f⊗Id: act as f on tensor factors (1,2), identity on factor 3."""
     if f.arity != 2:
         raise ValueError("lift12 expects an arity-2 operator")
-    entries = {}
-    for (out, inp), coeff in f.entries.items():
-        for m in range(1, f.n + 1):
-            entries[((*out, m), (*inp, m))] = coeff
-    return TensorOp._trusted(f.n, 3, entries)
+    return _lift(f, lambda pair, m: (*pair, m))
 
 
 def lift23(f: TensorOp) -> TensorOp:
     """Id⊗f: act as f on tensor factors (2,3), identity on factor 1."""
     if f.arity != 2:
         raise ValueError("lift23 expects an arity-2 operator")
-    entries = {}
-    for (out, inp), coeff in f.entries.items():
-        for m in range(1, f.n + 1):
-            entries[((m, *out), (m, *inp))] = coeff
+    return _lift(f, lambda pair, m: (m, *pair))
+
+
+def _lift(f: TensorOp, place) -> TensorOp:
+    """The 3-fold operator with entry place(out, m) <- place(inp, m) equal to
+    f's entry out <- inp for every m; a constant f is lifted column by
+    column, with its common denominator, and builds no entries."""
+    span = range(1, f.n + 1)
+    constant = f._constant_columns()
+    if constant:
+        den, columns = constant
+        lifted = {
+            place(inp, m): {place(out, m): value for out, value in column.items()}
+            for inp, column in columns.items()
+            for m in span
+        }
+        return TensorOp._trusted(f.n, 3, None, (den, lifted))
+    entries = {
+        (place(out, m), place(inp, m)): coeff
+        for (out, inp), coeff in f._entries.items()
+        for m in span
+    }
     return TensorOp._trusted(f.n, 3, entries)
 
 
@@ -376,63 +417,86 @@ def _term_products(f, g):
     )
 
 
-def _constant_coeff(value: int | Fraction) -> LaurentQP:
-    """The LaurentQP of a nonzero value in canonical form, skipping ``__init__``."""
+def _constant_coeff(value: int, den: int) -> LaurentQP:
+    """The LaurentQP of the nonzero value/den in canonical form, skipping
+    ``__init__``."""
+    if den != 1:
+        value = Fraction(value, den)
+        if value.denominator == 1:
+            value = value.numerator
     coeff = object.__new__(LaurentQP)
     coeff._terms = {(0, 0): value}
     return coeff
 
 
 def _constant_pairs(pairs):
-    """The pairs with each operator replaced by its constant columns and each
-    scalar by its plain value, or None if q or p occurs in any of them."""
+    """(left, den, right) triples of the pairs, or None if q or p occurs in
+    any of them.
+
+    ``right`` is the columns of the right operator and ``left`` the columns
+    of the left one or the numerator of a scalar; ``den`` is the term's
+    denominator: den_f·den_g for two operators, b·den_g for a scalar a/b.
+    """
     constant = []
     for f, g in pairs:
+        g = g._constant_columns()
+        if g is False:
+            return None
+        den_g, g = g
         if isinstance(f, TensorOp):
             f = f._constant_columns()
-        elif type(f) is not int:
-            f = f.constant_value() if f.is_constant() else False
-        g = g._constant_columns()
-        if f is False or g is False:
+            if f is False:
+                return None
+            den_f, f = f
+        elif type(f) is int:
+            den_f = 1
+        elif f.is_constant():
+            value = f.constant_value()
+            f, den_f = value.numerator, value.denominator
+        else:
             return None
-        constant.append((f, g))
+        constant.append((f, den_f * den_g, g))
     return constant
 
 
 def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
-    """The sum of the constant pairs from :func:`_constant_pairs`, in plain
-    int and Fraction arithmetic.
+    """The sum of the constant triples from :func:`_constant_pairs`, in
+    plain int arithmetic over the lcm L of the terms' denominators.
 
-    Each input column of the result accumulates ``{output: value}``; its
-    zeros are dropped and its integral Fractions demoted to int, as
-    ``LaurentQP._trusted`` does.  The result holds only these columns,
-    so a chained product never rescans it; its one-term LaurentQP entries
-    are built when first read.
+    Each term's factor L // (its denominator) scales each right-factor
+    value once, and is skipped when it is 1.  Each input column of the
+    result accumulates ``{output: value * L}`` and drops its zeros.  The
+    result holds only these columns, so a chained product never rescans
+    it; its entries are built as ``Fraction(value, L)``, demoted to int
+    when integral, when first read.
     """
-    acc: Columns = {}
-    for f, g in pairs:
+    den = lcm(*(term_den for _, term_den, _ in pairs))
+    acc = {}
+    for f, term_den, g in pairs:
+        scale = den // term_den
         for inp, g_column in g.items():
             column = acc.get(inp)
             if column is None:
                 column = acc[inp] = {}
             if type(f) is dict:
                 for mid, c_g in g_column.items():
-                    for out, c_f in f.get(mid, {}).items():
+                    f_column = f.get(mid)
+                    if f_column is None:
+                        continue
+                    if scale != 1:
+                        c_g *= scale
+                    for out, c_f in f_column.items():
                         column[out] = column.get(out, 0) + c_f * c_g
             else:
+                c_f = f * scale
                 for out, c_g in g_column.items():
-                    column[out] = column.get(out, 0) + f * c_g
-    columns: Columns = {}
+                    column[out] = column.get(out, 0) + c_f * c_g
+    columns = {}
     for inp, column in acc.items():
-        kept = {}
-        for out, value in column.items():
-            if value:
-                if type(value) is not int and value.denominator == 1:
-                    value = value.numerator
-                kept[out] = value
+        kept = {out: value for out, value in column.items() if value}
         if kept:
             columns[inp] = kept
-    return TensorOp._trusted(n, arity, None, columns)
+    return TensorOp._trusted(n, arity, None, (den, columns))
 
 
 def compose_sum(terms) -> TensorOp:
@@ -449,8 +513,9 @@ def compose_sum(terms) -> TensorOp:
     or whose right factor is not an operator, raises TypeError.
 
     If no operator or scalar in the terms carries q or p, the sum is taken
-    over the operators' cached constant columns in plain int and Fraction
-    arithmetic instead (see the module docstring); the result is the same.
+    over the operators' cached constant columns in plain int arithmetic
+    over one common denominator instead (see the module docstring); the
+    result is the same.
     """
     pairs = []
     for term in terms:

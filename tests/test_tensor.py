@@ -487,13 +487,33 @@ def _random_half(rng):
     return Fraction(rng.choice([-3, -1, 1, 3]), 2)
 
 
-CONSTANT_KINDS = {**COEFF_KINDS, "half": _random_half}
+def _random_prime_fraction(rng):
+    """k/7, k/11, k/13 or k/17: pairwise coprime denominators, so the common
+    denominator of a sum grows with every term that brings a new one."""
+    return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([7, 11, 13, 17]))
+
+
+CONSTANT_KINDS = {**COEFF_KINDS, "half": _random_half, "prime": _random_prime_fraction}
 
 
 def _constant_op(rng, n, arity, density, coeff):
     basis = list(itertools.product(range(1, n + 1), repeat=arity))
     entries = {(out, inp): coeff(rng) for out in basis for inp in basis if rng.random() < density}
     return TensorOp(n, arity, entries)
+
+
+def _assert_same_operator(result, expected):
+    """``result`` has the canonical ``expected`` entries, and the same
+    witness, witness JSON and JSON as the operator built from them; the
+    witness is read first, before anything builds the entries."""
+    reference = TensorOp(result.n, result.arity, expected)
+    witness = result.first_entry()
+    assert witness == reference.first_entry()
+    if witness is not None:
+        assert witness[2].to_json_obj() == reference.first_entry()[2].to_json_obj()
+    _assert_canonical(result)
+    assert dict(result.entries) == expected
+    assert result.to_json_obj() == reference.to_json_obj()
 
 
 @given(
@@ -540,15 +560,8 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
         result = compose_sum(terms)
     # q or p anywhere in the terms takes the LaurentQP kernel, else it is skipped
     assert calls.called == (symbolic is not None)
-    _assert_canonical(result)
     assert (result.n, result.arity) == (n, arity)
-    assert dict(result.entries) == expected
-    reference = TensorOp(n, arity, expected)
-    witness = result.first_entry()
-    assert witness == reference.first_entry()
-    if witness is not None:
-        assert witness[2].to_json_obj() == reference.first_entry()[2].to_json_obj()
-    assert result.to_json_obj() == reference.to_json_obj()
+    _assert_same_operator(result, expected)
     if cancel and symbolic is None:
         assert dict(result.entries) == _naive_compose_sum(terms[1:-1])
 
@@ -565,3 +578,64 @@ def test_constant_path_demotes_integral_sums_and_drops_zeros():
         {"out": [1, 2], "in": [2, 1], "coeff": [{"q": 0, "p": 0, "coeff": "1/1"}]}
     ]
     assert compose_sum([(1, a), (LaurentQP.const(-1), a)]).is_zero()
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)]),
+    st.sampled_from(sorted(CONSTANT_KINDS)),
+    st.booleans(),
+)
+def test_chained_constant_sums_match_naive_sum(seed, shape, kind, cancel):
+    # the result of one compose_sum is a factor of a second one, which reads
+    # the columns the first was summed in, over the first's denominator
+    rng = random.Random(seed)
+    n, arity = shape
+    density = 0.15 if (n, arity) == (3, 3) else 0.5
+    coeff = CONSTANT_KINDS[kind]
+    f = _constant_op(rng, n, arity, density, coeff)
+    g = _constant_op(rng, n, arity, density, coeff)
+    if cancel and n > 1:
+        f, g = _with_cancellation(rng, f, g)
+    first_terms = [(f, g), (random_proper_fraction(rng), f)]
+    first = compose_sum(first_terms)
+    # a proper Fraction scalar makes the carried denominator at least 2
+    assert first._constant_columns()[0] > 1
+    scalar = LaurentQP.const(_random_prime_fraction(rng))
+    second = compose_sum([(first, g), (f, first), (scalar, first), (-1, g)])
+    reference = TensorOp(n, arity, _naive_compose_sum(first_terms))
+    _assert_same_operator(
+        second,
+        _naive_compose_sum([(reference, g), (f, reference), (scalar, reference), (-1, g)]),
+    )
+    _assert_same_operator(first, dict(reference.entries))
+
+
+@given(st.integers(0, 2**32), st.sampled_from(sorted(CONSTANT_KINDS)))
+def test_constant_lifts_match_entry_lifts(seed, kind):
+    rng = random.Random(seed)
+    f = _constant_op(rng, 3, 2, 0.5, CONSTANT_KINDS[kind])
+    for lift, place in ((lift12, lambda t, m: (*t, m)), (lift23, lambda t, m: (m, *t))):
+        lifted = lift(f)
+        # a constant lift is held as columns, with no LaurentQP entries built
+        assert lifted._stored is None
+        expected = {
+            (place(out, m), place(inp, m)): coeff
+            for (out, inp), coeff in f.entries.items()
+            for m in range(1, 4)
+        }
+        _assert_same_operator(lifted, expected)
+
+
+def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
+    a = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(1, 3), ((2, 2), (2, 1)): Fraction(1, 5)})
+    b = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(2, 3)})
+    total = compose_sum([(1, a), (1, b)])  # 1/3 + 2/3 = 1 over the denominator 15
+    assert total._constant_columns() == (15, {(2, 1): {(1, 2): 15, (2, 2): 3}})
+    # the witness builds its one coefficient, not the entries
+    assert total.first_entry() == ((2, 1), (1, 2), LaurentQP.one())
+    assert type(total.first_entry()[2].terms()[(0, 0)]) is int
+    assert total._stored is None
+    coeff = total.entries[((1, 2), (2, 1))]
+    assert coeff.terms() == {(0, 0): 1} and type(coeff.terms()[(0, 0)]) is int
+    assert total.entries[((2, 2), (2, 1))] == LaurentQP.const(Fraction(1, 5))

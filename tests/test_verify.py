@@ -2,13 +2,14 @@
 the g/P relations and the quadratic relation, pass and fail paths."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgybe import verify
+from cgybe import tensor, verify
 
 from cgybe import (
     LaurentQP,
@@ -285,6 +286,47 @@ def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
     assert calls == []
     assert check_ybe(cg_twisted_op(3)).passed
     assert len(calls) >= 1
+
+
+def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
+    # at a rational point the constant path adds int products over one
+    # common denominator: a passing check does no Fraction arithmetic and
+    # builds no Fraction inside compose_sum
+    numeric = cg_twisted_op(4).eval_at(Fraction(3, 2), Fraction(5, 7))
+    calls = Counter()
+    inside = []
+
+    def counting(name, method):
+        def counted(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    def tracked(terms):
+        inside.append(1)
+        try:
+            return compose_sum(terms)
+        finally:
+            inside.pop()
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("__new__", Fraction.__new__)))
+    monkeypatch.setattr(tensor, "compose_sum", tracked)
+    monkeypatch.setattr(verify, "compose_sum", tracked)
+    assert check_ybe(numeric).passed
+    assert not calls
+    # the counters do see Fraction arithmetic inside the Laurent kernel
+    tracked([(q * Fraction(1, 2), numeric)])
+    assert calls["__mul__"] + calls["__rmul__"] > 0
+    monkeypatch.undo()
+
+    report = check_hecke(cg_op(5, 3, 7), 3)
+    assert not report.passed
+    assert report.witness == ((1, 2), (1, 2), LaurentQP.const(Fraction(52, 3)))
+    assert report.to_json_obj()["witness"]["diff"] == [{"q": 0, "p": 0, "coeff": "52/3"}]
 
 
 # ----------------------------------------------------------------------
