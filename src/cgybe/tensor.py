@@ -37,7 +37,7 @@ products, and a sum that vanishes is exactly int 0.  Each operator builds
 its view on first use and caches it.  A constant result, and the lift of
 a constant operator, keeps its columns and builds its ``LaurentQP``
 entries, ``Fraction(value, L)`` demoted to ``int`` when integral, only
-when they are read; its witness builds one entry.  So the intermediate
+when they are read.  So the intermediate
 products of a check never build any, and both paths give the same
 operator: zero sums dropped, integral values stored as ``int``.
 
@@ -209,18 +209,8 @@ class TensorOp:
         """(input, output, coeff) of the entry with the smallest (input, output).
 
         None for the zero operator.  Applied to a difference it is the
-        deterministic witness of an inequality.  An operator with cached
-        constant columns takes the least input and its least output there
-        and builds only that coefficient.
+        deterministic witness of an inequality.
         """
-        if self._columns:
-            den, columns = self._columns
-            if not columns:
-                return None
-            inp = min(columns)
-            column = columns[inp]
-            out = min(column)
-            return inp, out, _constant_coeff(column[out], den)
         if not self._entries:
             return None
         (out, inp), coeff = min(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
@@ -469,6 +459,12 @@ def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
     result holds only these columns, so a chained product never rescans
     it; its entries are built as ``Fraction(value, L)``, demoted to int
     when integral, when first read.
+
+    L is not reduced by the gcd of the result's values: 1/3 + 2/3 is held
+    as 15 over 15 when the other term has denominator 5.  A result used as
+    a factor of a further sum carries its L into that sum's denominator,
+    so the stored ints grow with the depth of a chain of sums even when
+    the entries are integral.  The checks chain at most three deep.
     """
     den = lcm(*(term_den for _, term_den, _ in pairs))
     acc = {}
