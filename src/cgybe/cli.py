@@ -46,11 +46,14 @@ from .verify import (
 
 USAGE_ERROR = 2
 
-# Largest rank verify accepts, checked before any operator is built.  The
-# 3-fold checks (ybe, compat, mixed) cost about n^5.5 in time and n^4 in
-# memory: all three take about 12 s at n = 14 and about 27 s and 320 MB at
-# n = 16 on a 2-core x86-64 VM with Python 3.11.  The 2-fold checks (hecke,
-# gp, quadratic) take about 22 s and 235 MB together at n = 64.
+# Largest rank verify accepts, checked before any operator is built.  Every
+# --op passes the translation lemma, so the 3-fold checks (ybe, compat,
+# mixed) read only the inputs with min index 1 (see verify.py) and cost
+# about n^4.4 in time and n^3 in memory: all three take about 4.5 s at
+# n = 14 and about 8 s and 160 MB at n = 16 with --op cg2, and under 1 s
+# and 32 MB at n = 16 with --op g, on a 2-core x86-64 VM with Python 3.11.
+# The 2-fold checks (hecke, gp, quadratic) take about 22 s and 235 MB
+# together at n = 64.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 

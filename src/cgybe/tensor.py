@@ -17,7 +17,7 @@ caller of the fused sparse multiply-accumulate kernel of
 f adds f∘g, a scalar f (``int``, ``Fraction`` or ``LaurentQP``) adds f·g.
 So ``f + g`` is [(1, f), (1, g)], ``-f`` is [(-1, f)], ``s * f`` is
 [(s, f)] and the Yang-Baxter sum c12∘c23∘c12 − c23∘c12∘c23 is
-[(x, c12), (−c23, x)] with x = c12∘c23.  The kernel adds every product of
+[(c12, c23∘c12), (c23, c12∘(−c23))].  The kernel adds every product of
 coefficients straight into one raw ``{(a, b): coeff}`` dict per entry,
 with no intermediate :class:`~cgybe.laurent.LaurentQP` per product or
 partial sum, then canonicalizes each entry once through
@@ -390,6 +390,51 @@ def _lift(f: TensorOp, place) -> TensorOp:
         for m in span
     }
     return TensorOp._trusted(f.n, 3, entries)
+
+
+def _translation_invariant(f: TensorOp) -> bool:
+    """True iff f passes the translation lemma: for every input inp with
+    min index >= 2, the column at inp is the column at inp - (1, ..., 1)
+    with each output index raised by 1, empty columns included.
+
+    This implies the interval property, that every output index of an
+    entry out <- inp lies in [min(inp), max(inp)]: shifting the input down
+    to min index 1, or up to max index n, would carry an output index
+    outside the interval below 1 or above n.  P, g, both Cremmer-Gervais
+    matrices and their evaluations pass, since their entries depend only
+    on index differences.  O(nnz); the constant columns are read when f
+    has them, so a columns-only operator builds no entries.
+    """
+    constant = f._constant_columns()
+    if constant:
+        columns = constant[1]
+    else:
+        columns = {}
+        for (out, inp), coeff in f._entries.items():
+            columns.setdefault(inp, {})[out] = coeff
+    # Only nonempty columns are stored: each must have one below it, and
+    # the column above it must be its shift, so no empty column is skipped.
+    for inp, column in columns.items():
+        if min(inp) > 1 and tuple(i - 1 for i in inp) not in columns:
+            return False
+        if max(inp) < f.n:
+            up = {tuple(i + 1 for i in out): value for out, value in column.items()}
+            if columns.get(tuple(i + 1 for i in inp)) != up:
+                return False
+    return True
+
+
+def _restrict_min_index_one(f: TensorOp) -> TensorOp:
+    """f∘E for the projection E onto the basis vectors with min index 1:
+    the columns of f at those inputs, one dict comprehension over the
+    constant columns or over the entries."""
+    constant = f._constant_columns()
+    if constant:
+        den, columns = constant
+        kept = {inp: column for inp, column in columns.items() if 1 in inp}
+        return TensorOp._trusted(f.n, f.arity, None, (den, kept))
+    entries = {key: coeff for key, coeff in f._entries.items() if 1 in key[1]}
+    return TensorOp._trusted(f.n, f.arity, entries)
 
 
 def _term_products(f, g):

@@ -1,6 +1,7 @@
 """Operator-level checks: Yang-Baxter, compatibility, mixed, Hecke,
 the g/P relations and the quadratic relation, pass and fail paths."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -445,3 +446,152 @@ def test_fused_checks_match_two_sided_reference(seed, n, kind, check):
     assert (report.passed, report.witness) == expected
     if kind == "solution":
         assert report.passed
+
+
+# ----------------------------------------------------------------------
+# the translation reduction: operators passing the lemma are checked on
+# the 3-fold inputs with min index 1 only, every other operator on all
+
+
+def _shift(tpl, t):
+    return tuple(i + t for i in tpl)
+
+
+def _translation_invariant_op(rng, n, coeff):
+    """A random operator passing the translation lemma: one coefficient per
+    pattern (output, input), input with min index 1 and outputs in
+    [1, max(input)], copied to every translate of the pattern."""
+    entries = {}
+    for inp in itertools.product(range(1, n + 1), repeat=2):
+        if 1 not in inp:
+            continue
+        for out in itertools.product(range(1, max(inp) + 1), repeat=2):
+            if rng.random() < 0.25:
+                value = coeff(rng)
+                for t in range(n - max(inp) + 1):
+                    entries[(_shift(out, t), _shift(inp, t))] = value
+    return TensorOp(n, 2, entries)
+
+
+def _perturb_translates(rng, op):
+    """op with one entry changed by the same amount in every translate."""
+    n = op.n
+    inp = rng.choice([tpl for tpl in op.basis_tuples() if 1 in tpl])
+    out = (rng.randint(1, max(inp)), rng.randint(1, max(inp)))
+    delta = random_fraction(rng, nonzero=True)
+    entries = dict(op.entries)
+    for t in range(n - max(inp) + 1):
+        key = (_shift(out, t), _shift(inp, t))
+        entries[key] = entries.get(key, LaurentQP.zero()) + delta
+    return TensorOp(n, 2, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(2, 5),
+    st.sampled_from(["solution", "perturbed", "random"]),
+    st.sampled_from(["ybe", "compat", "mixed"]),
+)
+def test_reduced_checks_match_two_sided_reference(seed, n, kind, check):
+    # every operand passes the lemma, so each check reads only the inputs
+    # with min index 1 and must still find the reference's witness
+    rng = random.Random(seed)
+    coeff = rng.choice([lambda r: random_fraction(r, nonzero=True), _unit])
+    perm, g = permutation_op(n), g_op(n)
+
+    def operand(solution):
+        if kind == "random":
+            return _translation_invariant_op(rng, n, coeff)
+        if kind == "perturbed":
+            return _perturb_translates(rng, solution)
+        return solution
+
+    if check == "ybe":
+        if rng.random() < 0.5:
+            solution = cg_twisted_op(n)
+        else:
+            solution = compose_sum([(_unit(rng), perm), (random_fraction(rng), g)])
+        operands = [operand(solution)]
+        report, expected = check_ybe(operands[0]), _reference_ybe(operands[0])
+    elif check == "compat":
+        operands = [operand(g)]
+        report, expected = check_compatibility(operands[0]), _reference_compat(operands[0])
+    else:
+        f2 = _translation_invariant_op(rng, n, coeff) if kind == "random" else perm
+        operands = [f2, operand(g)]
+        report, expected = check_mixed_conditions(*operands), _reference_mixed(*operands)
+    # a perturbed solution mostly fails, but need not: a scaled flip with
+    # one flip entry changed still solves the YBE at n = 2
+    assert all(tensor._translation_invariant(op) for op in operands)
+    assert (report.passed, report.witness) == expected
+    if kind == "solution":
+        assert report.passed
+
+
+def _lemma_failures():
+    # cg2 with the p exponent of one entry at an input with min index 2 changed
+    twisted = dict(cg_twisted_op(5).entries)
+    key = ((3, 2), (2, 3))
+    assert twisted[key] == q * p**-1
+    twisted[key] = q * p**-2
+    # g with one output index below min(input)
+    outside = dict(g_op(4).entries)
+    outside[((1, 4), (2, 3))] = 1
+    # a diagonal operator that fails the YBE only at (2, 3, 3), an input
+    # with min index 2, so the restricted check would miss it; its columns
+    # at (2, 3) and (3, 3) have no column below them
+    diagonal = {((2, 3), (2, 3)): 1, ((3, 3), (3, 3)): 2}
+    return [TensorOp(5, 2, twisted), TensorOp(4, 2, outside), TensorOp(3, 2, diagonal)]
+
+
+def _counting_restrict(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return tensor._restrict_min_index_one(f)
+
+    monkeypatch.setattr(verify, "_restrict_min_index_one", counting)
+    return calls
+
+
+def test_lemma_failures_check_every_input(monkeypatch):
+    calls = _counting_restrict(monkeypatch)
+    for bad in _lemma_failures():
+        assert not tensor._translation_invariant(bad)
+        perm = permutation_op(bad.n)
+        report = check_ybe(bad)
+        assert (report.passed, report.witness) == _reference_ybe(bad)
+        report = check_compatibility(bad)
+        assert (report.passed, report.witness) == _reference_compat(bad)
+        report = check_mixed_conditions(perm, bad)
+        assert (report.passed, report.witness) == _reference_mixed(perm, bad)
+    assert calls == []
+    witness = check_ybe(_lemma_failures()[2]).witness
+    assert witness[:2] == ((2, 3, 3), (2, 3, 3))
+
+
+def test_invariant_operators_take_the_restricted_path(monkeypatch):
+    n = 6
+    perm, g, twisted = permutation_op(n), g_op(n), cg_twisted_op(n)
+    numeric = twisted.eval_at(Fraction(3, 2), Fraction(5, 7))
+    calls = _counting_restrict(monkeypatch)
+    checks = [
+        (lambda: check_ybe(twisted), 2),
+        (lambda: check_ybe(numeric), 2),
+        (lambda: check_ybe(perm), 2),
+        (lambda: check_ybe(g), 2),
+        (lambda: check_compatibility(g), 4),
+        (lambda: check_mixed_conditions(perm, g), 4),
+    ]
+    for check, restricted in checks:
+        calls.clear()
+        assert check().passed
+        assert len(calls) == restricted
+    # the lemma and the restriction read a columns-only operator's columns
+    combo = cg_op(n, 2, 1)
+    assert combo._stored is None
+    assert tensor._translation_invariant(combo)
+    assert check_ybe(combo).passed
+    assert combo._stored is None
