@@ -39,6 +39,7 @@ __all__ = [
 
 ExpPair = tuple[int, int]
 Coeff = int | Fraction
+C = TypeVar("C")
 K = TypeVar("K")
 
 _NUM_DEN = re.compile(r"-?[0-9]+/[1-9][0-9]*")
@@ -111,42 +112,47 @@ class LaurentQP:
 
     @staticmethod
     def _sums_of_products(
-        products: Iterable[tuple[K, LaurentQP, LaurentQP | int]],
-    ) -> dict[K, LaurentQP]:
-        """``{key: sum of x*y}`` over the (key, x, y) triples of ``products``.
+        columns: Iterable[tuple[C, Iterable[tuple[K, LaurentQP, LaurentQP | int]]]],
+    ) -> dict[C, dict[K, LaurentQP]]:
+        """``{column: {key: sum of x*y}}`` over the (key, x, y) triples that
+        each (column, products) pair of ``columns`` yields.
 
         The fused multiply-accumulate kernel behind every operator product,
         sum, difference and scalar multiple in ``cgybe.tensor`` in which q
         or p occurs; constant ones take ``compose_sum``'s integer column
-        path instead.  A key may repeat; y is a LaurentQP, or a plain int
-        factor such as the sign of a sum or difference.  Every product of
-        terms is added straight into one raw term dict per key: no LaurentQP
-        is built per product or per partial sum.  Each raw dict is then replaced in place by its
-        ``_trusted`` value, so it is freed as soon as it is canonical, and
-        the keys whose sum is zero are dropped.
+        path instead.  It is fed one result column at a time, a key being
+        an output of that column.  A key may repeat; y is a LaurentQP, or a
+        plain int factor such as the sign of a sum or difference.  Every
+        product of terms is added straight into one raw term dict per key:
+        no LaurentQP is built per product or per partial sum.  A column's
+        raw dicts are made ``_trusted`` before the next column is read, so
+        only one column's are alive at a time; keys whose sum is zero, and
+        columns left empty, are dropped.
         """
-        acc: dict = {}
-        for key, x, y in products:
-            terms = acc.get(key)
-            if terms is None:
-                terms = acc[key] = {}
-            if type(y) is int:
-                for exps, cx in x._terms.items():
-                    terms[exps] = terms.get(exps, 0) + y * cx
-            else:
-                y_terms = y._terms.items()
-                for (a1, b1), cx in x._terms.items():
-                    for (a2, b2), cy in y_terms:
-                        exps = (a1 + a2, b1 + b2)
-                        terms[exps] = terms.get(exps, 0) + cx * cy
-        zeros = []
-        for key, terms in acc.items():
-            value = acc[key] = LaurentQP._trusted(terms)
-            if not value._terms:
-                zeros.append(key)
-        for key in zeros:
-            del acc[key]
-        return acc
+        sums = {}
+        for column, products in columns:
+            acc: dict = {}
+            for key, x, y in products:
+                terms = acc.get(key)
+                if terms is None:
+                    terms = acc[key] = {}
+                if type(y) is int:
+                    for exps, cx in x._terms.items():
+                        terms[exps] = terms.get(exps, 0) + y * cx
+                else:
+                    y_terms = y._terms.items()
+                    for (a1, b1), cx in x._terms.items():
+                        for (a2, b2), cy in y_terms:
+                            exps = (a1 + a2, b1 + b2)
+                            terms[exps] = terms.get(exps, 0) + cx * cy
+            values = {}
+            for key, terms in acc.items():
+                value = LaurentQP._trusted(terms)
+                if value._terms:
+                    values[key] = value
+            if values:
+                sums[column] = values
+        return sums
 
     # ------------------------------------------------------------------
     # constructors

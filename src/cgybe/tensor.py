@@ -2,50 +2,54 @@
 
 Basis vectors of V⊗V and V⊗V⊗V are labelled by tuples of 1-based indices
 (i, j) or (i, j, k) with each index in 1..n.  An operator stores only its
-nonzero matrix entries in a dict keyed by (output tuple, input tuple),
-with :class:`~cgybe.laurent.LaurentQP` coefficients.  Sparsity matters:
-the operators built downstream have O(n^3) nonzero entries out of n^4,
-and their 3-fold lifts would be hopeless dense with symbolic entries.
+nonzero columns, ``{input: {output: value}}``: the image of each basis
+input that has one.  Sparsity matters: the operators built downstream have
+O(n^3) nonzero entries out of n^4, and their 3-fold lifts would be hopeless
+dense with symbolic entries.  The column is the unit every algorithm reads:
+a product f∘g adds, for each column of g, f's column at each of its
+outputs; a lift or a restriction copies whole columns; the translation
+lemma compares a column with the one below it.
+
+The values of an operator take one of two forms, recorded in ``den``:
+
+* ``den`` is an int when every coefficient is a constant -- P, g, their
+  lifts and products, any operator evaluated at a rational point.  Each
+  value is then the int coefficient·den.  The constructor takes for
+  ``den`` the lcm of the denominators; a sum keeps the one it worked over.
+* ``den`` is None when q or p occurs in some coefficient.  Each value is
+  then the :class:`~cgybe.laurent.LaurentQP` coefficient itself.
+
+The form is chosen once, when an operator is built, and each coefficient
+read out of it (entries, ``apply``, witnesses, equality, export) goes
+through one helper that turns a stored value into a LaurentQP.
 
 Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
 first).
 
-All of that arithmetic is one call of :func:`compose_sum`, the only
-caller of the fused sparse multiply-accumulate kernel of
-:class:`~cgybe.laurent.LaurentQP`.  Each term is a pair (f, g): an operator
-f adds f∘g, a scalar f (``int``, ``Fraction`` or ``LaurentQP``) adds f·g.
-So ``f + g`` is [(1, f), (1, g)], ``-f`` is [(-1, f)], ``s * f`` is
-[(s, f)] and the Yang-Baxter sum c12∘c23∘c12 − c23∘c12∘c23 is
-[(c12, c23∘c12), (c23, c12∘(−c23))].  The kernel adds every product of
-coefficients straight into one raw ``{(a, b): coeff}`` dict per entry,
-with no intermediate :class:`~cgybe.laurent.LaurentQP` per product or
-partial sum, then canonicalizes each entry once through
-``LaurentQP._trusted`` and drops the entries that sum to zero.  An
-equation is therefore checked without building its two sides or their
+All of that arithmetic is one call of :func:`compose_sum`.  Each term is a
+pair (f, g): an operator f adds f∘g, a scalar f (``int``, ``Fraction`` or
+``LaurentQP``) adds f·g.  So ``f + g`` is [(1, f), (1, g)], ``-f`` is
+[(-1, f)], ``s * f`` is [(s, f)] and the Yang-Baxter sum
+c12∘c23∘c12 − c23∘c12∘c23 is [(c12, c23∘c12), (c23, c12∘(−c23))].  When
+every operator and scalar in the terms is constant, the sum adds int
+products over the lcm L of its terms' denominators, with no exponent
+pairs, term dicts or ``Fraction`` arithmetic, and a sum that vanishes is
+exactly int 0.  Otherwise the fused multiply-accumulate kernel of
+:class:`~cgybe.laurent.LaurentQP` is fed the result one column at a time:
+it adds every product of coefficients straight into one raw
+``{(a, b): coeff}`` dict per output, with no LaurentQP per product or
+partial sum, and canonicalizes each column before it reads the next.
+Both paths drop the entries that sum to zero and give the same operator.
+An equation is therefore checked without building its two sides or their
 difference.
 
-The data alone choose a faster path.  When every operator in the terms
-has only constant coefficients and every scalar is a constant -- P, g,
-their lifts and products, any operator evaluated at a rational point --
-:func:`compose_sum` multiplies per-operator column views instead, with no
-exponent pairs, term dicts or ``Fraction`` arithmetic.  A view is
-``(den, {input: {output: int}})``: ``den`` is one common denominator of
-the operator's entries and each int is an entry times ``den``.  A sum
-works over the lcm L of its terms' denominators, so it adds only int
-products, and a sum that vanishes is exactly int 0.  Each operator builds
-its view on first use and caches it.  A constant result, and the lift of
-a constant operator, keeps its columns and builds its ``LaurentQP``
-entries, ``Fraction(value, L)`` demoted to ``int`` when integral, only
-when they are read.  So the intermediate
-products of a check never build any, and both paths give the same
-operator: zero sums dropped, integral values stored as ``int``.
-
-The public constructor validates its input (user code, JSON): indices and
-the shape must be ``int``.  Results built from operators that are already
-valid (products, sums, differences, negations, scalar multiples and the
-lifts) go through the private ``TensorOp._trusted`` instead and are not
-validated again.
+The public constructor validates its input (user code, JSON): the rank,
+the arity and every index must be an ``int``, and a ``bool`` is not one.
+It groups the entries by input and chooses the form.  Results built from
+operators that are already valid (products, sums, differences, negations,
+scalar multiples, the lifts and the restriction) go through the private
+``TensorOp._trusted`` instead and are not validated again.
 """
 
 from __future__ import annotations
@@ -62,13 +66,13 @@ __all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
-Columns = tuple[int, dict[tuple[int, ...], dict[tuple[int, ...], int]]]
+Columns = dict[tuple[int, ...], dict[tuple[int, ...], "int | LaurentQP"]]
 
 
 class TensorOp:
     """Sparse endomorphism of the arity-fold tensor power of an n-space."""
 
-    __slots__ = ("n", "arity", "_stored", "_columns")
+    __slots__ = ("n", "arity", "_den", "_columns")
 
     def __init__(
         self,
@@ -76,13 +80,13 @@ class TensorOp:
         arity: int,
         entries: Mapping[Key, LaurentQP | Fraction | int] | None = None,
     ):
-        if not isinstance(n, int) or not isinstance(arity, int):
+        if type(n) is not int or type(arity) is not int:
             raise TypeError(f"rank and arity must be int, got {n!r} and {arity!r}")
         if n < 1:
             raise ValueError(f"rank must be positive, got {n}")
         if arity not in (2, 3):
             raise ValueError(f"arity must be 2 or 3, got {arity}")
-        normalized: dict[Key, LaurentQP] = {}
+        columns: dict = {}
         if entries:
             for (out, inp), coeff in entries.items():
                 if not isinstance(coeff, LaurentQP):
@@ -94,87 +98,40 @@ class TensorOp:
                 if len(out) != arity or len(inp) != arity:
                     raise ValueError(f"entry {out}<-{inp} does not have arity {arity}")
                 for idx in (*out, *inp):
-                    if not isinstance(idx, int):
+                    if type(idx) is not int:
                         raise TypeError(f"index {idx!r} is not an int")
                     if not 1 <= idx <= n:
                         raise ValueError(f"index {idx} out of range 1..{n}")
-                normalized[(out, inp)] = coeff
+                columns.setdefault(inp, {})[out] = coeff
         self.n = n
         self.arity = arity
-        self._stored = normalized
-        self._columns = None
+        self._den, self._columns = _stored_form(columns)
 
     @classmethod
-    def _trusted(
-        cls,
-        n: int,
-        arity: int,
-        entries: dict[Key, LaurentQP] | None,
-        columns: Columns | None = None,
-    ) -> "TensorOp":
-        """Operator adopting ``entries`` as they are, skipping ``__init__``.
+    def _trusted(cls, n: int, arity: int, den: int | None, columns: Columns) -> "TensorOp":
+        """Operator adopting ``(den, columns)`` as they are, skipping ``__init__``.
 
-        For results built from already-valid operators: every key is a pair
-        of arity-tuples with indices in 1..n and every value a nonzero
-        LaurentQP.  A constant result passes its ``columns`` (see
-        ``_constant_columns``), with no zero value or empty column, and None
-        for ``entries``, which are built from the columns on first use.
+        For results built from already-valid operators: every key is an
+        arity-tuple with indices in 1..n, no column is empty and no value
+        zero, and ``den`` follows the storage rule of the module docstring.
+        The column dicts may be shared with other operators, so nothing
+        writes to them once an operator holds them.
         """
         result = object.__new__(cls)
         result.n = n
         result.arity = arity
-        result._stored = entries
+        result._den = den
         result._columns = columns
         return result
 
-    @property
-    def _entries(self) -> dict[Key, LaurentQP]:
-        """The entries; a result held as columns builds them on first read."""
-        entries = self._stored
-        if entries is None:
-            den, columns = self._columns
-            entries = self._stored = {
-                (out, inp): _constant_coeff(value, den)
-                for inp, column in columns.items()
-                for out, value in column.items()
-            }
-        return entries
-
-    def _constant_columns(self) -> Columns | bool:
-        """``(den, {input: {output: value * den}})`` if every coefficient is
-        a constant, else False.
-
-        ``den`` is the lcm of the entries' denominators, so every stored
-        value is an int.  Built by one scan of the entries, which stops at
-        the first coefficient in which q or p occurs, and cached: operators
-        are immutable, so the cache never goes stale.  A constant
-        :func:`compose_sum` result and a constant lift start with their
-        columns cached.
-        """
-        columns = self._columns
-        if columns is None:
-            den = 1
-            columns = {}
-            for (out, inp), coeff in self._entries.items():
-                terms = coeff._terms
-                value = terms.get((0, 0))
-                if value is None or len(terms) != 1:
-                    columns = False
-                    break
-                if type(value) is not int and den % value.denominator:
-                    den = lcm(den, value.denominator)
-                column = columns.get(inp)
-                if column is None:
-                    column = columns[inp] = {}
-                column[out] = value
-            if columns is not False:
-                if den != 1:
-                    for column in columns.values():
-                        for out, value in column.items():
-                            column[out] = value.numerator * (den // value.denominator)
-                columns = (den, columns)
-            self._columns = columns
-        return columns
+    def _entry_items(self):
+        """((output, input), coefficient) for every stored entry."""
+        den = self._den
+        return (
+            ((out, inp), _coeff(value, den))
+            for inp, column in self._columns.items()
+            for out, value in column.items()
+        )
 
     # ------------------------------------------------------------------
     # constructors
@@ -196,14 +153,20 @@ class TensorOp:
 
     @property
     def entries(self) -> Mapping[Key, LaurentQP]:
-        return MappingProxyType(self._entries)
+        """The nonzero entries keyed by (output, input), built on each read."""
+        return MappingProxyType(dict(self._entry_items()))
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._columns
 
     def sorted_entries(self) -> list[tuple[Key, LaurentQP]]:
         """Entries sorted by (input tuple, output tuple)."""
-        return sorted(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        den, columns = self._den, self._columns
+        return [
+            ((out, inp), _coeff(columns[inp][out], den))
+            for inp in sorted(columns)
+            for out in sorted(columns[inp])
+        ]
 
     def first_entry(self) -> Witness | None:
         """(input, output, coeff) of the entry with the smallest (input, output).
@@ -211,24 +174,24 @@ class TensorOp:
         None for the zero operator.  Applied to a difference it is the
         deterministic witness of an inequality.
         """
-        if not self._entries:
+        if not self._columns:
             return None
-        (out, inp), coeff = min(self._entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return inp, out, coeff
+        inp = min(self._columns)
+        column = self._columns[inp]
+        out = min(column)
+        return inp, out, _coeff(column[out], self._den)
 
     def apply(self, *indices: int) -> dict[tuple[int, ...], LaurentQP]:
         """Image of the basis vector e_{i1}⊗...⊗e_{ik} as output tuple -> coefficient."""
         if len(indices) != self.arity:
             raise ValueError(f"expected {self.arity} indices, got {len(indices)}")
         for idx in indices:
-            if not isinstance(idx, int):
+            if type(idx) is not int:
                 raise TypeError(f"index {idx!r} is not an int")
             if not 1 <= idx <= self.n:
                 raise ValueError(f"index {idx} out of range 1..{self.n}")
-        inp = tuple(indices)
-        return {
-            out: coeff for (out, key_in), coeff in self._entries.items() if key_in == inp
-        }
+        column = self._columns.get(indices, {})
+        return {out: _coeff(value, self._den) for out, value in column.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorOp):
@@ -236,13 +199,14 @@ class TensorOp:
         return (
             self.n == other.n
             and self.arity == other.arity
-            and self._entries == other._entries
+            and dict(self._entry_items()) == dict(other._entry_items())
         )
 
-    __hash__ = None  # mutable-looking container semantics; equality only
+    __hash__ = None  # immutable values compared by coefficient; none is used as a key
 
     def __repr__(self) -> str:
-        return f"<TensorOp n={self.n} arity={self.arity} entries={len(self._entries)}>"
+        nnz = sum(map(len, self._columns.values()))
+        return f"<TensorOp n={self.n} arity={self.arity} entries={nnz}>"
 
     # ------------------------------------------------------------------
     # algebra
@@ -285,7 +249,7 @@ class TensorOp:
         return TensorOp(
             self.n,
             self.arity,
-            {key: fn(coeff) for key, coeff in self._entries.items()},
+            {key: fn(coeff) for key, coeff in self._entry_items()},
         )
 
     def eval_at(self, qval: Fraction | int, pval: Fraction | int) -> "TensorOp":
@@ -322,18 +286,17 @@ class TensorOp:
 
         Row r is the flattened input tuple (row-major, 1-based), column c the
         flattened output tuple.  The one copy of the dense loop behind every
-        dense export: the entries are grouped by input in one pass, so the
+        dense export; row r reads the stored column at its input, so the
         cost is O(nnz + n^(2*arity)), and ``cell`` runs once per entry plus
         once for all the zero cells.
         """
-        images: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
-        for (out, inp), coeff in self._entries.items():
-            images.setdefault(inp, {})[out] = cell(coeff)
+        den = self._den
         blank = cell(LaurentQP.zero())
         basis = self.basis_tuples()
         rows = []
         for inp in basis:
-            image = images.get(inp, {})
+            column = self._columns.get(inp, {})
+            image = {out: cell(_coeff(value, den)) for out, value in column.items()}
             rows.append([image.get(out, blank) for out in basis])
         return rows
 
@@ -356,6 +319,48 @@ class TensorOp:
         return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
 
 
+def _coeff(value, den: int | None) -> LaurentQP:
+    """The coefficient a stored value stands for: the value itself when
+    ``den`` is None, else the LaurentQP of the nonzero value/den in
+    canonical form, built without ``__init__``."""
+    if den is None:
+        return value
+    if den != 1:
+        value = Fraction(value, den)
+        if value.denominator == 1:
+            value = value.numerator
+    coeff = object.__new__(LaurentQP)
+    coeff._terms = {(0, 0): value}
+    return coeff
+
+
+def _stored_form(columns: Columns) -> tuple[int | None, Columns]:
+    """``(den, columns)`` for nonempty columns of nonzero LaurentQP values.
+
+    If every value is a constant, ``den`` is the lcm of their denominators
+    and each value becomes the int value·den; otherwise ``den`` is None and
+    the columns are kept.  The scan stops at the first value in which q or
+    p occurs.
+    """
+    den = 1
+    ints: dict = {}
+    for inp, column in columns.items():
+        int_column = ints[inp] = {}
+        for out, coeff in column.items():
+            terms = coeff._terms
+            value = terms.get((0, 0))
+            if value is None or len(terms) != 1:
+                return None, columns
+            if type(value) is not int and den % value.denominator:
+                den = lcm(den, value.denominator)
+            int_column[out] = value
+    if den != 1:
+        for int_column in ints.values():
+            for out, value in int_column.items():
+                int_column[out] = value.numerator * (den // value.denominator)
+    return den, ints
+
+
 def lift12(f: TensorOp) -> TensorOp:
     """f⊗Id: act as f on tensor factors (1,2), identity on factor 3."""
     if f.arity != 2:
@@ -371,25 +376,15 @@ def lift23(f: TensorOp) -> TensorOp:
 
 
 def _lift(f: TensorOp, place) -> TensorOp:
-    """The 3-fold operator with entry place(out, m) <- place(inp, m) equal to
-    f's entry out <- inp for every m; a constant f is lifted column by
-    column, with its common denominator, and builds no entries."""
-    span = range(1, f.n + 1)
-    constant = f._constant_columns()
-    if constant:
-        den, columns = constant
-        lifted = {
-            place(inp, m): {place(out, m): value for out, value in column.items()}
-            for inp, column in columns.items()
-            for m in span
-        }
-        return TensorOp._trusted(f.n, 3, None, (den, lifted))
-    entries = {
-        (place(out, m), place(inp, m)): coeff
-        for (out, inp), coeff in f._entries.items()
-        for m in span
+    """The 3-fold operator whose column at place(inp, m) is f's column at
+    inp with each output placed the same way, for every m; the values and
+    ``den`` are f's."""
+    lifted = {
+        place(inp, m): {place(out, m): value for out, value in column.items()}
+        for inp, column in f._columns.items()
+        for m in range(1, f.n + 1)
     }
-    return TensorOp._trusted(f.n, 3, entries)
+    return TensorOp._trusted(f.n, 3, f._den, lifted)
 
 
 def _translation_invariant(f: TensorOp) -> bool:
@@ -402,66 +397,29 @@ def _translation_invariant(f: TensorOp) -> bool:
     to min index 1, or up to max index n, would carry an output index
     outside the interval below 1 or above n.  P, g, both Cremmer-Gervais
     matrices and their evaluations pass, since their entries depend only
-    on index differences.  O(nnz); the constant columns are read when f
-    has them, so a columns-only operator builds no entries.
+    on index differences.  O(nnz).
+
+    Only nonempty columns are stored: each must have one below it, and the
+    column above it must be its shift, so no empty column is skipped.
     """
-    constant = f._constant_columns()
-    if constant:
-        columns = constant[1]
-    else:
-        columns = {}
-        for (out, inp), coeff in f._entries.items():
-            columns.setdefault(inp, {})[out] = coeff
-    # Only nonempty columns are stored: each must have one below it, and
-    # the column above it must be its shift, so no empty column is skipped.
-    for inp, column in columns.items():
-        if min(inp) > 1 and tuple(i - 1 for i in inp) not in columns:
-            return False
-        if max(inp) < f.n:
-            up = {tuple(i + 1 for i in out): value for out, value in column.items()}
-            if columns.get(tuple(i + 1 for i in inp)) != up:
-                return False
-    return True
+    columns = f._columns
+    return all(
+        (min(inp) == 1 or tuple(i - 1 for i in inp) in columns)
+        and (
+            max(inp) == f.n
+            or columns.get(tuple(i + 1 for i in inp))
+            == {tuple(i + 1 for i in out): value for out, value in column.items()}
+        )
+        for inp, column in columns.items()
+    )
 
 
 def _restrict_min_index_one(f: TensorOp) -> TensorOp:
     """f∘E for the projection E onto the basis vectors with min index 1:
-    the columns of f at those inputs, one dict comprehension over the
-    constant columns or over the entries."""
-    constant = f._constant_columns()
-    if constant:
-        den, columns = constant
-        kept = {inp: column for inp, column in columns.items() if 1 in inp}
-        return TensorOp._trusted(f.n, f.arity, None, (den, kept))
-    entries = {key: coeff for key, coeff in f._entries.items() if 1 in key[1]}
-    return TensorOp._trusted(f.n, f.arity, entries)
-
-
-def _term_products(f, g):
-    """(key, x, y) triples whose sums per key are the entries of f∘g, or of f·g
-    for a scalar f."""
-    if not isinstance(f, TensorOp):
-        return ((key, coeff, f) for key, coeff in g._entries.items())
-    by_input: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentQP]]] = {}
-    for (out, mid), coeff in f._entries.items():
-        by_input.setdefault(mid, []).append((out, coeff))
-    return (
-        ((out, inp), c_f, c_g)
-        for (mid, inp), c_g in g._entries.items()
-        for out, c_f in by_input.get(mid, ())
-    )
-
-
-def _constant_coeff(value: int, den: int) -> LaurentQP:
-    """The LaurentQP of the nonzero value/den in canonical form, skipping
-    ``__init__``."""
-    if den != 1:
-        value = Fraction(value, den)
-        if value.denominator == 1:
-            value = value.numerator
-    coeff = object.__new__(LaurentQP)
-    coeff._terms = {(0, 0): value}
-    return coeff
+    the columns of f at those inputs.  ``den`` stays f's; for an f that
+    passes the translation lemma every value of f occurs in them."""
+    kept = {inp: column for inp, column in f._columns.items() if 1 in inp}
+    return TensorOp._trusted(f.n, f.arity, f._den, kept)
 
 
 def _constant_pairs(pairs):
@@ -474,15 +432,12 @@ def _constant_pairs(pairs):
     """
     constant = []
     for f, g in pairs:
-        g = g._constant_columns()
-        if g is False:
+        if g._den is None:
             return None
-        den_g, g = g
         if isinstance(f, TensorOp):
-            f = f._constant_columns()
-            if f is False:
+            if f._den is None:
                 return None
-            den_f, f = f
+            f, den_f = f._columns, f._den
         elif type(f) is int:
             den_f = 1
         elif f.is_constant():
@@ -490,7 +445,7 @@ def _constant_pairs(pairs):
             f, den_f = value.numerator, value.denominator
         else:
             return None
-        constant.append((f, den_f * den_g, g))
+        constant.append((f, den_f * g._den, g._columns))
     return constant
 
 
@@ -500,10 +455,8 @@ def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
 
     Each term's factor L // (its denominator) scales each right-factor
     value once, and is skipped when it is 1.  Each input column of the
-    result accumulates ``{output: value * L}`` and drops its zeros.  The
-    result holds only these columns, so a chained product never rescans
-    it; its entries are built as ``Fraction(value, L)``, demoted to int
-    when integral, when first read.
+    result accumulates ``{output: value * L}`` and drops its zeros, and the
+    result keeps L as its ``den``.
 
     L is not reduced by the gcd of the result's values: 1/3 + 2/3 is held
     as 15 over 15 when the other term has denominator 5.  A result used as
@@ -537,7 +490,50 @@ def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
         kept = {out: value for out, value in column.items() if value}
         if kept:
             columns[inp] = kept
-    return TensorOp._trusted(n, arity, None, (den, columns))
+    return TensorOp._trusted(n, arity, den, columns)
+
+
+def _laurent_columns(f: TensorOp) -> Columns:
+    """f's columns with LaurentQP values: a constant f's ints go through
+    :func:`_coeff`, once per sum that reads them."""
+    den = f._den
+    if den is None:
+        return f._columns
+    return {
+        inp: {out: _coeff(value, den) for out, value in column.items()}
+        for inp, column in f._columns.items()
+    }
+
+
+def _column_products(pairs, inp):
+    """(output, x, y) triples whose sums per output are the column of the
+    sum of ``pairs`` at ``inp``: x·y is c_f·c_g of f's column at each mid
+    of g's column, or c_g·f for a scalar f."""
+    for f, g in pairs:
+        g_column = g.get(inp)
+        if g_column is None:
+            continue
+        if type(f) is dict:
+            for mid, c_g in g_column.items():
+                f_column = f.get(mid)
+                if f_column is not None:
+                    for out, c_f in f_column.items():
+                        yield out, c_f, c_g
+        else:
+            for mid, c_g in g_column.items():
+                yield mid, c_g, f
+
+
+def _laurent_sum(n: int, arity: int, pairs) -> TensorOp:
+    """The sum of ``pairs`` by the LaurentQP kernel, fed one result column
+    per input of a right factor; a constant result takes the int form."""
+    pairs = [
+        (_laurent_columns(f) if isinstance(f, TensorOp) else f, _laurent_columns(g))
+        for f, g in pairs
+    ]
+    inputs = dict.fromkeys(inp for _, g in pairs for inp in g)
+    columns = LaurentQP._sums_of_products((inp, _column_products(pairs, inp)) for inp in inputs)
+    return TensorOp._trusted(n, arity, *_stored_form(columns))
 
 
 def compose_sum(terms) -> TensorOp:
@@ -545,18 +541,16 @@ def compose_sum(terms) -> TensorOp:
     factor f: an operator f adds f∘g, a scalar f (int, Fraction or
     LaurentQP) adds f·g.
 
-    The one caller of the multiply-accumulate kernel: every term feeds one
-    kernel call, so no product, scalar multiple or partial sum is built as
-    an operator, and each pair's index is built only when the kernel
-    reaches it.  A term of two operators is negated by negating one of
-    them; negate the smallest, usually a lifted 2-fold operator.  All
-    operators must share one rank and arity.  A term that is not a pair,
-    or whose right factor is not an operator, raises TypeError.
+    No product, scalar multiple or partial sum is built as an operator.  A
+    term of two operators is negated by negating one of them; negate the
+    smallest, usually a lifted 2-fold operator.  All operators must share
+    one rank and arity.  A term that is not a pair, or whose right factor
+    is not an operator, raises TypeError.
 
     If no operator or scalar in the terms carries q or p, the sum is taken
-    over the operators' cached constant columns in plain int arithmetic
-    over one common denominator instead (see the module docstring); the
-    result is the same.
+    over the operators' int columns over one common denominator;
+    otherwise it is one call of the LaurentQP kernel (see the module
+    docstring).  The result is the same.
     """
     pairs = []
     for term in terms:
@@ -576,13 +570,7 @@ def compose_sum(terms) -> TensorOp:
     constant = _constant_pairs(pairs)
     if constant is not None:
         return _constant_sum(shape.n, shape.arity, constant)
-    return TensorOp._trusted(
-        shape.n,
-        shape.arity,
-        LaurentQP._sums_of_products(
-            itertools.chain.from_iterable(itertools.starmap(_term_products, pairs))
-        ),
-    )
+    return _laurent_sum(shape.n, shape.arity, pairs)
 
 
 def endo_eq(f: TensorOp, g: TensorOp):

@@ -161,6 +161,14 @@ def cg_twisted_case_display(n: int) -> TensorOp:
 # randomized inputs
 
 
+def holds_int_columns(op: TensorOp) -> bool:
+    """True iff op is stored in the constant form: an int common
+    denominator and an int value in every column, no LaurentQP."""
+    return type(op._den) is int and all(
+        type(value) is int for column in op._columns.values() for value in column.values()
+    )
+
+
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
         value = Fraction(rng.randint(-6, 6), rng.randint(1, 6))

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, compose_sum, endo_eq, g_op, lift12, lift23
-from cgybe import permutation_op, q
+from cgybe import cg_twisted_op, check_ybe, permutation_op, q
 from cgybe.laurent import rational_to_str
 
 from helpers import (
     dense_compose,
     dl_triple_sum_apply,
+    holds_int_columns,
     naive_lift12_lift23_apply,
     random_fraction,
     random_int,
@@ -52,10 +53,23 @@ def test_apply_index_out_of_range():
         P.apply(1, 3)
 
 
-@pytest.mark.parametrize("indices", [(1.0, 3), (1, Fraction(2)), ("1", 2)])
+@pytest.mark.parametrize("indices", [(1.0, 3), (1, Fraction(2)), ("1", 2), (True, 2)])
 def test_apply_non_int_index_rejected(indices):
     with pytest.raises(TypeError):
         g_op(3).apply(*indices)
+
+
+def test_mutating_an_applied_image_leaves_the_operator_unchanged():
+    # the image is a fresh dict, not the stored column
+    for op in (permutation_op(3), cg_twisted_op(3)):
+        entries, obj = dict(op.entries), op.to_json_obj()
+        image = op.apply(1, 2)
+        image[(1, 1)] = q
+        image[(2, 1)] = LaurentQP.const(5)
+        image.clear()
+        assert dict(op.entries) == entries
+        assert op.to_json_obj() == obj
+        assert check_ybe(op).passed
 
 
 def test_eval_at_rejects_float_point():
@@ -317,19 +331,25 @@ def test_entry_validation():
         (2, 2, {((1, 2), (2, Fraction(1))): 1}),
         (2.0, 2, {}),
         (2, 2.0, {}),
+        (2, 2, {((True, 2), (2, 1)): 1}),
+        (True, 2, {}),
+        (2, True, {}),
     ],
 )
 def test_non_int_index_or_shape_rejected(n, arity, entries):
-    # A float index would be stored as given and printed as 1.0 by gen.
+    # A float index would be stored as given and printed as 1.0 by gen, a
+    # bool one as true.
     with pytest.raises(TypeError):
         TensorOp(n, arity, entries)
 
 
 def test_json_float_index_rejected():
-    obj = permutation_op(2).to_json_obj()
-    obj["entries"][0]["in"][0] = 1.0
-    with pytest.raises(TypeError):
-        TensorOp.from_json_obj(obj)
+    # a JSON true would be written back as "in": [true, ...]
+    for index in (1.0, True):
+        obj = permutation_op(2).to_json_obj()
+        obj["entries"][0]["in"][0] = index
+        with pytest.raises(TypeError):
+            TensorOp.from_json_obj(obj)
 
 
 def test_zero_coefficients_dropped():
@@ -359,8 +379,9 @@ def _naive_sum(f, g, a, b):
 
 def _naive_compose(f, g):
     acc = {}
+    g_entries = g.entries  # built on each read, so read once
     for (out, mid), x in f.entries.items():
-        for (mid2, inp), y in g.entries.items():
+        for (mid2, inp), y in g_entries.items():
             if mid == mid2:
                 acc[(out, inp)] = acc.get((out, inp), LaurentQP.zero()) + x * y
     return {key: coeff for key, coeff in acc.items() if not coeff.is_zero()}
@@ -600,7 +621,7 @@ def test_chained_constant_sums_match_naive_sum(seed, shape, kind, cancel):
     first_terms = [(f, g), (random_proper_fraction(rng), f)]
     first = compose_sum(first_terms)
     # a proper Fraction scalar makes the carried denominator at least 2
-    assert first._constant_columns()[0] > 1
+    assert first._den > 1
     scalar = LaurentQP.const(_random_prime_fraction(rng))
     second = compose_sum([(first, g), (f, first), (scalar, first), (-1, g)])
     reference = TensorOp(n, arity, _naive_compose_sum(first_terms))
@@ -617,8 +638,8 @@ def test_constant_lifts_match_entry_lifts(seed, kind):
     f = _constant_op(rng, 3, 2, 0.5, CONSTANT_KINDS[kind])
     for lift, place in ((lift12, lambda t, m: (*t, m)), (lift23, lambda t, m: (m, *t))):
         lifted = lift(f)
-        # a constant lift is held as columns, with no LaurentQP entries built
-        assert lifted._stored is None
+        # a constant lift holds int columns, with no LaurentQP built
+        assert holds_int_columns(lifted)
         expected = {
             (place(out, m), place(inp, m)): coeff
             for (out, inp), coeff in f.entries.items()
@@ -631,7 +652,7 @@ def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
     a = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(1, 3), ((2, 2), (2, 1)): Fraction(1, 5)})
     b = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(2, 3)})
     total = compose_sum([(1, a), (1, b)])  # 1/3 + 2/3 = 1 over the denominator 15
-    den, columns = total._constant_columns()
+    den, columns = total._den, total._columns
     assert {
         (inp, out): Fraction(value, den)
         for inp, column in columns.items()
@@ -642,3 +663,6 @@ def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
     coeff = total.entries[((1, 2), (2, 1))]
     assert coeff.terms() == {(0, 0): 1} and type(coeff.terms()[(0, 0)]) is int
     assert total.entries[((2, 2), (2, 1))] == LaurentQP.const(Fraction(1, 5))
+    # equality compares coefficients, not the ints stored over each denominator
+    reduced = TensorOp(2, 2, {((1, 2), (2, 1)): 1, ((2, 2), (2, 1)): Fraction(1, 5)})
+    assert reduced._den == 5 and total == reduced

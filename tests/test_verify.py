@@ -37,6 +37,7 @@ from cgybe import (
 from helpers import (
     YBE_FAIL_FIXTURE_ENTRIES,
     YBE_FAIL_FIXTURE_WITNESS,
+    holds_int_columns,
     random_fraction,
     random_op,
 )
@@ -589,9 +590,15 @@ def test_invariant_operators_take_the_restricted_path(monkeypatch):
         calls.clear()
         assert check().passed
         assert len(calls) == restricted
-    # the lemma and the restriction read a columns-only operator's columns
+    # a constant operator holds int columns, and neither the lemma nor a
+    # passing check turns a stored value into a LaurentQP
     combo = cg_op(n, 2, 1)
-    assert combo._stored is None
+    assert holds_int_columns(combo)
+    coeff = tensor._coeff
+    reads = []
+    monkeypatch.setattr(tensor, "_coeff", lambda *args: reads.append(args) or coeff(*args))
     assert tensor._translation_invariant(combo)
     assert check_ybe(combo).passed
-    assert combo._stored is None
+    assert reads == []
+    combo.first_entry()
+    assert len(reads) == 1
