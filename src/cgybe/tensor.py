@@ -66,7 +66,7 @@ __all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 Witness = tuple[tuple[int, ...], tuple[int, ...], LaurentQP]
-Columns = dict[tuple[int, ...], dict[tuple[int, ...], "int | LaurentQP"]]
+Columns = dict[tuple[int, ...], dict[tuple[int, ...], int | LaurentQP]]
 
 
 class TensorOp:
