@@ -12,7 +12,8 @@ or any scan starts: --params hecke with --alpha/--beta; an --alpha/--beta
 that is malformed, nested too deeply, over the parse budget
 (``MAX_PARSE_WORK`` term operations, ``MAX_PARSE_COEFF_BITS`` coefficient
 bits), or read by neither the operator nor a selected check (see the
-``reads`` of ``OPERATORS`` and ``CHECKS``); an unknown or empty --checks
+``reads`` of ``OPERATORS`` and ``CHECKS``); an --alpha that is not a unit
+of the Laurent ring with the hecke check; an unknown or empty --checks
 or --only selection (``--checks ,``); a rank above the cap of the selected
 checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with a 3-fold one, eval --check-ybe
 included, else ``MAX_VERIFY_RANK_2FOLD`` = 64, which also caps gen
@@ -361,6 +362,8 @@ def cmd_verify(args) -> int:
         if name not in CHECKS:
             raise ValueError(f"unknown check: {name} (choose from {', '.join(CHECKS)})")
     alpha, beta = _resolve_params(args, names)
+    if "hecke" in names and not alpha.is_unit():
+        raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {alpha}")
     _require_verify_rank(args.n, names)
     operator = functools.cache(lambda: OPERATORS[args.op].build(args.n, alpha, beta))
     return _report((CHECKS[name].run(operator, args.n, alpha, beta) for name in names), sys.stdout)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, TypeVar
+from typing import Iterator, Mapping
 
 __all__ = [
     "LaurentQP",
@@ -39,8 +39,6 @@ __all__ = [
 
 ExpPair = tuple[int, int]
 Coeff = int | Fraction
-C = TypeVar("C")
-K = TypeVar("K")
 
 _NUM_DEN = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 
@@ -97,8 +95,9 @@ class LaurentQP:
     def _trusted(cls, acc: dict[ExpPair, Coeff]) -> "LaurentQP":
         """Value from an accumulator of int/Fraction sums, skipping ``__init__``.
 
-        Ring operations produce only int or Fraction values under int
-        exponent keys, so only zeros and integral Fractions need fixing.
+        Ring operations, and the operator sums of ``cgybe.tensor``, produce
+        only int or Fraction values under int exponent keys, so only zeros
+        and integral Fractions need fixing.
         """
         terms = {}
         for key, coeff in acc.items():
@@ -109,50 +108,6 @@ class LaurentQP:
         result = object.__new__(cls)
         result._terms = terms
         return result
-
-    @staticmethod
-    def _sums_of_products(
-        columns: Iterable[tuple[C, Iterable[tuple[K, LaurentQP, LaurentQP | int]]]],
-    ) -> dict[C, dict[K, LaurentQP]]:
-        """``{column: {key: sum of x*y}}`` over the (key, x, y) triples that
-        each (column, products) pair of ``columns`` yields.
-
-        The fused multiply-accumulate kernel behind every operator product,
-        sum, difference and scalar multiple in ``cgybe.tensor`` in which q
-        or p occurs; constant ones take ``compose_sum``'s integer column
-        path instead.  It is fed one result column at a time, a key being
-        an output of that column.  A key may repeat; y is a LaurentQP, or a
-        plain int factor such as the sign of a sum or difference.  Every
-        product of terms is added straight into one raw term dict per key:
-        no LaurentQP is built per product or per partial sum.  A column's
-        raw dicts are made ``_trusted`` before the next column is read, so
-        only one column's are alive at a time; keys whose sum is zero, and
-        columns left empty, are dropped.
-        """
-        sums = {}
-        for column, products in columns:
-            acc: dict = {}
-            for key, x, y in products:
-                terms = acc.get(key)
-                if terms is None:
-                    terms = acc[key] = {}
-                if type(y) is int:
-                    for exps, cx in x._terms.items():
-                        terms[exps] = terms.get(exps, 0) + y * cx
-                else:
-                    y_terms = y._terms.items()
-                    for (a1, b1), cx in x._terms.items():
-                        for (a2, b2), cy in y_terms:
-                            exps = (a1 + a2, b1 + b2)
-                            terms[exps] = terms.get(exps, 0) + cx * cy
-            values = {}
-            for key, terms in acc.items():
-                value = LaurentQP._trusted(terms)
-                if value._terms:
-                    values[key] = value
-            if values:
-                sums[column] = values
-        return sums
 
     # ------------------------------------------------------------------
     # constructors

@@ -140,13 +140,8 @@ def _support(x: int, y: int, pad: int) -> range:
 
 
 def _interval_terms(x: int, y: int, pad: int) -> list[tuple[int, int]]:
-    """(eta(x, y, a), a) for every a of the padded support, zeros included."""
-    return [(eta(x, y, a), a) for a in _support(x, y, pad)]
-
-
-def _nonzero_interval_terms(x: int, y: int, pad: int) -> list[tuple[int, int]]:
-    """The interval terms of nonzero weight, for sums whose other factors depend on more."""
-    return [(w, a) for w, a in _interval_terms(x, y, pad) if w]
+    """(eta(x, y, a), a) for every a of the padded support with a nonzero weight."""
+    return [(w, a) for a in _support(x, y, pad) if (w := eta(x, y, a))]
 
 
 def _eta_sum(terms: list[tuple[int, int, int]], h: int) -> int:
@@ -178,11 +173,11 @@ def _ybe_rhs_sum(first: list[tuple[int, int]], ij: int, k: int, c: int, h: int) 
 
 
 def _convolution_terms(t: int, s: int, b: int, d: int, pad: int) -> list[tuple[int, int, int]]:
-    return [(w, b + a, d - a) for w, a in _nonzero_interval_terms(t, s, pad)]
+    return [(w, b + a, d - a) for w, a in _interval_terms(t, s, pad)]
 
 
 def _g_idem_terms(i: int, j: int, pad: int) -> list[tuple[int, int, int]]:
-    return [(w, k, i + j - k) for w, k in _nonzero_interval_terms(i, j, pad)]
+    return [(w, k, i + j - k) for w, k in _interval_terms(i, j, pad)]
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +191,7 @@ def zeta(i: int, j: int, k: int, c: int, h: int, pad: int = 0) -> int:
 
 def ybe_coeff_rhs(i: int, j: int, k: int, c: int, h: int, pad: int = 0) -> int:
     """sum_s eta(i,j,s) * eta(i+j-s, k, h+c-s) * eta(s, h+c-s, c)."""
-    return _ybe_rhs_sum(_nonzero_interval_terms(i, j, pad), i + j, k, c, h)
+    return _ybe_rhs_sum(_interval_terms(i, j, pad), i + j, k, c, h)
 
 
 def eta_interval_sum(b: int, c: int, pad: int = 0) -> int:
@@ -323,7 +318,7 @@ def _ybe_coeffs(pad, i, j, k, c):
       = sum_s eta(i,j,s)eta(i+j-s,k,h+c-s)eta(s,h+c-s,c)
     """
     lhs = _zeta_terms(_interval_terms(j, k, pad), i, j + k, c)
-    rhs = _nonzero_interval_terms(i, j, pad)
+    rhs = _interval_terms(i, j, pad)
     return lambda h: _eta_sum(lhs, h) == _ybe_rhs_sum(rhs, i + j, k, c, h)
 
 
@@ -336,7 +331,7 @@ def _zeta_symmetry(pad, i, j, k, c):
     """
     # eta(i,j,.) is the first factor of both sides: the rhs is
     # zeta(i+j-k, i, j, h+c-k, i+j-h), whose first factor is eta(i,j,a).
-    first = _nonzero_interval_terms(i, j, pad)
+    first = _interval_terms(i, j, pad)
     ij = i + j
 
     def holds(h):

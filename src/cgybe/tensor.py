@@ -35,12 +35,12 @@ c12∘c23∘c12 − c23∘c12∘c23 is [(c12, c23∘c12), (c23, c12∘(−c23))]
 every operator and scalar in the terms is constant, the sum adds int
 products over the lcm L of its terms' denominators, with no exponent
 pairs, term dicts or ``Fraction`` arithmetic, and a sum that vanishes is
-exactly int 0.  Otherwise the fused multiply-accumulate kernel of
-:class:`~cgybe.laurent.LaurentQP` is fed the result one column at a time:
-it adds every product of coefficients straight into one raw
-``{(a, b): coeff}`` dict per output, with no LaurentQP per product or
-partial sum, and canonicalizes each column before it reads the next.
-Both paths drop the entries that sum to zero and give the same operator.
+exactly int 0.  Otherwise the sum is built one column at a time, one
+per input of a right factor: every product of LaurentQP coefficients is
+added term by term into one raw ``{(a, b): coeff}`` dict per output, with
+no LaurentQP per product or partial sum, and each column is made
+canonical before the next is read.  Both paths drop the entries that sum
+to zero and give the same operator.
 An equation is therefore checked without building its two sides or their
 difference.
 
@@ -422,41 +422,18 @@ def _restrict_min_index_one(f: TensorOp) -> TensorOp:
     return TensorOp._trusted(f.n, f.arity, f._den, kept)
 
 
-def _constant_pairs(pairs):
-    """(left, den, right) triples of the pairs, or None if q or p occurs in
-    any of them.
+def _constant_sum(n: int, arity: int, triples) -> TensorOp:
+    """The sum of the constant ``(left, den, right)`` triples that
+    :func:`compose_sum` collects, in plain int arithmetic over the lcm L of
+    the terms' denominators.
 
     ``right`` is the columns of the right operator and ``left`` the columns
     of the left one or the numerator of a scalar; ``den`` is the term's
     denominator: den_f·den_g for two operators, b·den_g for a scalar a/b.
-    """
-    constant = []
-    for f, g in pairs:
-        if g._den is None:
-            return None
-        if isinstance(f, TensorOp):
-            if f._den is None:
-                return None
-            f, den_f = f._columns, f._den
-        elif type(f) is int:
-            den_f = 1
-        elif f.is_constant():
-            value = f.constant_value()
-            f, den_f = value.numerator, value.denominator
-        else:
-            return None
-        constant.append((f, den_f * g._den, g._columns))
-    return constant
-
-
-def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
-    """The sum of the constant triples from :func:`_constant_pairs`, in
-    plain int arithmetic over the lcm L of the terms' denominators.
-
-    Each term's factor L // (its denominator) scales each right-factor
-    value once, and is skipped when it is 1.  Each input column of the
-    result accumulates ``{output: value * L}`` and drops its zeros, and the
-    result keeps L as its ``den``.
+    Each term's factor L // den scales each right-factor value once, and is
+    skipped when it is 1.  Each input column of the result accumulates
+    ``{output: value * L}`` and drops its zeros, and the result keeps L as
+    its ``den``.
 
     L is not reduced by the gcd of the result's values: 1/3 + 2/3 is held
     as 15 over 15 when the other term has denominator 5.  A result used as
@@ -464,9 +441,9 @@ def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
     so the stored ints grow with the depth of a chain of sums even when
     the entries are integral.  The checks chain at most three deep.
     """
-    den = lcm(*(term_den for _, term_den, _ in pairs))
+    den = lcm(*(term_den for _, term_den, _ in triples))
     acc = {}
-    for f, term_den, g in pairs:
+    for f, term_den, g in triples:
         scale = den // term_den
         for inp, g_column in g.items():
             column = acc.get(inp)
@@ -505,34 +482,55 @@ def _laurent_columns(f: TensorOp) -> Columns:
     }
 
 
-def _column_products(pairs, inp):
-    """(output, x, y) triples whose sums per output are the column of the
-    sum of ``pairs`` at ``inp``: x·y is c_f·c_g of f's column at each mid
-    of g's column, or c_g·f for a scalar f."""
-    for f, g in pairs:
-        g_column = g.get(inp)
-        if g_column is None:
-            continue
-        if type(f) is dict:
-            for mid, c_g in g_column.items():
-                f_column = f.get(mid)
-                if f_column is not None:
-                    for out, c_f in f_column.items():
-                        yield out, c_f, c_g
-        else:
-            for mid, c_g in g_column.items():
-                yield mid, c_g, f
-
-
 def _laurent_sum(n: int, arity: int, pairs) -> TensorOp:
-    """The sum of ``pairs`` by the LaurentQP kernel, fed one result column
-    per input of a right factor; a constant result takes the int form."""
+    """The sum of ``pairs`` in LaurentQP arithmetic, one result column per
+    input of a right factor, in first-seen order: c_f·c_g for f's column
+    at each mid of g's column, or c_g·s for a scalar s, is added term by
+    term into one raw dict per output.  A column's dicts are made
+    ``_trusted``, and its zeros dropped, before the next input is read.  A
+    result whose values are all constant takes the int form."""
     pairs = [
-        (_laurent_columns(f) if isinstance(f, TensorOp) else f, _laurent_columns(g))
+        (_laurent_columns(f) if isinstance(f, TensorOp) else as_laurent(f), _laurent_columns(g))
         for f, g in pairs
     ]
-    inputs = dict.fromkeys(inp for _, g in pairs for inp in g)
-    columns = LaurentQP._sums_of_products((inp, _column_products(pairs, inp)) for inp in inputs)
+    columns = {}
+    for inp in dict.fromkeys(inp for _, g in pairs for inp in g):
+        acc: dict = {}
+        for f, g in pairs:
+            g_column = g.get(inp)
+            if g_column is None:
+                continue
+            if type(f) is dict:
+                for mid, c_g in g_column.items():
+                    f_column = f.get(mid)
+                    if f_column is None:
+                        continue
+                    g_terms = c_g._terms.items()
+                    for out, c_f in f_column.items():
+                        terms = acc.get(out)
+                        if terms is None:
+                            terms = acc[out] = {}
+                        for (a1, b1), x in c_f._terms.items():
+                            for (a2, b2), y in g_terms:
+                                exps = (a1 + a2, b1 + b2)
+                                terms[exps] = terms.get(exps, 0) + x * y
+            else:
+                s_terms = f._terms.items()
+                for mid, c_g in g_column.items():
+                    terms = acc.get(mid)
+                    if terms is None:
+                        terms = acc[mid] = {}
+                    for (a1, b1), x in c_g._terms.items():
+                        for (a2, b2), y in s_terms:
+                            exps = (a1 + a2, b1 + b2)
+                            terms[exps] = terms.get(exps, 0) + x * y
+        column = {}
+        for out, terms in acc.items():
+            value = LaurentQP._trusted(terms)
+            if value._terms:
+                column[out] = value
+        if column:
+            columns[inp] = column
     return TensorOp._trusted(n, arity, *_stored_form(columns))
 
 
@@ -547,27 +545,44 @@ def compose_sum(terms) -> TensorOp:
     one rank and arity.  A term that is not a pair, or whose right factor
     is not an operator, raises TypeError.
 
-    If no operator or scalar in the terms carries q or p, the sum is taken
-    over the operators' int columns over one common denominator;
-    otherwise it is one call of the LaurentQP kernel (see the module
+    One pass over the terms validates each one, checks its shape and
+    collects its constant ``(left, den, right)`` triple for
+    :func:`_constant_sum`, until some factor carries q or p.  If none
+    does, the sum is taken over the operators' int columns over one common
+    denominator; otherwise by :func:`_laurent_sum` (see the module
     docstring).  The result is the same.
     """
     pairs = []
+    constant = []
+    shape = None
     for term in terms:
         if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], TensorOp)):
             raise TypeError(f"a compose_sum term must be a pair (f, operator), got {term!r}")
         f, g = term
-        if not isinstance(f, TensorOp) and type(f) is not int:
-            f = as_laurent(f)
-        pairs.append((f, g))
-    if not pairs:
-        raise ValueError("compose_sum needs at least one term")
-    shape = pairs[0][1]
-    for f, g in pairs:
+        if shape is None:
+            shape = g
         shape._check_match(g)
         if isinstance(f, TensorOp):
             shape._check_match(f)
-    constant = _constant_pairs(pairs)
+        elif type(f) is not int:
+            f = as_laurent(f)
+        pairs.append((f, g))
+        if constant is None:
+            continue
+        if isinstance(f, TensorOp):
+            left, den_f = f._columns, f._den
+        elif type(f) is int:
+            left, den_f = f, 1
+        elif f.is_constant():
+            left, den_f = f.constant_value().as_integer_ratio()
+        else:
+            den_f = None
+        if den_f is None or g._den is None:
+            constant = None
+        else:
+            constant.append((left, den_f * g._den, g._columns))
+    if shape is None:
+        raise ValueError("compose_sum needs at least one term")
     if constant is not None:
         return _constant_sum(shape.n, shape.arity, constant)
     return _laurent_sum(shape.n, shape.arity, pairs)

@@ -124,7 +124,7 @@ def _cubic_difference(a: _Lifts, b: _Lifts) -> TensorOp:
 
     Each word is evaluated right to left from its restricted rightmost
     factor, and the words are grouped by left factor: two products and two
-    sums of two products, then one kernel call.
+    sums of two products, then one sum of four terms.
     """
     return compose_sum(
         [

@@ -218,6 +218,16 @@ def test_verify_empty_selection_rejected(capsys, checks):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("alpha", ["q+1", "0"])
+def test_verify_non_unit_hecke_alpha_rejected_before_any_check(capsys, alpha):
+    # every check is selected, so compat and gp would print their reports
+    # before hecke if the scalar were checked only when hecke runs
+    code, out, err = run_cli(capsys, "verify", "--op", "cg", "--alpha", alpha, "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Hecke scalar must be a unit")
+
+
 @pytest.mark.parametrize(
     "n, checks, allowed",
     [

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, compose_sum, endo_eq, g_op, lift12, lift23
-from cgybe import cg_twisted_op, check_ybe, permutation_op, q
+from cgybe import cg_twisted_op, check_ybe, permutation_op, q, tensor
 from cgybe.laurent import rational_to_str
 
 from helpers import (
@@ -576,8 +576,8 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
     elif symbolic == "scalar":
         terms.append((q + random_int(rng), rng.choice(pool)))
     expected = _naive_compose_sum(terms)
-    kernel = LaurentQP._sums_of_products
-    with mock.patch.object(LaurentQP, "_sums_of_products", side_effect=kernel) as calls:
+    kernel = tensor._laurent_sum
+    with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
         result = compose_sum(terms)
     # q or p anywhere in the terms takes the LaurentQP kernel, else it is skipped
     assert calls.called == (symbolic is not None)
@@ -666,3 +666,19 @@ def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
     # equality compares coefficients, not the ints stored over each denominator
     reduced = TensorOp(2, 2, {((1, 2), (2, 1)): 1, ((2, 2), (2, 1)): Fraction(1, 5)})
     assert reduced._den == 5 and total == reduced
+
+
+def test_laurent_sum_with_constant_values_takes_the_int_form():
+    # q·P − q·P + g carries q in its terms, so it is summed by the Laurent
+    # kernel; every value of the result is constant, so it is stored as
+    # ints and a check on it never reaches the kernel
+    P, g = permutation_op(3), g_op(3)
+    kernel = tensor._laurent_sum
+    with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
+        combo = compose_sum([(q, P), (-q, P), (1, g)])
+    assert calls.call_count == 1
+    assert holds_int_columns(combo)
+    assert combo == g
+    with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
+        assert check_ybe(combo).passed
+    assert not calls.called
