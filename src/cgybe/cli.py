@@ -18,14 +18,17 @@ or --only selection (``--checks ,``); a rank above the cap of the selected
 checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with a 3-fold one, eval --check-ybe
 included, else ``MAX_VERIFY_RANK_2FOLD`` = 64, which also caps gen
 --format json) or of dense output (``MAX_DENSE_RANK`` = 56, eval and gen
---format latex); an empty window (--lo above --hi), or windows holding
-more than ``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream
-as JSON lines in sorted check order.
+--format latex); an eval --q/--p with an exponent or over
+``MAX_RATIONAL_DIGITS`` characters; an --out path that cannot be opened;
+an empty window (--lo above --hi), or windows holding more than
+``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream as JSON
+lines in sorted check order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -64,6 +67,13 @@ MAX_VERIFY_RANK_2FOLD = 64
 # --format json stays sparse and shares MAX_VERIFY_RANK_2FOLD, the cap of
 # the same 2-fold operators in verify.
 MAX_DENSE_RANK = 56
+
+# Longest eval --q/--p literal, in characters, checked before Fraction reads
+# it; exponents are refused too (Fraction('1e10000000') alone takes
+# seconds).  A cg2 entry (q - q^-1)·p^m, |m| < n, has about n + 1 literals'
+# worth of digits: at most 3645 for 64-character literals at MAX_DENSE_RANK,
+# under Python's 4300-digit limit on int-to-str conversion.
+MAX_RATIONAL_DIGITS = 64
 
 
 class Operator(NamedTuple):
@@ -262,7 +272,12 @@ def parse_laurent_expr(text: str) -> LaurentQP:
     return result
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(flag: str, text: str) -> Fraction:
+    """The value of --q or --p; an over-long literal or an exponent raises
+    ValueError before ``Fraction`` reads it."""
+    if len(text) > MAX_RATIONAL_DIGITS or "e" in text.lower():
+        limit = f"at most {MAX_RATIONAL_DIGITS} characters and no exponent"
+        raise ValueError(f"{flag} must be a rational number with {limit}: {text[:40]!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -302,13 +317,15 @@ def _write_json(payload, handle) -> None:
     handle.write("\n")
 
 
-def _write_output(write: Callable, out_path: str | None) -> None:
-    """Call ``write(handle)`` on the file at ``out_path``, or on stdout."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            write(handle)
-    else:
-        write(sys.stdout)
+def _open_output(out_path: str | None):
+    """The file at ``out_path`` opened for writing, or stdout left open, as
+    a context manager; a path that cannot be opened raises ValueError."""
+    if not out_path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
 def _report(reports, stream) -> int:
@@ -346,11 +363,12 @@ def cmd_gen(args) -> int:
     else:
         _require_rank(args.n, MAX_DENSE_RANK)
     alpha, beta = _resolve_params(args)
-    operator = OPERATORS[args.op].build(args.n, alpha, beta)
-    if args.format == "json":
-        _write_output(lambda handle: _write_json(operator.to_json_obj(), handle), args.out)
-    else:
-        _write_output(lambda handle: handle.write(operator.to_latex()), args.out)
+    with _open_output(args.out) as handle:
+        operator = OPERATORS[args.op].build(args.n, alpha, beta)
+        if args.format == "json":
+            _write_json(operator.to_json_obj(), handle)
+        else:
+            handle.write(operator.to_latex())
     return 0
 
 
@@ -383,27 +401,24 @@ def cmd_eval(args) -> int:
     if args.check_ybe:
         _require_verify_rank(args.n, ["ybe"])
     alpha, beta = _resolve_params(args)
-    qval = _parse_rational(args.q)
-    pval = _parse_rational(args.p)
+    qval = _parse_rational("--q", args.q)
+    pval = _parse_rational("--p", args.p)
     if qval == 0 or pval == 0:
         raise ValueError("q and p must be nonzero")
-    operator = OPERATORS[args.op].build(args.n, alpha, beta)
-    numeric = operator.eval_at(qval, pval)
-
-    def write(handle) -> None:
+    with _open_output(args.out) as handle:
+        operator = OPERATORS[args.op].build(args.n, alpha, beta)
+        numeric = operator.eval_at(qval, pval)
         if args.format == "csv":
             handle.write(numeric.to_numeric_csv())
-            return
-        payload = {
-            "op": args.op,
-            "n": args.n,
-            "q": str(qval),
-            "p": str(pval),
-            "rows": [[str(cell) for cell in row] for row in numeric.to_numeric_rows()],
-        }
-        _write_json(payload, handle)
-
-    _write_output(write, args.out)
+        else:
+            payload = {
+                "op": args.op,
+                "n": args.n,
+                "q": str(qval),
+                "p": str(pval),
+                "rows": [[str(cell) for cell in row] for row in numeric.to_numeric_rows()],
+            }
+            _write_json(payload, handle)
     return _report([check_ybe(numeric, name="ybe_numeric")] if args.check_ybe else [], sys.stderr)
 
 

@@ -29,18 +29,19 @@ first).
 
 All of that arithmetic is one call of :func:`compose_sum`.  Each term is a
 pair (f, g): an operator f adds f∘g, a scalar f (``int``, ``Fraction`` or
-``LaurentQP``) adds f·g.  So ``f + g`` is [(1, f), (1, g)], ``-f`` is
-[(-1, f)], ``s * f`` is [(s, f)] and the Yang-Baxter sum
-c12∘c23∘c12 − c23∘c12∘c23 is [(c12, c23∘c12), (c23, c12∘(−c23))].  When
-every operator and scalar in the terms is constant, the sum adds int
-products over the lcm L of its terms' denominators, with no exponent
-pairs, term dicts or ``Fraction`` arithmetic, and a sum that vanishes is
-exactly int 0.  Otherwise the sum is built one column at a time, one
-per input of a right factor: every product of LaurentQP coefficients is
-added term by term into one raw ``{(a, b): coeff}`` dict per output, with
-no LaurentQP per product or partial sum, and each column is made
-canonical before the next is read.  Both paths drop the entries that sum
-to zero and give the same operator.
+``LaurentQP``) adds f·g, read as (f·I)∘g for the diagonal operator f·I on
+g's outputs.  So ``f + g`` is [(1, f), (1, g)], ``-f`` is [(-1, f)],
+``s * f`` is [(s, f)] and the Yang-Baxter sum c12∘c23∘c12 − c23∘c12∘c23
+is [(c12, c23∘c12), (c23, c12∘(−c23))].  When every operator and scalar
+in the terms is constant, the sum adds int products over the lcm L of
+its terms' denominators, with no exponent pairs, term dicts or
+``Fraction`` arithmetic, and a sum that vanishes is exactly int 0.
+Otherwise the sum is built one column at a time, one per input of a
+right factor: every product of LaurentQP coefficients is added term by
+term into one raw ``{(a, b): coeff}`` dict per output, with no LaurentQP
+per product or partial sum, and each column is made canonical before the
+next is read.  Both paths drop the entries that sum to zero and give the
+same operator.
 An equation is therefore checked without building its two sides or their
 difference.
 
@@ -422,16 +423,32 @@ def _restrict_min_index_one(f: TensorOp) -> TensorOp:
     return TensorOp._trusted(f.n, f.arity, f._den, kept)
 
 
-def _constant_sum(n: int, arity: int, triples) -> TensorOp:
-    """The sum of the constant ``(left, den, right)`` triples that
-    :func:`compose_sum` collects, in plain int arithmetic over the lcm L of
-    the terms' denominators.
+def _scalar_op(s, g: TensorOp) -> TensorOp:
+    """s·I on g's outputs, so that a scalar term (s, g) is (s·I)∘g; the one
+    place that reads the kind of a scalar (int, Fraction or LaurentQP).
+    It takes the int form over the denominator of s when s and g are both
+    constant, else the Laurent form with the one LaurentQP s as every
+    value, even for a constant s: the sum then takes the Laurent kernel
+    anyway, and this transient operator, outside the storage rule, never
+    leaves :func:`compose_sum`.  A zero s gives no columns."""
+    s = as_laurent(s)
+    if g._den is not None and s.is_constant():
+        value, den = s.constant_value().as_integer_ratio()
+    else:
+        value, den = s, None
+    columns = {}
+    if value:
+        columns = {out: {out: value} for column in g._columns.values() for out in column}
+    return TensorOp._trusted(g.n, g.arity, den, columns)
 
-    ``right`` is the columns of the right operator and ``left`` the columns
-    of the left one or the numerator of a scalar; ``den`` is the term's
-    denominator: den_f·den_g for two operators, b·den_g for a scalar a/b.
-    Each term's factor L // den scales each right-factor value once, and is
-    skipped when it is 1.  Each input column of the result accumulates
+
+def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
+    """The sum of the ``(f, g)`` operator pairs that :func:`compose_sum`
+    passes when every operator is in the int form, in plain int arithmetic
+    over the lcm L of the terms' denominators den_f·den_g.
+
+    Each term's factor L // (den_f·den_g) scales each value of g once, and
+    is skipped when it is 1.  Each input column of the result accumulates
     ``{output: value * L}`` and drops its zeros, and the result keeps L as
     its ``den``.
 
@@ -441,26 +458,22 @@ def _constant_sum(n: int, arity: int, triples) -> TensorOp:
     so the stored ints grow with the depth of a chain of sums even when
     the entries are integral.  The checks chain at most three deep.
     """
-    den = lcm(*(term_den for _, term_den, _ in triples))
+    den = lcm(*(f._den * g._den for f, g in pairs))
     acc = {}
-    for f, term_den, g in triples:
-        scale = den // term_den
-        for inp, g_column in g.items():
+    for f, g in pairs:
+        scale = den // (f._den * g._den)
+        f_columns = f._columns
+        for inp, g_column in g._columns.items():
             column = acc.get(inp)
             if column is None:
                 column = acc[inp] = {}
-            if type(f) is dict:
-                for mid, c_g in g_column.items():
-                    f_column = f.get(mid)
-                    if f_column is None:
-                        continue
-                    if scale != 1:
-                        c_g *= scale
-                    for out, c_f in f_column.items():
-                        column[out] = column.get(out, 0) + c_f * c_g
-            else:
-                c_f = f * scale
-                for out, c_g in g_column.items():
+            for mid, c_g in g_column.items():
+                f_column = f_columns.get(mid)
+                if f_column is None:
+                    continue
+                if scale != 1:
+                    c_g *= scale
+                for out, c_f in f_column.items():
                     column[out] = column.get(out, 0) + c_f * c_g
     columns = {}
     for inp, column in acc.items():
@@ -483,16 +496,13 @@ def _laurent_columns(f: TensorOp) -> Columns:
 
 
 def _laurent_sum(n: int, arity: int, pairs) -> TensorOp:
-    """The sum of ``pairs`` in LaurentQP arithmetic, one result column per
-    input of a right factor, in first-seen order: c_f·c_g for f's column
-    at each mid of g's column, or c_g·s for a scalar s, is added term by
-    term into one raw dict per output.  A column's dicts are made
-    ``_trusted``, and its zeros dropped, before the next input is read.  A
-    result whose values are all constant takes the int form."""
-    pairs = [
-        (_laurent_columns(f) if isinstance(f, TensorOp) else as_laurent(f), _laurent_columns(g))
-        for f, g in pairs
-    ]
+    """The sum of the ``(f, g)`` operator pairs in LaurentQP arithmetic,
+    one result column per input of a right factor, in first-seen order:
+    c_f·c_g for f's column at each mid of g's column is added term by term
+    into one raw dict per output.  A column's dicts are made ``_trusted``,
+    and its zeros dropped, before the next input is read.  A result whose
+    values are all constant takes the int form."""
+    pairs = [(_laurent_columns(f), _laurent_columns(g)) for f, g in pairs]
     columns = {}
     for inp in dict.fromkeys(inp for _, g in pairs for inp in g):
         acc: dict = {}
@@ -500,28 +510,17 @@ def _laurent_sum(n: int, arity: int, pairs) -> TensorOp:
             g_column = g.get(inp)
             if g_column is None:
                 continue
-            if type(f) is dict:
-                for mid, c_g in g_column.items():
-                    f_column = f.get(mid)
-                    if f_column is None:
-                        continue
-                    g_terms = c_g._terms.items()
-                    for out, c_f in f_column.items():
-                        terms = acc.get(out)
-                        if terms is None:
-                            terms = acc[out] = {}
-                        for (a1, b1), x in c_f._terms.items():
-                            for (a2, b2), y in g_terms:
-                                exps = (a1 + a2, b1 + b2)
-                                terms[exps] = terms.get(exps, 0) + x * y
-            else:
-                s_terms = f._terms.items()
-                for mid, c_g in g_column.items():
-                    terms = acc.get(mid)
+            for mid, c_g in g_column.items():
+                f_column = f.get(mid)
+                if f_column is None:
+                    continue
+                g_terms = c_g._terms.items()
+                for out, c_f in f_column.items():
+                    terms = acc.get(out)
                     if terms is None:
-                        terms = acc[mid] = {}
-                    for (a1, b1), x in c_g._terms.items():
-                        for (a2, b2), y in s_terms:
+                        terms = acc[out] = {}
+                    for (a1, b1), x in c_f._terms.items():
+                        for (a2, b2), y in g_terms:
                             exps = (a1 + a2, b1 + b2)
                             terms[exps] = terms.get(exps, 0) + x * y
         column = {}
@@ -545,15 +544,12 @@ def compose_sum(terms) -> TensorOp:
     one rank and arity.  A term that is not a pair, or whose right factor
     is not an operator, raises TypeError.
 
-    One pass over the terms validates each one, checks its shape and
-    collects its constant ``(left, den, right)`` triple for
-    :func:`_constant_sum`, until some factor carries q or p.  If none
-    does, the sum is taken over the operators' int columns over one common
-    denominator; otherwise by :func:`_laurent_sum` (see the module
-    docstring).  The result is the same.
+    One pass validates each term, checks its shape and turns a scalar f
+    into f·I (:func:`_scalar_op`).  The operator pairs are then summed by
+    :func:`_constant_sum` if all are in the int form, else by
+    :func:`_laurent_sum` (see the module docstring), with the same result.
     """
     pairs = []
-    constant = []
     shape = None
     for term in terms:
         if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], TensorOp)):
@@ -564,27 +560,13 @@ def compose_sum(terms) -> TensorOp:
         shape._check_match(g)
         if isinstance(f, TensorOp):
             shape._check_match(f)
-        elif type(f) is not int:
-            f = as_laurent(f)
+        else:
+            f = _scalar_op(f, g)
         pairs.append((f, g))
-        if constant is None:
-            continue
-        if isinstance(f, TensorOp):
-            left, den_f = f._columns, f._den
-        elif type(f) is int:
-            left, den_f = f, 1
-        elif f.is_constant():
-            left, den_f = f.constant_value().as_integer_ratio()
-        else:
-            den_f = None
-        if den_f is None or g._den is None:
-            constant = None
-        else:
-            constant.append((left, den_f * g._den, g._columns))
     if shape is None:
         raise ValueError("compose_sum needs at least one term")
-    if constant is not None:
-        return _constant_sum(shape.n, shape.arity, constant)
+    if all(f._den is not None and g._den is not None for f, g in pairs):
+        return _constant_sum(shape.n, shape.arity, pairs)
     return _laurent_sum(shape.n, shape.arity, pairs)
 
 

@@ -13,6 +13,7 @@ import pytest
 from cgybe import TensorOp, cg_op, cg_twisted_op, hecke_parameters, permutation_op
 from cgybe.cli import (
     MAX_DENSE_RANK,
+    MAX_RATIONAL_DIGITS,
     MAX_VERIFY_RANK_2FOLD,
     MAX_VERIFY_RANK_3FOLD,
     main,
@@ -459,3 +460,52 @@ def test_eval_rejects_bad_rational(capsys):
     )
     assert code == 2
     assert "rational" in err
+
+
+def _refuse_build(*args):
+    raise AssertionError("an operator was built")
+
+
+@pytest.mark.parametrize(
+    "value", ["1e100000", "1e5000", "1E5", "1" * (MAX_RATIONAL_DIGITS + 1)]
+)
+def test_eval_rejects_oversized_rational_before_any_build(capsys, monkeypatch, value):
+    # an exponent or an over-long literal is refused before Fraction reads
+    # it; 1e100000 at n = 8 otherwise runs for over a minute
+    monkeypatch.setattr("cgybe.cli.cg_twisted_op", _refuse_build)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--op", "cg2", "--n", "8", "--q", "2", "--p", value)
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --p ")
+
+
+@pytest.mark.parametrize(
+    "value", ["97/89", "1" + "2" * 29, "-" + "3" * 30 + "/" + "7" * (MAX_RATIONAL_DIGITS - 32)]
+)
+def test_eval_accepts_rational_up_to_the_cap(capsys, value):
+    # at the 3-fold rank cap, a literal of at most MAX_RATIONAL_DIGITS
+    # characters gives entries that print within Python's int-to-str limit
+    code, out, err = run_cli(
+        capsys, "eval", "--op", "cg2", "--n", "16", f"--q={value}", "--p", "113/71", "--check-ybe"
+    )
+    assert code == 0
+    assert json.loads(out)["q"] == str(Fraction(value))
+    assert json.loads(err.splitlines()[-1])["passed"]
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_usage_error_before_any_build(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    target = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    monkeypatch.setattr("cgybe.cli.cg_op", _refuse_build)
+    point = ["--q", "2", "--p", "3"] if command == "eval" else []
+    code, out, err = run_cli(
+        capsys, command, "--op", "cg", "--n", "2", *point, "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err

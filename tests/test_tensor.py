@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, compose_sum, endo_eq, g_op, lift12, lift23
 from cgybe import cg_twisted_op, check_ybe, permutation_op, q, tensor
-from cgybe.laurent import rational_to_str
+from cgybe.laurent import as_laurent, rational_to_str
 
 from helpers import (
     dense_compose,
@@ -624,12 +624,31 @@ def test_chained_constant_sums_match_naive_sum(seed, shape, kind, cancel):
     assert first._den > 1
     scalar = LaurentQP.const(_random_prime_fraction(rng))
     second = compose_sum([(first, g), (f, first), (scalar, first), (-1, g)])
-    reference = TensorOp(n, arity, _naive_compose_sum(first_terms))
+    reference = TensorOp(n, arity, _fraction_compose_sum(first_terms))
     _assert_same_operator(
         second,
-        _naive_compose_sum([(reference, g), (f, reference), (scalar, reference), (-1, g)]),
+        _fraction_compose_sum([(reference, g), (f, reference), (scalar, reference), (-1, g)]),
     )
     _assert_same_operator(first, dict(reference.entries))
+
+
+def _fraction_compose_sum(terms):
+    """The entries :func:`_naive_compose_sum` gives for constant terms, in
+    plain ``Fraction`` arithmetic, with each right factor's entries
+    grouped by mid."""
+    acc = {}
+    for f, g in terms:
+        g_by_mid = {}
+        for (mid, inp), coeff in g.entries.items():
+            g_by_mid.setdefault(mid, []).append((inp, coeff.constant_value()))
+        if isinstance(f, TensorOp):
+            left = [(out, mid, coeff.constant_value()) for (out, mid), coeff in f.entries.items()]
+        else:
+            left = [(mid, mid, as_laurent(f).constant_value()) for mid in g_by_mid]
+        for out, mid, x in left:
+            for inp, y in g_by_mid.get(mid, ()):
+                acc[(out, inp)] = acc.get((out, inp), 0) + x * y
+    return {key: LaurentQP.const(value) for key, value in acc.items() if value}
 
 
 @given(st.integers(0, 2**32), st.sampled_from(sorted(CONSTANT_KINDS)))
