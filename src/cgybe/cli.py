@@ -1,19 +1,21 @@
 """Command-line surface: build operators, run the verification and
 identity suites, and evaluate at numeric parameters.
 
-    cgybe gen        --op cg --n 3 --params hecke
+    cgybe gen        --op cg --n 3
     cgybe verify     --op cg --n 4 --checks ybe,hecke,compat
     cgybe identities --lo -3 --hi 4 [--only ids5,uid]
     cgybe eval       --op cg2 --n 2 --q 2 --p 2 [--check-ybe]
 
 Exit codes: 0 when everything passes, 1 when at least one check fails,
 2 on a usage or configuration error, found before any operator is built
-or any scan starts: --params hecke with --alpha/--beta; an --alpha/--beta
-that is malformed, nested too deeply, over the parse budget
-(``MAX_PARSE_WORK`` term operations, ``MAX_PARSE_COEFF_BITS`` coefficient
-bits), or read by neither the operator nor a selected check (see the
-``reads`` of ``OPERATORS`` and ``CHECKS``); an --alpha that is not a unit
-of the Laurent ring with the hecke check; an unknown or empty --checks
+or any scan starts: an --alpha/--beta that is malformed, nested too
+deeply, over the parse budget (``MAX_PARSE_WORK`` term operations,
+``MAX_PARSE_COEFF_BITS`` coefficient bits), over the parameter bounds
+(``MAX_PARAM_TERMS`` terms, ``MAX_PARAM_EXPONENT`` for |exponent|,
+``MAX_PARAM_COEFF_BITS`` bits per coefficient), or read by neither the
+operator nor a selected check (see the ``reads`` of ``OPERATORS`` and
+``CHECKS``); an --alpha that is not a unit of the Laurent ring with the
+hecke check; an unknown or empty --checks
 or --only selection (``--checks ,``); a rank above the cap of the selected
 checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with a 3-fold one, eval --check-ybe
 included, else ``MAX_VERIFY_RANK_2FOLD`` = 64, which also caps gen
@@ -32,11 +34,12 @@ import contextlib
 import functools
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .laurent import LaurentQP
+from .laurent import LaurentQP, p, q
 from .model import cg_op, cg_twisted_op, g_op, hecke_parameters, permutation_op
 from .oracles import DEFAULT_HI, DEFAULT_LO, run_oracles
 from .verify import (
@@ -74,6 +77,29 @@ MAX_DENSE_RANK = 56
 # worth of digits: at most 3645 for 64-character literals at MAX_DENSE_RANK,
 # under Python's 4300-digit limit on int-to-str conversion.
 MAX_RATIONAL_DIGITS = 64
+
+# Bounds on each --alpha/--beta value, checked right after it is parsed:
+# its terms, the largest |exponent| of q or p, and the bits of its widest
+# coefficient (numerator plus denominator).  Terms set the cost.  ybe,
+# compat, mixed, gp and quadratic of --op cg at n = 16 take 4.5 s with
+# 2-term parameters, as all six checks of --op cg2 do, 6.6-8.7 s with
+# 3-term ones, 13.6 s at all three bounds, and 9.7-13.3 s with 4-term ones
+# of degree 3, on the VM above.  Exponents and bits set the digits printed.
+# An entry of cg is alpha, beta, -beta or alpha - beta: at most 6 terms
+# (u/v)·q^a·p^b with |a|, |b| <= 10 and |u|, v < 2^64.  eval evaluates it
+# at q = r/s and p = r'/s' with |r|, s, |r'|, s' < 10^63 (64-character
+# literals); times L·(r s r' s')^10, L = lcm(v) < 2^(6·64), it is an
+# integer under 6·2^64·L·10^(40·63), so its numerator and denominator have
+# at most log10(6) + 7·64·log10(2) + 2520 < 2656 digits.  A failing verify
+# prints a coefficient of a sum of at most 6 words · 16^6 paths · 6^3 term
+# triples < 10^11 products of three coefficients of entries or of the
+# Hecke scalars s and s^-1 = v/u: a multiple of 1/L^3, L < 2^(7·64), of
+# size under 10^11·2^(3·64)·L^3, so at most 11 + 24·64·log10(2) < 474
+# digits.  gen prints under 40 digits, and eval --check-ybe of cg always
+# passes.  All stay under Python's 4300-digit limit on int-to-str.
+MAX_PARAM_TERMS = 3
+MAX_PARAM_EXPONENT = 10
+MAX_PARAM_COEFF_BITS = 64
 
 
 class Operator(NamedTuple):
@@ -128,38 +154,31 @@ MAX_PARSE_WORK = 10**6
 MAX_PARSE_COEFF_BITS = 10**6
 
 
+# One match per token, whitespace between matches skipped: an integer, a
+# terminal of the grammar, or any other character, which is an error.
+_TOKEN = re.compile(r"(\d+)|(hecke|[qp^*+()-])|(\S)")
+
+_ATOMS = {"q": q, "p": p, "hecke": hecke_parameters()[1]}
+
+
 def _tokenize(text: str) -> list[tuple[str, int | None]]:
     tokens: list[tuple[str, int | None]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif text.startswith("hecke", i):
-            tokens.append(("hecke", None))
-            i += 5
-        elif ch in "qp":
-            tokens.append(("sym", ord(ch)))
-            i += 1
-        elif ch in "^*+-()":
-            tokens.append((ch, None))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in expression {text!r}")
+    for digits, terminal, other in _TOKEN.findall(text):
+        if other:
+            raise ValueError(f"unexpected character {other!r} in expression {text!r}")
+        tokens.append(("int", int(digits)) if digits else (terminal, None))
     return tokens
+
+
+def _coeff_bits(value: LaurentQP) -> int:
+    """Bits of the widest coefficient, numerator and denominator together."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length() for _, c in value), default=0)
 
 
 def _l1_bits(value: LaurentQP) -> int:
     """Bits of a bound on the l1 norm of the coefficients: those of the
-    widest coefficient (numerator and denominator) and of the term count."""
-    bits = (c.numerator.bit_length() + c.denominator.bit_length() for _, c in value)
-    return max(bits, default=0) + len(value).bit_length()
+    widest coefficient and of the term count."""
+    return _coeff_bits(value) + len(value).bit_length()
 
 
 def parse_laurent_expr(text: str) -> LaurentQP:
@@ -253,10 +272,8 @@ def parse_laurent_expr(text: str) -> LaurentQP:
         kind, value = take()
         if kind == "int":
             return LaurentQP.const(value)
-        if kind == "sym":
-            return LaurentQP.monomial(1, 1, 0) if chr(value) == "q" else LaurentQP.monomial(1, 0, 1)
-        if kind == "hecke":
-            return hecke_parameters()[1]
+        if kind in _ATOMS:
+            return _ATOMS[kind]
         if kind == "(":
             inner = parse_expr()
             take(")")
@@ -292,19 +309,29 @@ def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
     """alpha and beta from the flags; rejects a flag that would be ignored:
     one that neither the operator nor any of ``checks`` reads."""
     given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
-    if given and args.params == "hecke":
-        raise ValueError(f"--params hecke conflicts with {' and '.join(given)}")
     reads = set(OPERATORS[args.op].reads).union(*(CHECKS[name].reads for name in checks))
     unread = [flag for flag in given if flag[2:] not in reads]
     if unread:
         selected = f" with --checks {','.join(checks)}" if checks else ""
         raise ValueError(f"{' and '.join(unread)} has no effect on --op {args.op}{selected}")
-    alpha, beta = hecke_parameters()
-    if args.alpha is not None:
-        alpha = parse_laurent_expr(args.alpha)
-    if args.beta is not None:
-        beta = parse_laurent_expr(args.beta)
-    return alpha, beta
+    values = dict(zip(("alpha", "beta"), hecke_parameters()))
+    for flag in given:
+        text = getattr(args, flag[2:])
+        value = parse_laurent_expr(text)
+        exponent = max((max(abs(a), abs(b)) for (a, b), _ in value), default=0)
+        bits = _coeff_bits(value)
+        if (
+            len(value) > MAX_PARAM_TERMS
+            or exponent > MAX_PARAM_EXPONENT
+            or bits > MAX_PARAM_COEFF_BITS
+        ):
+            raise ValueError(
+                f"{flag} {text[:40]!r} exceeds the parameter bounds: {len(value)} terms "
+                f"(at most {MAX_PARAM_TERMS}), |exponent| {exponent} (at most "
+                f"{MAX_PARAM_EXPONENT}), {bits} coefficient bits (at most {MAX_PARAM_COEFF_BITS})"
+            )
+        values[flag[2:]] = value
+    return values["alpha"], values["beta"]
 
 
 def _write_json(payload, handle) -> None:
@@ -438,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True, help="rank of the base space")
         sp.add_argument("--alpha", help="flip coefficient (expression in q, p)")
         sp.add_argument("--beta", help="shift coefficient (expression, or 'hecke')")
-        sp.add_argument("--params", choices=["hecke"], help="preset alpha=q, beta=q-q^-1")
 
     sp = sub.add_parser("gen", help="emit an operator in JSON or LaTeX")
     add_operator_flags(sp)

@@ -107,20 +107,15 @@ def cg_twisted_op(n: int) -> TensorOp:
     """
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
-    qdiff = q - q**-1
-    acc: dict = {}
-
-    def add(out, inp, coeff):
-        key = (out, inp)
-        acc[key] = acc[key] + coeff if key in acc else coeff
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            add((j, i), (i, j), q * LaurentQP.monomial(1, 0, i - j))
-            for k in range(min(i, j), max(i, j)):
-                coeff = qdiff * LaurentQP.monomial(eta(i, j, k), 0, i - k)
-                add((k, i + j - k), (i, j), coeff)
-    return TensorOp(n, 2, acc)
+    indices = range(1, n + 1)
+    flip = {((j, i), (i, j)): LaurentQP.monomial(1, 0, i - j) for i in indices for j in indices}
+    shift = {
+        ((k, i + j - k), (i, j)): LaurentQP.monomial(eta(i, j, k), 0, i - k)
+        for i in indices
+        for j in indices
+        for k in range(min(i, j), max(i, j))
+    }
+    return compose_sum([(q, TensorOp(n, 2, flip)), (q - q**-1, TensorOp(n, 2, shift))])
 
 
 def cg_inverse(rmat: TensorOp, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:

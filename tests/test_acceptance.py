@@ -191,7 +191,7 @@ def test_cli_contract():
         usage = run("verify", "--op", "cg", "--n", "0")
         assert usage.returncode == 2
 
-        gen1 = run("gen", "--op", "cg", "--n", "3", "--params", "hecke")
-        gen2 = run("gen", "--op", "cg", "--n", "3", "--params", "hecke")
+        gen1 = run("gen", "--op", "cg", "--n", "3")
+        gen2 = run("gen", "--op", "cg", "--n", "3")
         assert gen1.returncode == gen2.returncode == 0
         assert gen1.stdout == gen2.stdout

@@ -13,6 +13,9 @@ import pytest
 from cgybe import TensorOp, cg_op, cg_twisted_op, hecke_parameters, permutation_op
 from cgybe.cli import (
     MAX_DENSE_RANK,
+    MAX_PARAM_COEFF_BITS,
+    MAX_PARAM_EXPONENT,
+    MAX_PARAM_TERMS,
     MAX_RATIONAL_DIGITS,
     MAX_VERIFY_RANK_2FOLD,
     MAX_VERIFY_RANK_3FOLD,
@@ -45,10 +48,31 @@ def test_parse_expr_symbols_and_powers():
 
 
 @pytest.mark.parametrize(
+    "text, value",
+    [
+        (" \tq\n+\xa0p ", q + p),
+        ("hecke*hecke", (q - q**-1) ** 2),
+        ("q^ -1", q**-1),
+        ("2*-q", -2 * q),
+        ("-q^2", -(q**2)),
+        ("(q+p)^2*3", 3 * (q + p) ** 2),
+        ("\u0663*q + \u0661\u0662", 3 * q + LaurentQP.const(12)),
+    ],
+)
+def test_parse_expr_tokens(text, value):
+    # whitespace anywhere between tokens, any Unicode decimal digits
+    assert parse_laurent_expr(text) == value
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "q +",
         "x",
+        "2q",
+        "q^--1",
+        "+q",
+        pytest.param("\u00b2", id="superscript-two"),
         "q^",
         "q^^2",
         "(q",
@@ -93,7 +117,7 @@ def test_parse_over_budget_fails_fast():
 
 
 def test_gen_cg_hecke_preset(capsys):
-    code, out, _ = run_cli(capsys, "gen", "--op", "cg", "--n", "3", "--params", "hecke")
+    code, out, _ = run_cli(capsys, "gen", "--op", "cg", "--n", "3")
     assert code == 0
     assert TensorOp.from_json_obj(json.loads(out)) == cg_op(3, *hecke_parameters())
 
@@ -289,10 +313,6 @@ def test_verify_reports_in_sorted_check_order(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("gen", "--n", "2", "--params", "hecke", "--alpha", "q"),
-        ("gen", "--n", "2", "--params", "hecke", "--beta", "1"),
-        ("verify", "--n", "2", "--params", "hecke", "--alpha", "q"),
-        ("eval", "--n", "2", "--q", "2", "--p", "3", "--params", "hecke", "--beta", "1"),
         ("gen", "--op", "perm", "--n", "2", "--alpha", "q"),
         ("gen", "--op", "g", "--n", "2", "--beta", "1"),
         ("gen", "--op", "cg2", "--n", "2", "--alpha", "q", "--beta", "1"),
@@ -310,6 +330,14 @@ def test_conflicting_or_ignored_param_flags_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_params_flag_is_unrecognized(capsys):
+    # the Hecke point is the default of --alpha/--beta, so there is no preset flag
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--op", "cg", "--n", "3", "--params", "hecke"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --params hecke" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -493,6 +521,63 @@ def test_eval_accepts_rational_up_to_the_cap(capsys, value):
     assert code == 0
     assert json.loads(out)["q"] == str(Fraction(value))
     assert json.loads(err.splitlines()[-1])["passed"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--n", "2", "--alpha", "2^20000", "--out", "x.json"),
+        ("verify", "--n", "2", "--checks", "hecke", "--alpha", "2^20000"),
+        ("eval", "--n", "2", "--alpha", "q^1000", "--q", "999999999999", "--p", "1"),
+        ("verify", "--n", "8", "--checks", "ybe", "--alpha", "(q+p)^80", "--beta", "(q-p)^80"),
+        # one over each bound
+        ("gen", "--n", "2", "--alpha", "+".join(f"q^{i}" for i in range(MAX_PARAM_TERMS + 1))),
+        ("gen", "--n", "2", "--alpha", f"p^-{MAX_PARAM_EXPONENT + 1}"),
+        ("gen", "--n", "2", "--alpha", f"2^{MAX_PARAM_COEFF_BITS}-1"),
+    ],
+    ids=["gen-bits", "verify-bits", "eval-exponent", "verify-terms", "terms", "exponent", "bits"],
+)
+def test_oversized_param_rejected_before_any_build(tmp_path, capsys, monkeypatch, argv):
+    # each of the first four would build the operator, then fail on Python's
+    # 4300-digit limit while printing (gen leaving an empty file behind) or,
+    # with 81-term parameters, run for half a minute
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("cgybe.cli.cg_op", _refuse_build)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--op", "cg", *argv[1:])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --alpha ") and "parameter bounds" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_params_at_the_bounds_run(capsys):
+    # three terms, |exponent| and coefficient bits at their bounds (2^63 - 1
+    # has 64 bits with its denominator 1, as 4294967291/2147483649 has), at
+    # 64-character q and p: every number prints within Python's 4300 digits
+    e = MAX_PARAM_EXPONENT
+    c = str(2 ** (MAX_PARAM_COEFF_BITS - 1) - 1)
+    f = "4294967291*2147483649^-1"
+    alpha = f"{c}*q^{e}*p^{e} + {f}*q^-{e}*p^-{e} + {c}*q^{e}*p^-{e}"
+    beta = f"{f}*q^-{e}*p^{e} + {c}*q^{e} + {f}*p^-{e}"
+    qval, pval = "1." + "0" * 61 + "1", "0." + "9" * 62
+    assert len(qval) == len(pval) == MAX_RATIONAL_DIGITS
+    code, out, err = run_cli(
+        capsys, "eval", "--op", "cg", "--n", "2", "--alpha", alpha, "--beta", beta,
+        "--q", qval, "--p", pval, "--check-ybe",
+    )
+    assert code == 0, err
+    assert max(len(cell) for row in json.loads(out)["rows"] for cell in row) > 2000
+    assert json.loads(err)["passed"]
+    # a unit alpha at the bounds fails the hecke check and prints its witness
+    code, out, _ = run_cli(
+        capsys, "verify", "--op", "cg", "--n", "3", "--alpha", f"{f}*q^{e}*p^-{e}", "--beta", beta
+    )
+    assert code == 1
+    reports = {r["name"]: r for r in map(json.loads, out.splitlines())}
+    assert sorted(reports) == ["compat", "gp", "hecke", "mixed", "quadratic", "ybe"]
+    assert [name for name, r in reports.items() if not r["passed"]] == ["hecke"]
 
 
 @pytest.mark.parametrize("command", ["gen", "eval"])
