@@ -306,8 +306,9 @@ def _parse_rational(flag: str, text: str) -> Fraction:
 
 
 def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
-    """alpha and beta from the flags; rejects a flag that would be ignored:
-    one that neither the operator nor any of ``checks`` reads."""
+    """alpha and beta from the flags; rejects a flag that would be ignored,
+    one that neither the operator nor any of ``checks`` reads, and a value
+    over the parameter bounds (``MAX_PARAM_TERMS`` and the two after it)."""
     given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
     reads = set(OPERATORS[args.op].reads).union(*(CHECKS[name].reads for name in checks))
     unread = [flag for flag in given if flag[2:] not in reads]
