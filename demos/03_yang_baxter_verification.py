@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Symbolic verification: the Yang-Baxter equation and its companions.
 
-Each check composes lifted operators on V⊗V⊗V and tests that the
-difference of the two sides has no entries at all.  A failing check
-reports the smallest counterexample entry.
+Each check tests that the difference of the two sides of its equation
+has no entries at all; the 3-fold ones apply the words of the equation
+on V⊗V⊗V to one input basis vector at a time.  A failing check reports
+the smallest counterexample entry.
 """
 
 from cgybe import (

@@ -55,12 +55,13 @@ USAGE_ERROR = 2
 
 # Largest rank verify accepts, checked before any operator is built.  Every
 # --op passes the translation lemma, so the 3-fold checks (ybe, compat,
-# mixed) read only the inputs with min index 1 (see verify.py) and cost
-# about n^4.4 in time and n^3 in memory: all three take about 4.5 s at
-# n = 14 and about 8 s and 160 MB at n = 16 with --op cg2, and under 1 s
-# and 32 MB at n = 16 with --op g, on a 2-core x86-64 VM with Python 3.11.
-# The 2-fold checks (hecke, gp, quadratic) take about 22 s and 235 MB
-# together at n = 64.
+# mixed) walk only the inputs with min index 1, one input column at a time,
+# and hold no 3-fold operator (see verify.py).  All three take 0.36 s at
+# n = 14 and 0.8 s at n = 16 with --op cg2, whose compat and mixed fail at
+# their first input, 1.1 s and 1.6 s with --op cg, and 0.33 s and 0.45 s
+# with --op g, whole processes that peak at 17-18 MB of RSS, on a 2-core
+# x86-64 VM with Python 3.11.  The 2-fold checks (hecke, gp, quadratic)
+# take about 22 s and 235 MB together at n = 64.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
@@ -84,7 +85,10 @@ MAX_RATIONAL_DIGITS = 64
 # compat, mixed, gp and quadratic of --op cg at n = 16 take 4.5 s with
 # 2-term parameters, as all six checks of --op cg2 do, 6.6-8.7 s with
 # 3-term ones, 13.6 s at all three bounds, and 9.7-13.3 s with 4-term ones
-# of degree 3, on the VM above.  Exponents and bits set the digits printed.
+# of degree 3, on the VM above, when the 3-fold checks built their sums as
+# operators; column by column they take about half (1.8 s with the default
+# parameters, 2.9 s with (q+p)^2 and (q-p)^2).  Exponents and bits set the
+# digits printed.
 # An entry of cg is alpha, beta, -beta or alpha - beta: at most 6 terms
 # (u/v)·q^a·p^b with |a|, |b| <= 10 and |u|, v < 2^64.  eval evaluates it
 # at q = r/s and p = r'/s' with |r|, s, |r'|, s' < 10^63 (64-character
@@ -464,8 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_operator_flags(sp):
         sp.add_argument("--op", choices=OPERATORS, default="cg", help="operator to build")
         sp.add_argument("--n", type=int, required=True, help="rank of the base space")
-        sp.add_argument("--alpha", help="flip coefficient (expression in q, p)")
-        sp.add_argument("--beta", help="shift coefficient (expression, or 'hecke')")
+        # argparse reads a separate value that starts with "-" as an option
+        # unless it is a plain negative number, so -q is attached with "="
+        sp.add_argument(
+            "--alpha", help="flip coefficient (expression in q, p); write --alpha=-q for -q"
+        )
+        sp.add_argument(
+            "--beta", help="shift coefficient (expression, or 'hecke'); write --beta=-p for -p"
+        )
 
     sp = sub.add_parser("gen", help="emit an operator in JSON or LaTeX")
     add_operator_flags(sp)
@@ -490,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate an operator at rational q, p")
     add_operator_flags(sp)
-    sp.add_argument("--q", required=True, help="rational value for q, e.g. 3/2")
+    sp.add_argument(
+        "--q", required=True, help="rational value for q, e.g. 3/2; write --q=-3/2 for -3/2"
+    )
     sp.add_argument("--p", required=True, help="rational value for p, e.g. 2")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out", help="write to this path instead of stdout")

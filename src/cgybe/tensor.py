@@ -7,8 +7,9 @@ input that has one.  Sparsity matters: the operators built downstream have
 O(n^3) nonzero entries out of n^4, and their 3-fold lifts would be hopeless
 dense with symbolic entries.  The column is the unit every algorithm reads:
 a product f∘g adds, for each column of g, f's column at each of its
-outputs; a lift or a restriction copies whole columns; the translation
-lemma compares a column with the one below it.
+outputs; a lift copies whole columns; a 3-fold check applies 2-fold
+columns to one input vector at a time; the translation lemma compares a
+column with the one below it.
 
 The values of an operator take one of two forms, recorded in ``den``:
 
@@ -45,11 +46,19 @@ same operator.
 An equation is therefore checked without building its two sides or their
 difference.
 
+The 3-fold checks build no 3-fold operator at all.  :func:`_cubic_witness`
+applies the words of a check, such as c12∘c23∘c12 − c23∘c12∘c23, right to
+left to one input basis vector e_t at a time: a 2-fold factor at place 12
+reads its column at (i, j) of each (i, j, k) and at place 23 its column
+at (j, k), so no lift is stored.  The words that share a left factor are
+summed before it is applied, as in a sum of products, and the walk stops
+at the first input whose column does not vanish.
+
 The public constructor validates its input (user code, JSON): the rank,
 the arity and every index must be an ``int``, and a ``bool`` is not one.
 It groups the entries by input and chooses the form.  Results built from
 operators that are already valid (products, sums, differences, negations,
-scalar multiples, the lifts and the restriction) go through the private
+scalar multiples and the lifts) go through the private
 ``TensorOp._trusted`` instead and are not validated again.
 """
 
@@ -59,7 +68,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .laurent import LaurentQP, as_laurent, rational_to_str
 
@@ -415,14 +424,6 @@ def _translation_invariant(f: TensorOp) -> bool:
     )
 
 
-def _restrict_min_index_one(f: TensorOp) -> TensorOp:
-    """f∘E for the projection E onto the basis vectors with min index 1:
-    the columns of f at those inputs.  ``den`` stays f's; for an f that
-    passes the translation lemma every value of f occurs in them."""
-    kept = {inp: column for inp, column in f._columns.items() if 1 in inp}
-    return TensorOp._trusted(f.n, f.arity, f._den, kept)
-
-
 def _scalar_op(s, g: TensorOp) -> TensorOp:
     """s·I on g's outputs, so that a scalar term (s, g) is (s·I)∘g; the one
     place that reads the kind of a scalar (int, Fraction or LaurentQP).
@@ -540,7 +541,7 @@ def compose_sum(terms) -> TensorOp:
 
     No product, scalar multiple or partial sum is built as an operator.  A
     term of two operators is negated by negating one of them; negate the
-    smallest, usually a lifted 2-fold operator.  All operators must share
+    smaller.  All operators must share
     one rank and arity.  A term that is not a pair, or whose right factor
     is not an operator, raises TypeError.
 
@@ -568,6 +569,163 @@ def compose_sum(terms) -> TensorOp:
     if all(f._den is not None and g._den is not None for f, g in pairs):
         return _constant_sum(shape.n, shape.arity, pairs)
     return _laurent_sum(shape.n, shape.arity, pairs)
+
+
+class _Factor(NamedTuple):
+    """A 2-fold operator at place 12 or 23 of the words of a 3-fold check.
+    A 3-fold code is pair·stride plus the code of the index the factor
+    leaves alone: stride is n at place 12 and 1 at place 23.
+    ``table[pair]`` lists (output pair·stride, value) for the operator's
+    column at the pair.  ``den`` is the operator's in the int form and
+    None in the Laurent form, where ``base`` is the check's exponent base
+    (see :func:`_word_factors`)."""
+
+    stride: int
+    den: int | None
+    base: int | None
+    table: list
+
+
+def _word_factors(*ops: TensorOp) -> list[dict[int, _Factor]]:
+    """Each 2-fold operator of one 3-fold check as ``{12: factor, 23:
+    factor}``, every value in the check's one form: the stored ints when
+    every operator is in the int form, else the terms of a LaurentQP, which
+    :func:`_laurent_columns` gives once per check.
+
+    A 3-fold basis vector (i, j, k) is the row-major code
+    ((i−1)·n + j−1)·n + k−1, and a pair (i, j) the code (i−1)·n + j−1, so
+    codes sort as the tuples do and placing an output pair is one
+    addition.  In the same way a term q^a·p^b is keyed by a·base + b, with
+    base = 2·(3B + 1) for the largest |b| = B of any term, so that the
+    exponents of a product of three terms add as one int and |b| < base/2
+    still reads them back (:func:`_exponents`).
+    """
+    for op in ops:
+        if op.arity != 2:
+            raise ValueError(f"a 3-fold check takes arity-2 operators, got arity {op.arity}")
+    laurent = any(op._den is None for op in ops)
+    columns = [_laurent_columns(op) if laurent else op._columns for op in ops]
+    base = None
+    if laurent:
+        bound = max(
+            (
+                abs(b)
+                for cols in columns
+                for column in cols.values()
+                for value in column.values()
+                for _, b in value._terms
+            ),
+            default=0,
+        )
+        base = 2 * (3 * bound + 1)
+    factors = []
+    for op, cols in zip(ops, columns):
+        n = op.n
+        den = None if laurent else op._den
+        table12 = [[] for _ in range(n * n)]
+        table23 = [[] for _ in range(n * n)]
+        for (i, j), column in cols.items():
+            pair = (i - 1) * n + j - 1
+            for (o1, o2), value in column.items():
+                if laurent:
+                    value = tuple((a * base + b, x) for (a, b), x in value._terms.items())
+                out = (o1 - 1) * n + o2 - 1
+                table12[pair].append((out * n, value))
+                table23[pair].append((out, value))
+        factors.append({12: _Factor(n, den, base, table12), 23: _Factor(1, den, base, table23)})
+    return factors
+
+
+def _exponents(key: int, base: int) -> tuple[int, int]:
+    """The exponents (a, b) of the term key a·base + b, for |b| < base/2."""
+    half = base // 2
+    a, b = divmod(key + half, base)
+    return a, b - half
+
+
+def _apply_ints(factor: _Factor, nn: int, vector: dict, acc: dict) -> None:
+    """Add the factor's image of the int-valued ``vector`` into ``acc``,
+    skipping zero values; ``nn`` is n²."""
+    stride, table = factor.stride, factor.table
+    for key, v in vector.items():
+        if v:
+            pair = key // stride % nn
+            offset = key - pair * stride
+            for out, c in table[pair]:
+                out += offset
+                acc[out] = acc.get(out, 0) + c * v
+
+
+def _apply_terms(factor: _Factor, nn: int, vector: dict, acc: dict) -> None:
+    """Add the factor's image of ``vector``, whose values are raw ``{term
+    key: coeff}`` dicts, into ``acc`` term by term, skipping zero
+    coefficients; ``nn`` is n²."""
+    stride, table = factor.stride, factor.table
+    for key, v in vector.items():
+        v_terms = [item for item in v.items() if item[1]]
+        if v_terms:
+            pair = key // stride % nn
+            offset = key - pair * stride
+            for out, c_terms in table[pair]:
+                out += offset
+                terms = acc.get(out)
+                if terms is None:
+                    terms = acc[out] = {}
+                for e1, x in c_terms:
+                    for e2, y in v_terms:
+                        e2 += e1
+                        terms[e2] = terms.get(e2, 0) + x * y
+
+
+def _cubic_witness(n: int, words, inputs) -> Witness | None:
+    """The witness of a sum of 3-fold words, evaluated one input at a time.
+
+    ``words`` lists ``(sign, left, [(middle, right), ...])``: the words
+    sign·left∘middle∘right grouped by left factor, each factor from
+    :func:`_word_factors`.  For each input t of ``inputs``, in the order
+    given, the rightmost factors are applied to sign·e_t, each group's
+    middle images are summed, and its left factor is applied to that sum,
+    all into one accumulator; no lift or product operator is built.  The
+    first t whose accumulated column has a nonzero entry gives the
+    witness (t, its smallest such output, the coefficient there), and no
+    input after it is read.  None when every column vanishes.
+
+    In the int form a word's value is its coefficient times den, the
+    product of its three factors' dens; every word of a check is
+    homogeneous (each operator occurs equally often in each), so den is
+    read off the first word.  In the Laurent form the values are raw term
+    dicts, made canonical only for the witness.
+    """
+    _, left, [(middle, right), *_] = words[0]
+    base = left.base
+    laurent = base is not None
+    den = None if laurent else left.den * middle.den * right.den
+    apply = _apply_terms if laurent else _apply_ints
+    nn = n * n
+    for t in inputs:
+        i, j, k = t
+        code = ((i - 1) * n + j - 1) * n + k - 1
+        acc: dict = {}
+        for sign, left, pairs in words:
+            start = {code: {0: sign} if laurent else sign}
+            vector: dict = {}
+            for middle, right in pairs:
+                placed: dict = {}
+                apply(right, nn, start, placed)
+                apply(middle, nn, placed, vector)
+            apply(left, nn, vector, acc)
+        nonzero = [out for out, v in acc.items() if (any(v.values()) if laurent else v)]
+        if nonzero:
+            out = min(nonzero)
+            pair, o3 = divmod(out, n)
+            o1, o2 = divmod(pair, n)
+            if laurent:
+                terms = {_exponents(key, base): x for key, x in acc[out].items()}
+                coeff = LaurentQP._trusted(terms)
+            else:
+                coeff = _coeff(acc[out], den)
+            return t, (o1 + 1, o2 + 1, o3 + 1), coeff
+    return None
 
 
 def endo_eq(f: TensorOp, g: TensorOp):

@@ -1,53 +1,55 @@
 """Exact symbolic verification of the operator-level equations.
 
 Every check states its equation as "this signed sum of operator products
-is zero", e.g. c12∘c23∘c12 − c23∘c12∘c23 for the Yang-Baxter equation.
-It builds the two-factor products the words end in, summing those that
-share a left factor, and hands the rest to one
-:func:`~cgybe.tensor.compose_sum` call, so neither side and no
-difference operator is ever built.  There is no tolerance, because there
-is nothing to tolerate: coefficients are exact Laurent polynomials and a
-check passes iff the sum has no entries after canonicalization.  A check
-of several equations builds each sum only when the ones before it
-vanished.  On failure the report carries the lexicographically smallest
-offending (input, output) pair together with the nonzero coefficient of
-the sum there, which is the coefficient of lhs − rhs, so failures are
-deterministic across runs.
+is zero", e.g. c12∘c23∘c12 − c23∘c12∘c23 for the Yang-Baxter equation,
+and never builds either side or their difference.  There is no
+tolerance, because there is nothing to tolerate: coefficients are exact
+Laurent polynomials and a check passes iff the sum has no entries after
+canonicalization.  A check of several equations evaluates each sum only
+when the ones before it vanished.  On failure the report carries the
+lexicographically smallest offending (input, output) pair together with
+the nonzero coefficient of the sum there, which is the coefficient of
+lhs − rhs, so failures are deterministic across runs.
 
-The 3-fold checks (ybe, compat, mixed) evaluate each word right to left
-from its rightmost lifted factor restricted to a set S of inputs, which
-builds the sum on S alone: (f∘g)|_S = f∘(g|_S).  S is the 3-fold inputs
-with min index 1, about 3n² of the n³, when every 2-fold operator of the
-check passes the translation lemma
+The 2-fold checks (hecke, gp, quadratic) build the two-factor products
+of their sum with one :func:`~cgybe.tensor.compose_sum` call.  The 3-fold
+checks (ybe, compat, mixed) evaluate their sum one input column at a
+time: for each input basis vector e_t in sorted order, each word is
+applied right to left to e_t, reading the 2-fold operators' columns at
+their places, and the words sharing a left factor are summed before it
+is applied (:func:`~cgybe.tensor._cubic_witness`).  No lift and no
+intermediate 3-fold operator is built, and the first input with a
+nonzero column gives the witness, so a failing check stops there.
+
+The inputs walked are those with min index 1, about 3n² of the n³, when
+every 2-fold operator of the check passes the translation lemma
 (:func:`~cgybe.tensor._translation_invariant`): the column at each input
 with min index >= 2 is the column at the input one step down, with its
 outputs shifted up by one.  Lifts, products and sums keep that property,
 so a nonzero column of the sum at an input with min index m is the
 translate of a nonzero column at the input m − 1 steps down, which has
 min index 1 and is lexicographically smaller.  The sum therefore vanishes
-iff it vanishes on S, and its smallest entry, the witness with its
-coefficient, lies in S: pass/fail and the report are those of the full
-check.  P, g, both Cremmer-Gervais matrices and their evaluations pass
-the lemma.  When an operator fails it, as a random one does, S is every
-input.
+iff it vanishes on those inputs, and its smallest entry, the witness
+with its coefficient, lies among them: pass/fail and the report are
+those of the full check.  P, g, both Cremmer-Gervais matrices and their
+evaluations pass the lemma.  When an operator fails it, as a random one
+does, every input is walked.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .laurent import LaurentQP, as_laurent
 from .model import cg_op, g_op, permutation_op
 from .tensor import (
     TensorOp,
     Witness,
-    _restrict_min_index_one,
+    _cubic_witness,
     _translation_invariant,
+    _word_factors,
     compose_sum,
-    lift12,
-    lift23,
 )
 
 __all__ = [
@@ -83,68 +85,66 @@ class CheckReport:
         }
 
 
-def _report(name: str, differences, started: float) -> CheckReport:
-    """Build each lhs − rhs from its thunk in turn; the first nonzero one fails."""
-    for difference in differences:
-        witness = difference().first_entry()
+def _report(name: str, witnesses, started: float) -> CheckReport:
+    """Find the witness of each lhs − rhs from its thunk in turn; the first
+    that is not None fails."""
+    for witness in witnesses:
+        witness = witness()
         if witness is not None:
             return CheckReport(name, False, witness, time.perf_counter() - started)
     return CheckReport(name, True, None, time.perf_counter() - started)
 
 
-class _Lifts(NamedTuple):
-    """The factors a 2-fold operator x gives the cubic words: x12 and x23
-    as left factors, and x12 and −x23 restricted to the inputs the check
-    reads (see :func:`_lifts`) as rightmost factors."""
-
-    l12: TensorOp
-    l23: TensorOp
-    r12: TensorOp
-    neg_r23: TensorOp
+def _inputs(n: int, reduced: bool):
+    """The 3-fold inputs a check walks, in sorted order: those with min
+    index 1 when ``reduced``, else all n³."""
+    indices = range(1, n + 1)
+    for t in ((i, j, k) for i in indices for j in indices for k in indices):
+        if not reduced or 1 in t:
+            yield t
 
 
-def _lifts(*ops: TensorOp) -> list[_Lifts]:
-    """The :class:`_Lifts` of each operator.  The rightmost factors are
-    restricted to the 3-fold inputs with min index 1 when every operator
-    passes the translation lemma, else to every input."""
+def _cubic_report(name: str, ops, sums, started: float) -> CheckReport:
+    """Report of a 3-fold check of the 2-fold operators ``ops``: each of
+    ``sums``, a function of their factors giving a sum of words, must
+    vanish, and is evaluated one input at a time only when the ones before
+    it vanished.  The inputs are those with min index 1 when every
+    operator passes the translation lemma, else all of them."""
+    n = ops[0].n
+    factors = _word_factors(*ops)
     reduced = all(_translation_invariant(op) for op in ops)
-    restrict = _restrict_min_index_one if reduced else lambda x: x
-    lifts = []
-    for op in ops:
-        x12, x23 = lift12(op), lift23(op)
-        lifts.append(_Lifts(x12, x23, restrict(x12), -restrict(x23)))
-    return lifts
+    witnesses = [
+        lambda words=words: _cubic_witness(n, words(*factors), _inputs(n, reduced))
+        for words in sums
+    ]
+    return _report(name, witnesses, started)
 
 
-def _cubic_difference(a: _Lifts, b: _Lifts) -> TensorOp:
+def _ybe_words(c):
+    """c12 c23 c12 − c23 c12 c23 as words grouped by left factor."""
+    return [(1, c[12], [(c[23], c[12])]), (-1, c[23], [(c[12], c[23])])]
+
+
+def _cubic_words(a, b):
     """The cubic sum whose vanishing is the mixed condition of (a, b):
 
       a12 b23 b12 + b12 a23 b12 + b12 b23 a12
           − (a23 b12 b23 + b23 a12 b23 + b23 b12 a23)
 
-    Each word is evaluated right to left from its restricted rightmost
-    factor, and the words are grouped by left factor: two products and two
-    sums of two products, then one sum of four terms.
-    """
-    return compose_sum(
-        [
-            (a.l12, b.l23 @ b.r12),
-            (b.l12, compose_sum([(a.l23, b.r12), (b.l23, a.r12)])),
-            (a.l23, b.l12 @ b.neg_r23),
-            (b.l23, compose_sum([(a.l12, b.neg_r23), (b.l12, a.neg_r23)])),
-        ]
-    )
+    as words grouped by left factor: four groups of one, two, one and two
+    words."""
+    return [
+        (1, a[12], [(b[23], b[12])]),
+        (1, b[12], [(a[23], b[12]), (b[23], a[12])]),
+        (-1, a[23], [(b[12], b[23])]),
+        (-1, b[23], [(a[12], b[23]), (b[12], a[23])]),
+    ]
 
 
 def check_ybe(c: TensorOp, name: str = "ybe") -> CheckReport:
     """c12 c23 c12 = c23 c12 c23 on V⊗V⊗V (rightmost factor acts first)."""
     started = time.perf_counter()
-    (c,) = _lifts(c)
-    return _report(
-        name,
-        [lambda: compose_sum([(c.l12, c.l23 @ c.r12), (c.l23, c.l12 @ c.neg_r23)])],
-        started,
-    )
+    return _cubic_report(name, [c], [_ybe_words], started)
 
 
 def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
@@ -156,8 +156,7 @@ def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
     It is the first mixed condition of the pair (P, g).
     """
     started = time.perf_counter()
-    perm, g = _lifts(permutation_op(g.n), g)
-    return _report(name, [lambda: _cubic_difference(perm, g)], started)
+    return _cubic_report(name, [permutation_op(g.n), g], [_cubic_words], started)
 
 
 def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> CheckReport:
@@ -169,15 +168,12 @@ def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> Che
       f12 g23 g12 + g12 f23 g12 + g12 g23 f12
           = f23 g12 g23 + g23 f12 g23 + g23 g12 f23
     and the same with the roles of f and g exchanged.  The second is
-    built only when the first holds.
+    evaluated only when the first holds.
     """
     started = time.perf_counter()
     f._check_match(g)
-    f, g = _lifts(f, g)
-    return _report(
-        name,
-        [lambda: _cubic_difference(f, g), lambda: _cubic_difference(g, f)],
-        started,
+    return _cubic_report(
+        name, [f, g], [_cubic_words, lambda f, g: _cubic_words(g, f)], started
     )
 
 
@@ -192,7 +188,7 @@ def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> Chec
     started = time.perf_counter()
     identity = TensorOp.identity(rmat.n, rmat.arity)
     terms = [(rmat, rmat), (qscalar.unit_inverse() - qscalar, rmat), (-1, identity)]
-    return _report(name, [lambda: compose_sum(terms)], started)
+    return _report(name, [lambda: compose_sum(terms).first_entry()], started)
 
 
 def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
@@ -203,9 +199,11 @@ def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
     return _report(
         name,
         [
-            lambda: compose_sum([(g, g), (-1, g)]),
-            lambda: compose_sum([(g, perm), (1, g)]),
-            lambda: compose_sum([(perm, g), (-1, g), (-1, perm), (1, TensorOp.identity(n))]),
+            lambda: compose_sum([(g, g), (-1, g)]).first_entry(),
+            lambda: compose_sum([(g, perm), (1, g)]).first_entry(),
+            lambda: compose_sum(
+                [(perm, g), (-1, g), (-1, perm), (1, TensorOp.identity(n))]
+            ).first_entry(),
         ],
         started,
     )
@@ -218,4 +216,4 @@ def check_quadratic(
     started = time.perf_counter()
     rmat = cg_op(n, alpha, beta)
     terms = [(rmat, rmat), (-beta, rmat), (-(alpha * (alpha - beta)), TensorOp.identity(n))]
-    return _report(name, [lambda: compose_sum(terms)], started)
+    return _report(name, [lambda: compose_sum(terms).first_entry()], started)

@@ -351,6 +351,28 @@ def test_verify_alpha_accepted_for_any_op(capsys, check, flags):
     assert [json.loads(line)["name"] for line in out.splitlines()] == [check]
 
 
+def test_negative_param_is_attached_with_equals(capsys):
+    # -q and -q + q^-1 are the Hecke point with R negated, so both checks pass
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "3", "--checks", "hecke,quadratic", "--alpha=-q", "--beta=-q+q^-1"
+    )
+    assert code == 0
+    assert [json.loads(line)["passed"] for line in out.splitlines()] == [True, True]
+    code, out, _ = run_cli(capsys, "gen", "--n", "1", "--alpha=-q", "--beta", "1")
+    assert code == 0
+    assert TensorOp.from_json_obj(json.loads(out)) == cg_op(1, -q, LaurentQP.one())
+    code, out, _ = run_cli(capsys, "eval", "--op", "cg2", "--n", "2", "--q=-3/2", "--p", "2")
+    assert code == 0 and json.loads(out)["q"] == "-3/2"
+    # a separate value that starts with "-" and a letter is read as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--checks", "hecke", "--alpha", "-q"])
+    assert exc.value.code == 2
+    assert "argument --alpha: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--alpha=-q" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "checks, builds", [("gp,quadratic", 0), ("ybe,hecke,compat", 1)], ids=["unread", "shared"]
 )

@@ -575,7 +575,9 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
         terms.append((rng.choice(pool), symbolic_op))
     elif symbolic == "scalar":
         terms.append((q + random_int(rng), rng.choice(pool)))
-    expected = _naive_compose_sum(terms)
+    # the reference sums constant terms as Fractions, symbolic ones as LaurentQP
+    read = LaurentQP.constant_value if symbolic is None else as_laurent
+    expected = _grouped_compose_sum(terms, read)
     kernel = tensor._laurent_sum
     with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
         result = compose_sum(terms)
@@ -584,7 +586,7 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
     assert (result.n, result.arity) == (n, arity)
     _assert_same_operator(result, expected)
     if cancel and symbolic is None:
-        assert dict(result.entries) == _naive_compose_sum(terms[1:-1])
+        assert dict(result.entries) == _grouped_compose_sum(terms[1:-1])
 
 
 def test_constant_path_demotes_integral_sums_and_drops_zeros():
@@ -624,31 +626,32 @@ def test_chained_constant_sums_match_naive_sum(seed, shape, kind, cancel):
     assert first._den > 1
     scalar = LaurentQP.const(_random_prime_fraction(rng))
     second = compose_sum([(first, g), (f, first), (scalar, first), (-1, g)])
-    reference = TensorOp(n, arity, _fraction_compose_sum(first_terms))
+    reference = TensorOp(n, arity, _grouped_compose_sum(first_terms))
     _assert_same_operator(
         second,
-        _fraction_compose_sum([(reference, g), (f, reference), (scalar, reference), (-1, g)]),
+        _grouped_compose_sum([(reference, g), (f, reference), (scalar, reference), (-1, g)]),
     )
     _assert_same_operator(first, dict(reference.entries))
 
 
-def _fraction_compose_sum(terms):
-    """The entries :func:`_naive_compose_sum` gives for constant terms, in
-    plain ``Fraction`` arithmetic, with each right factor's entries
-    grouped by mid."""
+def _grouped_compose_sum(terms, read=LaurentQP.constant_value):
+    """The entries :func:`_naive_compose_sum` gives, with each right
+    factor's entries grouped by mid.  Each coefficient is summed as
+    ``read(coeff)``: by default in plain ``Fraction`` arithmetic, which
+    needs constant terms; ``read`` may also keep the LaurentQP."""
     acc = {}
     for f, g in terms:
         g_by_mid = {}
         for (mid, inp), coeff in g.entries.items():
-            g_by_mid.setdefault(mid, []).append((inp, coeff.constant_value()))
+            g_by_mid.setdefault(mid, []).append((inp, read(coeff)))
         if isinstance(f, TensorOp):
-            left = [(out, mid, coeff.constant_value()) for (out, mid), coeff in f.entries.items()]
+            left = [(out, mid, read(coeff)) for (out, mid), coeff in f.entries.items()]
         else:
-            left = [(mid, mid, as_laurent(f).constant_value()) for mid in g_by_mid]
+            left = [(mid, mid, read(as_laurent(f))) for mid in g_by_mid]
         for out, mid, x in left:
             for inp, y in g_by_mid.get(mid, ()):
                 acc[(out, inp)] = acc.get((out, inp), 0) + x * y
-    return {key: LaurentQP.const(value) for key, value in acc.items() if value}
+    return {key: as_laurent(value) for key, value in acc.items() if value}
 
 
 @given(st.integers(0, 2**32), st.sampled_from(sorted(CONSTANT_KINDS)))

@@ -246,27 +246,46 @@ def test_twisted_ybe_small():
         assert check_ybe(cg_twisted_op(n)).passed, n
 
 
+def _watch_inputs(monkeypatch):
+    """Every walk over 3-fold inputs that a check makes, in order, as
+    (reduced, the inputs it read)."""
+    walks = []
+    inputs = verify._inputs
+
+    def watching(n, reduced):
+        walk = []
+        walks.append((reduced, walk))
+        for t in inputs(n, reduced):
+            walk.append(t)
+            yield t
+
+    monkeypatch.setattr(verify, "_inputs", watching)
+    return walks
+
+
+def _all_inputs(n, reduced=False):
+    return [t for t in itertools.product(range(1, n + 1), repeat=3) if not reduced or 1 in t]
+
+
 def test_mixed_conditions_stop_at_first_failure(monkeypatch):
     # (P, cg2) fails the first mixed condition, so the second must never be
-    # built: the failing check makes half the compose_sum calls of a passing one.
+    # evaluated: the failing check makes one walk, a passing one two, and
+    # the failing walk reads no input after its witness's input.
     n = 3
     perm, twisted, g = permutation_op(n), cg_twisted_op(n), g_op(n)
-    calls = []
-
-    def counting(terms):
-        calls.append(1)
-        return compose_sum(terms)
-
-    monkeypatch.setattr(verify, "compose_sum", counting)
+    walks = _watch_inputs(monkeypatch)
     failing = check_mixed_conditions(perm, twisted)
-    failing_calls = len(calls)
-    calls.clear()
+    failing_walks = list(walks)
+    walks.clear()
     passing = check_mixed_conditions(perm, g)
-    passing_calls = len(calls)
+    passing_walks = list(walks)
     monkeypatch.undo()
 
     assert passing.passed and not failing.passed
-    assert failing_calls > 0 and passing_calls == 2 * failing_calls
+    assert len(failing_walks) == 1 and len(passing_walks) == 2
+    (_, walk), = failing_walks
+    assert walk[-1] == failing.witness[0]
+    assert walk == [t for t in _all_inputs(n, reduced=True) if t <= failing.witness[0]]
     f12, f23, g12, g23 = lift12(perm), lift23(perm), lift12(twisted), lift23(twisted)
     lhs = f12 @ g23 @ g12 + g12 @ f23 @ g12 + g12 @ g23 @ f12
     rhs = f23 @ g12 @ g23 + g23 @ f12 @ g23 + g23 @ g12 @ f23
@@ -274,16 +293,20 @@ def test_mixed_conditions_stop_at_first_failure(monkeypatch):
 
 
 def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
-    # g has integer entries, so its check never reaches the LaurentQP
-    # kernel; the q- and p-carrying twisted matrix does.
+    # g has integer entries, so its check never reaches a LaurentQP kernel
+    # (the sum's or the 3-fold words'); the q- and p-carrying twisted
+    # matrix does.
     calls = []
-    kernel = tensor._laurent_sum
 
-    def counting(*args):
-        calls.append(1)
-        return kernel(*args)
+    def counting(kernel):
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
 
-    monkeypatch.setattr(tensor, "_laurent_sum", counting)
+        return counted
+
+    for name in ("_laurent_sum", "_apply_terms"):
+        monkeypatch.setattr(tensor, name, counting(getattr(tensor, name)))
     assert check_ybe(g_op(3)).passed
     assert calls == []
     assert check_ybe(cg_twisted_op(3)).passed
@@ -293,7 +316,7 @@ def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
 def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
     # at a rational point the constant path adds int products over one
     # common denominator: a passing check does no Fraction arithmetic and
-    # builds no Fraction inside compose_sum
+    # builds no Fraction inside compose_sum or the 3-fold word kernel
     numeric = cg_twisted_op(4).eval_at(Fraction(3, 2), Fraction(5, 7))
     calls = Counter()
     inside = []
@@ -306,20 +329,30 @@ def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
 
         return counted
 
-    def tracked(terms):
-        inside.append(1)
-        try:
-            return compose_sum(terms)
-        finally:
-            inside.pop()
+    entered = Counter()
+
+    def tracking(fn):
+        def tracked(*args):
+            entered[fn.__name__] += 1
+            inside.append(1)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return tracked
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("__new__", Fraction.__new__)))
+    tracked = tracking(compose_sum)
     monkeypatch.setattr(tensor, "compose_sum", tracked)
     monkeypatch.setattr(verify, "compose_sum", tracked)
+    for name in ("_word_factors", "_cubic_witness"):
+        monkeypatch.setattr(verify, name, tracking(getattr(verify, name)))
     assert check_ybe(numeric).passed
     assert not calls
+    assert entered == {"_word_factors": 1, "_cubic_witness": 1}
     # the counters do see Fraction arithmetic inside the Laurent kernel
     tracked([(q * Fraction(1, 2), numeric)])
     assert calls["__mul__"] + calls["__rmul__"] > 0
@@ -546,50 +579,146 @@ def _lemma_failures():
     return [TensorOp(5, 2, twisted), TensorOp(4, 2, outside), TensorOp(3, 2, diagonal)]
 
 
-def _counting_restrict(monkeypatch):
-    calls = []
-
-    def counting(f):
-        calls.append(f)
-        return tensor._restrict_min_index_one(f)
-
-    monkeypatch.setattr(verify, "_restrict_min_index_one", counting)
-    return calls
-
-
 def test_lemma_failures_check_every_input(monkeypatch):
-    calls = _counting_restrict(monkeypatch)
+    walks = _watch_inputs(monkeypatch)
+
+    def assert_every_input(report, n):
+        # every walk reads all inputs in order; a failing check's last walk
+        # stops at its witness's input
+        full = _all_inputs(n)
+        *complete, (reduced, last) = walks
+        assert not reduced and all(not r and walk == full for r, walk in complete)
+        assert last == (full if report.passed else full[: full.index(report.witness[0]) + 1])
+        walks.clear()
+
     for bad in _lemma_failures():
         assert not tensor._translation_invariant(bad)
         perm = permutation_op(bad.n)
         report = check_ybe(bad)
         assert (report.passed, report.witness) == _reference_ybe(bad)
+        assert_every_input(report, bad.n)
         report = check_compatibility(bad)
         assert (report.passed, report.witness) == _reference_compat(bad)
+        assert_every_input(report, bad.n)
         report = check_mixed_conditions(perm, bad)
         assert (report.passed, report.witness) == _reference_mixed(perm, bad)
-    assert calls == []
+        assert_every_input(report, bad.n)
     witness = check_ybe(_lemma_failures()[2]).witness
     assert witness[:2] == ((2, 3, 3), (2, 3, 3))
+
+
+# ----------------------------------------------------------------------
+# the 3-fold checks' value forms: int-form operators over different
+# denominators, whose words carry den_f·den_g², and Laurent operators
+# paired with int ones, against the two-sided reference
+
+
+def _over(rng, op, den):
+    """op scaled by ±k/den, with one zero entry set to ±1/den half the time."""
+    entries = {
+        key: coeff * Fraction(rng.choice([1, 2, -1]), den) for key, coeff in op.entries.items()
+    }
+    basis = op.basis_tuples()
+    zeros = [(out, inp) for out in basis for inp in basis if (out, inp) not in entries]
+    if zeros and rng.random() < 0.5:
+        entries[rng.choice(zeros)] = Fraction(rng.choice([1, -1]), den)
+    return TensorOp(op.n, 2, entries)
+
+
+def _assert_cubic_checks_match_reference(f, g):
+    for report, expected in (
+        (check_ybe(f), _reference_ybe(f)),
+        (check_compatibility(f), _reference_compat(f)),
+        (check_mixed_conditions(f, g), _reference_mixed(f, g)),
+        (check_mixed_conditions(g, f), _reference_mixed(g, f)),
+    ):
+        assert (report.passed, report.witness) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+    st.sampled_from(["perm", "g", "identity", "cg2"]),
+    st.sampled_from(["perm", "g", "cg2"]),
+)
+def test_cubic_checks_over_two_denominators_match_reference(seed, n, f_kind, g_kind):
+    rng = random.Random(seed)
+    solutions = {
+        "perm": permutation_op(n),
+        "g": g_op(n),
+        "identity": TensorOp.identity(n),
+        "cg2": cg_twisted_op(n),
+    }
+    f, g = _over(rng, solutions[f_kind], 3), _over(rng, solutions[g_kind], 5)
+    # g is zero at n = 1
+    for op, kind, den in ((f, f_kind, 3), (g, g_kind, 5)):
+        if kind != "cg2" and not op.is_zero():
+            assert holds_int_columns(op) and op._den == den
+    _assert_cubic_checks_match_reference(f, g)
+
+
+def test_witness_coefficient_over_two_denominators():
+    # mixed of (I/3, 2g/5): each word of the first condition is over
+    # 3·5² = 75, and the witness coefficient is a proper fraction
+    n = 3
+    third = compose_sum([(Fraction(1, 3), TensorOp.identity(n))])
+    two_fifths = compose_sum([(Fraction(2, 5), g_op(n))])
+    assert (third._den, two_fifths._den) == (3, 5)
+    report = check_mixed_conditions(third, two_fifths)
+    assert (report.passed, report.witness) == _reference_mixed(third, two_fifths)
+    assert report.witness == ((1, 1, 2), (1, 1, 2), LaurentQP.const(Fraction(-4, 75)))
+    report = check_mixed_conditions(two_fifths, third)
+    assert report.witness == ((1, 1, 2), (1, 1, 2), LaurentQP.const(Fraction(-2, 45)))
+    assert report.to_json_obj()["witness"]["diff"] == [{"q": 0, "p": 0, "coeff": "-2/45"}]
+
+
+def test_laurent_operators_paired_with_int_ones_match_reference():
+    for n in (2, 3, 4):
+        twisted, g = cg_twisted_op(n), g_op(n)
+        third = compose_sum([(Fraction(1, 3), permutation_op(n))])
+        _assert_cubic_checks_match_reference(twisted, g)
+        _assert_cubic_checks_match_reference(third, twisted)
+
+
+def test_lemma_failures_over_two_denominators_match_reference():
+    rng = random.Random(1618)
+    for bad in _lemma_failures():
+        n = bad.n
+        for f, g in (
+            (_over(rng, bad, 3), _over(rng, g_op(n), 5)),
+            (_over(rng, permutation_op(n), 3), bad),
+            (bad, cg_twisted_op(n)),
+        ):
+            _assert_cubic_checks_match_reference(f, g)
 
 
 def test_invariant_operators_take_the_restricted_path(monkeypatch):
     n = 6
     perm, g, twisted = permutation_op(n), g_op(n), cg_twisted_op(n)
     numeric = twisted.eval_at(Fraction(3, 2), Fraction(5, 7))
-    calls = _counting_restrict(monkeypatch)
+    walks = _watch_inputs(monkeypatch)
     checks = [
-        (lambda: check_ybe(twisted), 2),
-        (lambda: check_ybe(numeric), 2),
-        (lambda: check_ybe(perm), 2),
-        (lambda: check_ybe(g), 2),
-        (lambda: check_compatibility(g), 4),
-        (lambda: check_mixed_conditions(perm, g), 4),
+        (lambda: check_ybe(twisted), 1),
+        (lambda: check_ybe(numeric), 1),
+        (lambda: check_ybe(perm), 1),
+        (lambda: check_ybe(g), 1),
+        (lambda: check_compatibility(g), 1),
+        (lambda: check_mixed_conditions(perm, g), 2),
     ]
-    for check, restricted in checks:
-        calls.clear()
+    restricted = _all_inputs(n, reduced=True)
+    assert len(restricted) == n**3 - (n - 1) ** 3
+    for check, count in checks:
+        walks.clear()
         assert check().passed
-        assert len(calls) == restricted
+        assert walks == [(True, restricted)] * count
+    # a failing check on the restricted path stops at its witness's input
+    walks.clear()
+    report = check_compatibility(twisted)
+    assert not report.passed
+    (reduced, walk), = walks
+    assert reduced and walk[-1] == report.witness[0] == (1, 1, 2)
+    assert walk == restricted[: len(walk)]
     # a constant operator holds int columns, and neither the lemma nor a
     # passing check turns a stored value into a LaurentQP
     combo = cg_op(n, 2, 1)
