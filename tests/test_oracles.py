@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,7 +335,8 @@ def test_window_validation():
 
 
 def test_scan_reports_first_counterexample_lexicographically():
-    report = _scan("demo", IntWindow(0, 3, 2), lambda a: lambda b: a + b < 4)
+    # the residual row is nonzero where the demo identity a + b < 4 fails
+    report = _scan("demo", IntWindow(0, 3, 2), lambda rows, a: rows.pack(lambda b: a + b >= 4))
     assert not report.passed
     assert report.counterexample == (1, 3)
     obj = report.to_json_obj()
@@ -345,7 +347,7 @@ def test_scan_reports_first_counterexample_lexicographically():
 def test_report_invariant():
     [passing] = run_oracles(0, 2, only=["g_idempotent"])
     assert passing.passed and passing.counterexample is None
-    failing = _scan("demo", IntWindow(0, 1, 1), lambda: lambda a: False)
+    failing = _scan("demo", IntWindow(0, 1, 1), lambda rows: rows.ones)
     assert not failing.passed and failing.counterexample == (0,)
 
 
@@ -355,15 +357,26 @@ def test_staged_scan_matches_brute_force(data):
     arity = data.draw(st.integers(1, 4), label="arity")
     lo = data.draw(st.integers(-3, 3), label="lo")
     hi = data.draw(st.integers(lo, lo + 4), label="hi")
+    pad = data.draw(st.integers(0, 3), label="pad")
     every = list(itertools.product(range(lo, hi + 1), repeat=arity))
-    bad = data.draw(st.sets(st.sampled_from(every), max_size=6), label="bad")
+    # residuals up to the field bound documented in _Rows, in two rows that
+    # the stage ORs together
+    bound = 16 * (max(abs(lo), abs(hi)) + pad + 1)
+    residual = st.tuples(st.integers(-bound, bound).filter(bool), st.booleans())
+    bad = data.draw(st.dictionaries(st.sampled_from(every), residual, max_size=6), label="bad")
     prefixes = []
 
-    def stage(*prefix):
+    def stage(rows, *prefix):
         prefixes.append(prefix)
-        return lambda last: (*prefix, last) not in bad
 
-    report = _scan("diff", IntWindow(lo, hi, arity), stage)
+        def field(last, second):
+            value, in_second = bad.get((*prefix, last), (0, second))
+            return value if in_second == second else 0
+
+        first = rows.pack(lambda last: field(last, False))
+        return first | rows.pack(lambda last: field(last, True))
+
+    report = _scan("diff", IntWindow(lo, hi, arity), stage, pad)
     first_bad = min(bad) if bad else None
     assert report.counterexample == first_bad
     assert report.passed == (first_bad is None)
@@ -372,3 +385,172 @@ def test_staged_scan_matches_brute_force(data):
     if first_bad is not None:
         expected = expected[: expected.index(first_bad[:-1]) + 1]
     assert prefixes == expected
+
+
+def reference_checks(eta, pad):
+    """Per-tuple predicates of all sixteen identities, written from the stage
+    docstrings: each sum runs over its own tuple's padded support."""
+    u, delta = (lambda x: 1 if x >= 0 else 0), (lambda x: 1 if x == 0 else 0)
+
+    def support(x, y):
+        return range(min(x, y) - pad, max(x, y) + pad)
+
+    def zeta(i, j, k, c, h):
+        return sum(
+            eta(j, k, a) * eta(i, a, c) * eta(i + a - c, j + k - a, h) for a in support(j, k)
+        )
+
+    def ybe_rhs(i, j, k, c, h):
+        return sum(
+            eta(i, j, s) * eta(i + j - s, k, h + c - s) * eta(s, h + c - s, c)
+            for s in support(i, j)
+        )
+
+    def compat(i, j, k, a, b):
+        lhs = (
+            eta(i, k, a + b - j) * eta(j, a + b - j, a)
+            + eta(i, j, b + a - k) * eta(b + a - k, k, a)
+            + eta(i, j, b) * eta(i + j - b, k, a)
+        )
+        rhs = (
+            eta(i, k, a) * eta(i + k - a, j, b)
+            + eta(j, k, a) * eta(i, j + k - a, b)
+            + eta(j, k, j + k - b) * eta(i, j + k - b, a)
+        )
+        return lhs == rhs
+
+    def step(a, b, i, j, k):
+        lhs = u(a + b - i - j) * (u(a - j) + u(b - i) - u(b - j) - u(j - b))
+        lhs += u(k - b) * u(a + b - i - k)
+        rhs = u(a - i) * (u(k - b) - u(j - b) - u(b - j) + u(b + a - i - k)) + u(b - i) * u(a - j)
+        return lhs == rhs
+
+    def convolution(t, s, b, d, h):
+        lhs = sum(eta(t, s, a) * eta(b + a, d - a, h) for a in support(t, s))
+        rhs = (
+            (s - t) * eta(b + t, d - t, h)
+            + (d - h - s) * eta(d - s, d - t, h)
+            + (h - b - s + 1) * eta(b + t, b + s, h)
+        )
+        return lhs == rhs
+
+    def zeta_closed_form(i, j, k, c, h):
+        rhs = eta(j, k, c) * (
+            (k - c - 1) * eta(i - c + k, j + k - c, h)
+            + (j - h) * eta(j, j + k - c, h)
+            + (h - i) * eta(i, i + k - c, h)
+        ) + eta(i, j, c) * (
+            (c - i + 1) * eta(i + j - c, i + k - c, h)
+            + (h - j) * eta(i + j - c, j, h)
+            + (k - h) * eta(i + k - c, k, h)
+        )
+        return zeta(i, j, k, c, h) == rhs
+
+    def g_idempotent(i, j, l):
+        return (
+            sum(eta(i, j, k) * eta(k, i + j - k, l) for k in support(i, j)) == eta(i, j, l)
+            and eta(j, i, l) == -eta(i, j, l)
+            and eta(i, j, i + j - l) == eta(i, j, l) + delta(l - j) - delta(l - i)
+        )
+
+    return {
+        "compat_coeffs": compat,
+        "ybe_coeffs": lambda i, j, k, c, h: zeta(i, j, k, c, h) == ybe_rhs(i, j, k, c, h),
+        "step_identity": step,
+        "eta_convolution": convolution,
+        "zeta_closed_form": zeta_closed_form,
+        "zeta_symmetry": lambda i, j, k, c, h: (
+            ybe_rhs(i, j, k, c, h) == zeta(i + j - k, i, j, h + c - k, i + j - h)
+        ),
+        "g_idempotent": g_idempotent,
+        "eta_translation": lambda a, b, c, d: eta(a + d, b + d, c + d) == eta(a, b, c),
+        "eta_antisymmetry": lambda a, b, c: eta(a, b, c) == -eta(b, a, c),
+        "eta_reflection": lambda a, b, c: (
+            eta(a, b, c) == eta(-b, -a, -c - 1) == eta(a, b, a + b - c - 1)
+        ),
+        "eta_delta_adjacent": lambda a, c: eta(a, a + 1, c) == delta(a - c),
+        "eta_interval_sum": lambda b, c: sum(eta(b, c, a) for a in support(b, c)) == c - b,
+        "eta_cocycle": lambda a, b, c, d: eta(a, b, d) + eta(b, c, d) == eta(a, c, d),
+        "eta_annihilation": lambda a, b, c: eta(a, b + 1, c) * eta(c, a, b) == 0,
+        "eta_exchange": lambda a, b, c, d: (
+            eta(a, b, c) * eta(c, b, d) == eta(a, b, d) * eta(a, d + 1, c)
+        ),
+        "eta_splitting": lambda a, b, c, d, e: (
+            eta(a, b, c) * eta(d, c, e)
+            == eta(a, b, c) * eta(d, a, e) + eta(a, b, e) * eta(e + 1, b, c)
+        ),
+    }
+
+
+def reference_first_failure(holds, lo, hi, arity):
+    for tpl in itertools.product(range(lo, hi + 1), repeat=arity):
+        if not holds(*tpl):
+            return tpl
+    return None
+
+
+def assert_scans_match_reference(eta, lo, hi, pad):
+    checks = reference_checks(eta, pad)
+    with mock.patch.object(oracles, "eta", eta):
+        reports = run_oracles(lo, hi, pad=pad)
+    assert [report.name for report in reports] == sorted(checks)
+    for report in reports:
+        expected = reference_first_failure(checks[report.name], lo, hi, report.window.arity)
+        assert report.counterexample == expected, (report.name, lo, hi, pad)
+        assert report.passed == (expected is None)
+
+
+def one_point_mutant(point, value):
+    """eta with its value at one point replaced."""
+    return lambda i, j, k: value if (i, j, k) == point else naive_eta(i, j, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_scans_match_per_tuple_reference(data):
+    lo = data.draw(st.integers(-4, 3), label="lo")
+    hi = lo + data.draw(st.sampled_from([0, 1, 2, 3]), label="width - 1")
+    pad = data.draw(st.integers(0, 2), label="pad")
+    kind = data.draw(st.sampled_from(["real", "closed", "one_point"]), label="eta")
+    if kind == "real":
+        eta = naive_eta
+    elif kind == "closed":
+        eta = closed_interval_eta
+    else:
+        point = data.draw(st.tuples(*[st.integers(lo - 1, hi + 1)] * 3), label="point")
+        value = data.draw(st.sampled_from([-1, 0, 1]).filter(lambda v: v != naive_eta(*point)))
+        eta = one_point_mutant(point, value)
+    assert_scans_match_reference(eta, lo, hi, pad)
+
+
+@pytest.mark.parametrize("eta", [naive_eta, closed_interval_eta], ids=["real", "closed"])
+@pytest.mark.parametrize("lo", [10**12, -(10**12) - 2])
+def test_far_window_matches_per_tuple_reference(eta, lo):
+    # the residual fields reach about 10 * 10**12 under the wrong eta (the
+    # weights of eta_convolution and zeta_closed_form), so the field width
+    # must grow with the coordinates
+    assert_scans_match_reference(eta, lo, lo + 2, 1)
+
+
+def test_factor_outside_unit_range_rejected():
+    doubled = lambda i, j, k: 2 * naive_eta(i, j, k)
+    with mock.patch.object(oracles, "eta", doubled):
+        for name in oracles.oracle_names():
+            if name == "step_identity":
+                continue  # no eta factor
+            with pytest.raises(ValueError, match="-1, 0 or 1"):
+                run_oracles(-2, 2, only=[name])
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            zeta(1, 2, 3, 1, 2)
+    with mock.patch.object(oracles, "step_u", lambda x: 2 if x >= 0 else 0):
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            run_oracles(-2, 2, only=["step_identity"])
+
+
+def test_oversized_pad_rejected_before_scanning():
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        run_oracles(0, 1, only=["ybe_coeffs"], pad=10**7)
+    with pytest.raises(ValueError, match="cap"):
+        run_oracles(-4, 5, pad=10**5)
+    assert time.perf_counter() - started < 1.0
