@@ -2,9 +2,9 @@
 """Symbolic verification: the Yang-Baxter equation and its companions.
 
 Each check tests that the difference of the two sides of its equation
-has no entries at all; the 3-fold ones apply the words of the equation
-on V⊗V⊗V to one input basis vector at a time.  A failing check reports
-the smallest counterexample entry.
+has no entries at all, applying the words of the equation to one input
+basis vector at a time.  A failing check reports the smallest
+counterexample entry.
 """
 
 from cgybe import (

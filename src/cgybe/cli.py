@@ -61,7 +61,8 @@ USAGE_ERROR = 2
 # their first input, 1.1 s and 1.6 s with --op cg, and 0.33 s and 0.45 s
 # with --op g, whole processes that peak at 17-18 MB of RSS, on a 2-core
 # x86-64 VM with Python 3.11.  The 2-fold checks (hecke, gp, quadratic)
-# take about 22 s and 235 MB together at n = 64.
+# walk the same way, on the 2n - 1 inputs with min index 1, and take about
+# 4.4 s and 115 MB together at n = 64, most of it building cg_op and g_op.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 

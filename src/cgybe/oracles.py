@@ -72,7 +72,8 @@ DEFAULT_HI = 4
 
 # Largest scan cost run_oracles accepts: per identity, one unit for each
 # tuple plus 2*pad for each prefix, whose sums may walk that many padded
-# terms.  The benchmark costs about 1e6 per pass.  All sixteen identities on
+# terms, except eta_interval_sum, which is charged its eta calls (see
+# _cost).  The benchmark costs about 1e6 per pass.  All sixteen identities on
 # [-8, 7] (7.6e6 tuples) take 3.7 s on a 2-core x86-64 VM with Python 3.11,
 # so 1e7 takes about 5 s, while --lo -50 --hi 50 would ask for about 7e10.
 MAX_WINDOW_TUPLES = 10**7
@@ -603,6 +604,17 @@ def oracle_names() -> list[str]:
     return sorted(_BY_NAME)
 
 
+def _cost(name: str, side: int, pad: int) -> int:
+    """What scanning ``name`` on a window of ``side`` values per coordinate
+    with ``pad`` costs: side**(arity - 1) * (side + 2*pad), the tuple count
+    when pad is 0.  eta_interval_sum is charged its eta calls instead:
+    each of its side**2 tuples (b, c) sums over its own padded support of
+    |c - b| + 2*pad values, (side**3 - side)/3 + 2*pad*side**2 in all."""
+    if name == "eta_interval_sum":
+        return (side**3 - side) // 3 + 2 * pad * side**2
+    return side ** (_BY_NAME[name][0] - 1) * (side + 2 * pad)
+
+
 def run_oracles(
     lo: int = DEFAULT_LO,
     hi: int = DEFAULT_HI,
@@ -612,9 +624,11 @@ def run_oracles(
     """Run all (or the selected) identity checks; reports sorted by name.
 
     Raises ValueError for an unknown or empty selection, an empty window, a
-    negative pad, or a selection whose cost is above MAX_WINDOW_TUPLES: per
-    identity, side**(arity - 1) * (side + 2*pad) with side = hi - lo + 1,
-    the tuple count when pad is 0.  All before any scan starts.
+    negative pad, or a selection whose cost is above MAX_WINDOW_TUPLES: the
+    sum over the identities of their ``_cost`` with side = hi - lo + 1,
+    side**(arity - 1) * (side + 2*pad) for each but eta_interval_sum, which
+    costs its (side**3 - side)/3 + 2*pad*side**2 eta calls.  All before any
+    scan starts.
     """
     if pad < 0:
         raise ValueError(f"pad must not be negative, got {pad}")
@@ -630,7 +644,7 @@ def run_oracles(
                 raise ValueError(f"unknown identity check: {raw}")
             selected.add(name)
     side = max(hi - lo + 1, 0)  # IntWindow rejects an empty window below
-    total = sum(side ** (_BY_NAME[name][0] - 1) * (side + 2 * pad) for name in selected)
+    total = sum(_cost(name, side, pad) for name in selected)
     if total > MAX_WINDOW_TUPLES:
         needs = f"padded by {pad} costs {total}" if pad else f"needs {total} tuples"
         raise ValueError(f"window [{lo},{hi}] {needs}, above the cap of {MAX_WINDOW_TUPLES}")

@@ -6,10 +6,10 @@ nonzero columns, ``{input: {output: value}}``: the image of each basis
 input that has one.  Sparsity matters: the operators built downstream have
 O(n^3) nonzero entries out of n^4, and their 3-fold lifts would be hopeless
 dense with symbolic entries.  The column is the unit every algorithm reads:
-a product f∘g adds, for each column of g, f's column at each of its
-outputs; a lift copies whole columns; a 3-fold check applies 2-fold
-columns to one input vector at a time; the translation lemma compares a
-column with the one below it.
+a sum applies its factors' columns to one input vector at a time, so a
+product f∘g adds f's column at each output of a column of g; a lift copies
+whole columns; the translation lemma compares a column with the one below
+it.
 
 The values of an operator take one of two forms, recorded in ``den``:
 
@@ -30,29 +30,25 @@ first).
 
 All of that arithmetic is one call of :func:`compose_sum`.  Each term is a
 pair (f, g): an operator f adds f∘g, a scalar f (``int``, ``Fraction`` or
-``LaurentQP``) adds f·g, read as (f·I)∘g for the diagonal operator f·I on
-g's outputs.  So ``f + g`` is [(1, f), (1, g)], ``-f`` is [(-1, f)],
-``s * f`` is [(s, f)] and the Yang-Baxter sum c12∘c23∘c12 − c23∘c12∘c23
-is [(c12, c23∘c12), (c23, c12∘(−c23))].  When every operator and scalar
-in the terms is constant, the sum adds int products over the lcm L of
-its terms' denominators, with no exponent pairs, term dicts or
-``Fraction`` arithmetic, and a sum that vanishes is exactly int 0.
-Otherwise the sum is built one column at a time, one per input of a
-right factor: every product of LaurentQP coefficients is added term by
-term into one raw ``{(a, b): coeff}`` dict per output, with no LaurentQP
-per product or partial sum, and each column is made canonical before the
-next is read.  Both paths drop the entries that sum to zero and give the
-same operator.
-An equation is therefore checked without building its two sides or their
-difference.
+``LaurentQP``) adds f·g.  So ``f + g`` is [(1, f), (1, g)], ``-f`` is
+[(-1, f)], ``s * f`` is [(s, f)] and the Yang-Baxter sum
+c12∘c23∘c12 − c23∘c12∘c23 is [(c12, c23∘c12), (c23, c12∘(−c23))].
 
-The 3-fold checks build no 3-fold operator at all.  :func:`_cubic_witness`
-applies the words of a check, such as c12∘c23∘c12 − c23∘c12∘c23, right to
-left to one input basis vector e_t at a time: a 2-fold factor at place 12
-reads its column at (i, j) of each (i, j, k) and at place 23 its column
-at (j, k), so no lift is stored.  The words that share a left factor are
-summed before it is applied, as in a sum of products, and the walk stops
-at the first input whose column does not vanish.
+Every sum, of :func:`compose_sum` and of every check, is evaluated by one
+kernel, :class:`_Sum`, one input column at a time: for an input basis
+vector e_t its words are applied right to left to e_t, a scalar of a word
+scaling the start vector, and the words that share a left factor are
+summed before it is applied.  A factor reads its operator's column at the
+input's digits in its place: all of them for an operator of the sum's
+arity, and (i, j) of (i, j, k) for a 2-fold operator at place 12 of a
+3-fold word, (j, k) at place 23.  So no lift, product or scalar multiple
+is built.  :func:`compose_sum` keeps the column at every input of a right
+factor; a check keeps only the first nonzero one (:func:`_witness`).
+When every operator and scalar of the sum is constant the kernel adds int
+products over one common denominator, with no exponent pairs or
+``Fraction`` arithmetic; otherwise it adds the terms of LaurentQP
+coefficients into one raw dict per output.  An equation is therefore
+checked without building its two sides or their difference.
 
 The public constructor validates its input (user code, JSON): the rank,
 the arity and every index must be an ``int``, and a ``bool`` is not one.
@@ -64,6 +60,7 @@ scalar multiples and the lifts) go through the private
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -424,116 +421,6 @@ def _translation_invariant(f: TensorOp) -> bool:
     )
 
 
-def _scalar_op(s, g: TensorOp) -> TensorOp:
-    """s·I on g's outputs, so that a scalar term (s, g) is (s·I)∘g; the one
-    place that reads the kind of a scalar (int, Fraction or LaurentQP).
-    It takes the int form over the denominator of s when s and g are both
-    constant, else the Laurent form with the one LaurentQP s as every
-    value, even for a constant s: the sum then takes the Laurent kernel
-    anyway, and this transient operator, outside the storage rule, never
-    leaves :func:`compose_sum`.  A zero s gives no columns."""
-    s = as_laurent(s)
-    if g._den is not None and s.is_constant():
-        value, den = s.constant_value().as_integer_ratio()
-    else:
-        value, den = s, None
-    columns = {}
-    if value:
-        columns = {out: {out: value} for column in g._columns.values() for out in column}
-    return TensorOp._trusted(g.n, g.arity, den, columns)
-
-
-def _constant_sum(n: int, arity: int, pairs) -> TensorOp:
-    """The sum of the ``(f, g)`` operator pairs that :func:`compose_sum`
-    passes when every operator is in the int form, in plain int arithmetic
-    over the lcm L of the terms' denominators den_f·den_g.
-
-    Each term's factor L // (den_f·den_g) scales each value of g once, and
-    is skipped when it is 1.  Each input column of the result accumulates
-    ``{output: value * L}`` and drops its zeros, and the result keeps L as
-    its ``den``.
-
-    L is not reduced by the gcd of the result's values: 1/3 + 2/3 is held
-    as 15 over 15 when the other term has denominator 5.  A result used as
-    a factor of a further sum carries its L into that sum's denominator,
-    so the stored ints grow with the depth of a chain of sums even when
-    the entries are integral.  The checks chain at most three deep.
-    """
-    den = lcm(*(f._den * g._den for f, g in pairs))
-    acc = {}
-    for f, g in pairs:
-        scale = den // (f._den * g._den)
-        f_columns = f._columns
-        for inp, g_column in g._columns.items():
-            column = acc.get(inp)
-            if column is None:
-                column = acc[inp] = {}
-            for mid, c_g in g_column.items():
-                f_column = f_columns.get(mid)
-                if f_column is None:
-                    continue
-                if scale != 1:
-                    c_g *= scale
-                for out, c_f in f_column.items():
-                    column[out] = column.get(out, 0) + c_f * c_g
-    columns = {}
-    for inp, column in acc.items():
-        kept = {out: value for out, value in column.items() if value}
-        if kept:
-            columns[inp] = kept
-    return TensorOp._trusted(n, arity, den, columns)
-
-
-def _laurent_columns(f: TensorOp) -> Columns:
-    """f's columns with LaurentQP values: a constant f's ints go through
-    :func:`_coeff`, once per sum that reads them."""
-    den = f._den
-    if den is None:
-        return f._columns
-    return {
-        inp: {out: _coeff(value, den) for out, value in column.items()}
-        for inp, column in f._columns.items()
-    }
-
-
-def _laurent_sum(n: int, arity: int, pairs) -> TensorOp:
-    """The sum of the ``(f, g)`` operator pairs in LaurentQP arithmetic,
-    one result column per input of a right factor, in first-seen order:
-    c_f·c_g for f's column at each mid of g's column is added term by term
-    into one raw dict per output.  A column's dicts are made ``_trusted``,
-    and its zeros dropped, before the next input is read.  A result whose
-    values are all constant takes the int form."""
-    pairs = [(_laurent_columns(f), _laurent_columns(g)) for f, g in pairs]
-    columns = {}
-    for inp in dict.fromkeys(inp for _, g in pairs for inp in g):
-        acc: dict = {}
-        for f, g in pairs:
-            g_column = g.get(inp)
-            if g_column is None:
-                continue
-            for mid, c_g in g_column.items():
-                f_column = f.get(mid)
-                if f_column is None:
-                    continue
-                g_terms = c_g._terms.items()
-                for out, c_f in f_column.items():
-                    terms = acc.get(out)
-                    if terms is None:
-                        terms = acc[out] = {}
-                    for (a1, b1), x in c_f._terms.items():
-                        for (a2, b2), y in g_terms:
-                            exps = (a1 + a2, b1 + b2)
-                            terms[exps] = terms.get(exps, 0) + x * y
-        column = {}
-        for out, terms in acc.items():
-            value = LaurentQP._trusted(terms)
-            if value._terms:
-                column[out] = value
-        if column:
-            columns[inp] = column
-    return TensorOp._trusted(n, arity, *_stored_form(columns))
-
-
 def compose_sum(terms) -> TensorOp:
     """The sum of ``terms``, each a pair (f, g) of an operator g and a left
     factor f: an operator f adds f∘g, a scalar f (int, Fraction or
@@ -541,16 +428,16 @@ def compose_sum(terms) -> TensorOp:
 
     No product, scalar multiple or partial sum is built as an operator.  A
     term of two operators is negated by negating one of them; negate the
-    smaller.  All operators must share
-    one rank and arity.  A term that is not a pair, or whose right factor
-    is not an operator, raises TypeError.
+    smaller.  All operators must share one rank and arity.  A term that is
+    not a pair, or whose right factor is not an operator, raises TypeError.
 
-    One pass validates each term, checks its shape and turns a scalar f
-    into f·I (:func:`_scalar_op`).  The operator pairs are then summed by
-    :func:`_constant_sum` if all are in the int form, else by
-    :func:`_laurent_sum` (see the module docstring), with the same result.
+    Each term is one word of a :class:`_Sum`, a scalar f the start value
+    of its word, so no f·I is built.  The result holds the sum's column at
+    each input of a right factor, in first-seen order, and keeps the sum's
+    ``den``; a Laurent sum whose values are all constant takes the int
+    form.
     """
-    pairs = []
+    words, rights = [], []
     shape = None
     for term in terms:
         if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], TensorOp)):
@@ -561,112 +448,240 @@ def compose_sum(terms) -> TensorOp:
         shape._check_match(g)
         if isinstance(f, TensorOp):
             shape._check_match(f)
+            words.append((f, [(1, g)]))
         else:
-            f = _scalar_op(f, g)
-        pairs.append((f, g))
+            words.append((None, [(f, g)]))
+        rights.append(g)
     if shape is None:
         raise ValueError("compose_sum needs at least one term")
-    if all(f._den is not None and g._den is not None for f, g in pairs):
-        return _constant_sum(shape.n, shape.arity, pairs)
-    return _laurent_sum(shape.n, shape.arity, pairs)
+    total = _Sum(shape.n, shape.arity, words)
+    columns = {}
+    for inp in dict.fromkeys(inp for g in rights for inp in g._columns):
+        column = total.column(inp)
+        if column:
+            columns[inp] = column if total.base is None else {
+                out: total.value(raw) for out, raw in column.items()
+            }
+    if total.den is None:
+        return TensorOp._trusted(shape.n, shape.arity, *_stored_form(columns))
+    return TensorOp._trusted(shape.n, shape.arity, total.den, columns)
+
+
+def _witness(n: int, arity: int, words, inputs, tables: dict) -> Witness | None:
+    """The witness of the :class:`_Sum` of ``words``, walked one input at a
+    time: the first t of ``inputs``, in the order given, whose column has a
+    nonzero entry gives (t, its smallest such output, the coefficient
+    there), and no input after it is read.  None when every column
+    vanishes.  ``tables`` keeps the packed factors for further sums over
+    the same operators."""
+    total = _Sum(n, arity, words, tables)
+    for t in inputs:
+        column = total.column(t)
+        if column:
+            out = min(column)
+            return t, out, _coeff(total.value(column[out]), total.den)
+    return None
 
 
 class _Factor(NamedTuple):
-    """A 2-fold operator at place 12 or 23 of the words of a 3-fold check.
-    A 3-fold code is pair·stride plus the code of the index the factor
-    leaves alone: stride is n at place 12 and 1 at place 23.
-    ``table[pair]`` lists (output pair·stride, value) for the operator's
-    column at the pair.  ``den`` is the operator's in the int form and
-    None in the Laurent form, where ``base`` is the check's exponent base
-    (see :func:`_word_factors`)."""
+    """An operator placed in the words of a :class:`_Sum`.  A basis vector
+    is the row-major code of its index tuple, whose base-n digits are the
+    indices − 1, so codes sort as the tuples do.  The operator acts on
+    ``arity`` of those digits from ``stride`` up: on all of them at stride
+    1, and a 2-fold operator on a 3-fold code at place 12 at stride n and
+    at place 23 at stride 1.  ``table[c]`` lists (output code·stride,
+    value) for the operator's column at input code c, one of ``size``."""
 
     stride: int
-    den: int | None
-    base: int | None
+    size: int
     table: list
 
 
-def _word_factors(*ops: TensorOp) -> list[dict[int, _Factor]]:
-    """Each 2-fold operator of one 3-fold check as ``{12: factor, 23:
-    factor}``, every value in the check's one form: the stored ints when
-    every operator is in the int form, else the terms of a LaurentQP, which
-    :func:`_laurent_columns` gives once per check.
+def _placed(factor) -> tuple[TensorOp, int]:
+    """A factor of a :class:`_Sum` word as (operator, stride)."""
+    return (factor, 1) if isinstance(factor, TensorOp) else factor
 
-    A 3-fold basis vector (i, j, k) is the row-major code
-    ((i−1)·n + j−1)·n + k−1, and a pair (i, j) the code (i−1)·n + j−1, so
-    codes sort as the tuples do and placing an output pair is one
-    addition.  In the same way a term q^a·p^b is keyed by a·base + b, with
-    base = 2·(3B + 1) for the largest |b| = B of any term, so that the
-    exponents of a product of three terms add as one int and |b| < base/2
-    still reads them back (:func:`_exponents`).
+
+@functools.lru_cache(maxsize=8)
+def _basis(n: int, arity: int) -> tuple[list, dict]:
+    """(the index tuples in code order, their codes) of the arity-fold basis
+    of an n-space; see :class:`_Factor`.  Cached, so every caller shares
+    them and none may write to them."""
+    tuples = list(itertools.product(range(1, n + 1), repeat=arity))
+    return tuples, {t: code for code, t in enumerate(tuples)}
+
+
+class _Sum:
+    """A signed sum of operator products, packed to be evaluated one input
+    column at a time; every check and every :func:`compose_sum` is one.
+
+    ``words`` lists groups ``(left, chains)``, the words left∘chain for
+    each chain, which share the left factor (None for none).  A chain is
+    ``(scalar, right)`` or ``(scalar, middle, right)``, whose factors apply
+    right to left to scalar·e_t.  A factor is an operator of the sum's
+    arity, or a pair (operator, stride) that places a 2-fold one in a
+    3-fold word (see :class:`_Factor`).  :meth:`column` applies each chain to its start
+    vector, sums a group's chains and applies the group's left factor to
+    that sum, all into one accumulator; no lift or product operator is
+    built.  Each operator is packed once per place and form into
+    ``tables``, which sums over the same live operators may share.
+
+    Every value of the sum takes one form, chosen from its operators and
+    scalars:
+
+    * when all are constant, ints over ``den``, the lcm of the words'
+      denominators, each the product of its scalar's and its operators'
+      dens.  A word starts at its scalar's numerator times ``den`` over its
+      own, so no ``Fraction`` is built.  ``den`` is not reduced by the gcd
+      of the values: 1/3 + 2/3 is held as 15 over 15 when another word has
+      denominator 5, and a result used as a factor of a further sum carries
+      its den into that sum's;
+    * otherwise raw term dicts ``{a·base + b: coeff}`` for the terms
+      q^a·p^b, and ``den`` is None.  A word multiplies at most k values,
+      its scalar and its operators, so base = 2·(kB + 1) for the largest
+      |b| = B of any term lets the exponents of a product add as one int
+      and read back (:meth:`value`).  Equal operator values share one
+      packed tuple of terms.
     """
-    for op in ops:
-        if op.arity != 2:
-            raise ValueError(f"a 3-fold check takes arity-2 operators, got arity {op.arity}")
-    laurent = any(op._den is None for op in ops)
-    columns = [_laurent_columns(op) if laurent else op._columns for op in ops]
-    base = None
-    if laurent:
-        bound = max(
+
+    __slots__ = ("den", "base", "basis", "codes", "words")
+
+    def __init__(self, n: int, arity: int, words, tables: dict | None = None):
+        self.basis, self.codes = _basis(n, arity)
+        flat = [
+            (as_laurent(scalar), [_placed(f)[0] for f in ([] if left is None else [left]) + chain])
+            for left, chains in words
+            for scalar, *chain in chains
+        ]
+        self.den, self.base, starts = _starts(flat)
+        starts = iter(starts)
+        tables = {} if tables is None else tables
+        interned: dict = {}
+
+        def factor(spec) -> _Factor:
+            op, stride = _placed(spec)
+            key = (id(op), stride, self.base)
+            placed = tables.get(key)
+            if placed is None:
+                placed = tables[key] = _factor(op, n, stride, self.base, interned)
+            return placed
+
+        self.words = [
             (
-                abs(b)
-                for cols in columns
-                for column in cols.values()
-                for value in column.values()
-                for _, b in value._terms
-            ),
-            default=0,
-        )
-        base = 2 * (3 * bound + 1)
-    factors = []
-    for op, cols in zip(ops, columns):
-        n = op.n
-        den = None if laurent else op._den
-        table12 = [[] for _ in range(n * n)]
-        table23 = [[] for _ in range(n * n)]
-        for (i, j), column in cols.items():
-            pair = (i - 1) * n + j - 1
-            for (o1, o2), value in column.items():
-                if laurent:
-                    value = tuple((a * base + b, x) for (a, b), x in value._terms.items())
-                out = (o1 - 1) * n + o2 - 1
-                table12[pair].append((out * n, value))
-                table23[pair].append((out, value))
-        factors.append({12: _Factor(n, den, base, table12), 23: _Factor(1, den, base, table23)})
-    return factors
+                None if left is None else factor(left),
+                [
+                    (next(starts), factor(c[-1]), None if len(c) == 1 else factor(c[0]))
+                    for _, *c in chains
+                ],
+            )
+            for left, chains in words
+        ]
+
+    def column(self, inp: tuple[int, ...]) -> dict:
+        """The sum's column at ``inp``: its nonzero raw values by output tuple."""
+        laurent = self.base is not None
+        apply = _apply_terms if laurent else _apply_ints
+        code = self.codes[inp]
+        acc: dict = {}
+        for left, chains in self.words:
+            vector = acc if left is None else {}
+            for start, right, middle in chains:
+                if middle is None:
+                    apply(right, {code: start}, vector)
+                else:
+                    placed: dict = {}
+                    apply(right, {code: start}, placed)
+                    apply(middle, placed, vector)
+            if left is not None:
+                apply(left, vector, acc)
+        basis = self.basis
+        return {basis[out]: v for out, v in acc.items() if (any(v.values()) if laurent else v)}
+
+    def value(self, raw):
+        """The stored value of a nonzero raw value: the int itself, or the
+        LaurentQP of its terms, each key a·base + b read back as (a, b) for
+        |b| < base/2."""
+        base = self.base
+        if base is None:
+            return raw
+        half = base // 2
+        terms = {}
+        for key, x in raw.items():
+            a, b = divmod(key + half, base)
+            terms[a, b - half] = x
+        return LaurentQP._trusted(terms)
 
 
-def _exponents(key: int, base: int) -> tuple[int, int]:
-    """The exponents (a, b) of the term key a·base + b, for |b| < base/2."""
-    half = base // 2
-    a, b = divmod(key + half, base)
-    return a, b - half
+def _starts(words) -> tuple[int | None, int | None, list]:
+    """(den, base, the start value of each word) of a :class:`_Sum` whose
+    words are given as (scalar, [operator, ...]), in the form its class
+    docstring describes: the int form when every operator and scalar is
+    constant, else the Laurent form."""
+    ops = {id(op): op for _, word in words for op in word}.values()
+    scalars = [scalar for scalar, _ in words]
+    if all(op._den is not None for op in ops) and all(s.is_constant() for s in scalars):
+        ratios = []
+        for scalar, word in words:
+            num, den = scalar.constant_value().as_integer_ratio()
+            for op in word:
+                den *= op._den
+            ratios.append((num, den))
+        den = lcm(*(den for _, den in ratios))
+        return den, None, [num * (den // word_den) for num, word_den in ratios]
+    values = (v for op in ops if op._den is None for c in op._columns.values() for v in c.values())
+    bound = max((abs(b) for v in itertools.chain(values, scalars) for _, b in v._terms), default=0)
+    base = 2 * (max(len(word) + 1 for _, word in words) * bound + 1)
+    return None, base, [{a * base + b: x for (a, b), x in s._terms.items()} for s in scalars]
 
 
-def _apply_ints(factor: _Factor, nn: int, vector: dict, acc: dict) -> None:
+def _factor(op: TensorOp, n: int, stride: int, base: int | None, interned: dict) -> _Factor:
+    """op at ``stride``, its values as stored in the int form (``base`` is
+    None), else as tuples of (term key, coeff), one per distinct value in
+    ``interned``: keyed by (value, den) for an int-form operator and by
+    its terms for a Laurent one."""
+    den, size = op._den, n**op.arity
+    codes = _basis(n, op.arity)[1]
+
+    def pack(value):
+        key = tuple(value._terms.items()) if den is None else (value, den)
+        packed = interned.get(key)
+        if packed is None:
+            terms = _coeff(value, den)._terms.items()
+            packed = interned[key] = tuple((a * base + b, x) for (a, b), x in terms)
+        return packed
+
+    table = [[] for _ in range(size)]
+    for inp, column in op._columns.items():
+        entries = table[codes[inp]]
+        for out, value in column.items():
+            entries.append((codes[out] * stride, value if base is None else pack(value)))
+    return _Factor(stride, size, table)
+
+
+def _apply_ints(factor: _Factor, vector: dict, acc: dict) -> None:
     """Add the factor's image of the int-valued ``vector`` into ``acc``,
-    skipping zero values; ``nn`` is n²."""
-    stride, table = factor.stride, factor.table
+    skipping zero values."""
+    stride, size, table = factor
     for key, v in vector.items():
         if v:
-            pair = key // stride % nn
-            offset = key - pair * stride
-            for out, c in table[pair]:
+            inp = key // stride % size
+            offset = key - inp * stride
+            for out, c in table[inp]:
                 out += offset
                 acc[out] = acc.get(out, 0) + c * v
 
 
-def _apply_terms(factor: _Factor, nn: int, vector: dict, acc: dict) -> None:
+def _apply_terms(factor: _Factor, vector: dict, acc: dict) -> None:
     """Add the factor's image of ``vector``, whose values are raw ``{term
     key: coeff}`` dicts, into ``acc`` term by term, skipping zero
-    coefficients; ``nn`` is n²."""
-    stride, table = factor.stride, factor.table
+    coefficients."""
+    stride, size, table = factor
     for key, v in vector.items():
         v_terms = [item for item in v.items() if item[1]]
         if v_terms:
-            pair = key // stride % nn
-            offset = key - pair * stride
-            for out, c_terms in table[pair]:
+            inp = key // stride % size
+            offset = key - inp * stride
+            for out, c_terms in table[inp]:
                 out += offset
                 terms = acc.get(out)
                 if terms is None:
@@ -675,57 +690,6 @@ def _apply_terms(factor: _Factor, nn: int, vector: dict, acc: dict) -> None:
                     for e2, y in v_terms:
                         e2 += e1
                         terms[e2] = terms.get(e2, 0) + x * y
-
-
-def _cubic_witness(n: int, words, inputs) -> Witness | None:
-    """The witness of a sum of 3-fold words, evaluated one input at a time.
-
-    ``words`` lists ``(sign, left, [(middle, right), ...])``: the words
-    sign·left∘middle∘right grouped by left factor, each factor from
-    :func:`_word_factors`.  For each input t of ``inputs``, in the order
-    given, the rightmost factors are applied to sign·e_t, each group's
-    middle images are summed, and its left factor is applied to that sum,
-    all into one accumulator; no lift or product operator is built.  The
-    first t whose accumulated column has a nonzero entry gives the
-    witness (t, its smallest such output, the coefficient there), and no
-    input after it is read.  None when every column vanishes.
-
-    In the int form a word's value is its coefficient times den, the
-    product of its three factors' dens; every word of a check is
-    homogeneous (each operator occurs equally often in each), so den is
-    read off the first word.  In the Laurent form the values are raw term
-    dicts, made canonical only for the witness.
-    """
-    _, left, [(middle, right), *_] = words[0]
-    base = left.base
-    laurent = base is not None
-    den = None if laurent else left.den * middle.den * right.den
-    apply = _apply_terms if laurent else _apply_ints
-    nn = n * n
-    for t in inputs:
-        i, j, k = t
-        code = ((i - 1) * n + j - 1) * n + k - 1
-        acc: dict = {}
-        for sign, left, pairs in words:
-            start = {code: {0: sign} if laurent else sign}
-            vector: dict = {}
-            for middle, right in pairs:
-                placed: dict = {}
-                apply(right, nn, start, placed)
-                apply(middle, nn, placed, vector)
-            apply(left, nn, vector, acc)
-        nonzero = [out for out, v in acc.items() if (any(v.values()) if laurent else v)]
-        if nonzero:
-            out = min(nonzero)
-            pair, o3 = divmod(out, n)
-            o1, o2 = divmod(pair, n)
-            if laurent:
-                terms = {_exponents(key, base): x for key, x in acc[out].items()}
-                coeff = LaurentQP._trusted(terms)
-            else:
-                coeff = _coeff(acc[out], den)
-            return t, (o1 + 1, o2 + 1, o3 + 1), coeff
-    return None
 
 
 def endo_eq(f: TensorOp, g: TensorOp):

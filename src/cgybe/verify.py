@@ -11,33 +11,38 @@ lexicographically smallest offending (input, output) pair together with
 the nonzero coefficient of the sum there, which is the coefficient of
 lhs − rhs, so failures are deterministic across runs.
 
-The 2-fold checks (hecke, gp, quadratic) build the two-factor products
-of their sum with one :func:`~cgybe.tensor.compose_sum` call.  The 3-fold
-checks (ybe, compat, mixed) evaluate their sum one input column at a
-time: for each input basis vector e_t in sorted order, each word is
-applied right to left to e_t, reading the 2-fold operators' columns at
-their places, and the words sharing a left factor are summed before it
-is applied (:func:`~cgybe.tensor._cubic_witness`).  No lift and no
-intermediate 3-fold operator is built, and the first input with a
-nonzero column gives the witness, so a failing check stops there.
+Every check follows one rule.  Each of its sums is a list of words for
+:class:`~cgybe.tensor._Sum`, the one kernel behind every operator sum,
+and is walked one input column at a time (:func:`~cgybe.tensor._witness`):
+for each input basis vector e_t in sorted order, each word is applied
+right to left to e_t, reading the 2-fold operators' columns at their
+places, a scalar of a word scaling e_t, and the words sharing a left
+factor are summed before it is applied.  No lift, product, scalar
+multiple of the identity or intermediate operator is built, and the first
+input with a nonzero column gives the witness, so a failing check stops
+there.  The 3-fold checks (ybe, compat, mixed) place each 2-fold operator
+at 12 or 23 of the 3-fold inputs; the 2-fold checks (hecke, gp,
+quadratic) apply it to the 2-fold inputs whole.
 
-The inputs walked are those with min index 1, about 3n² of the n³, when
-every 2-fold operator of the check passes the translation lemma
+The inputs walked are those with min index 1, about 3n² of the n³ at
+arity 3 and 2n − 1 of the n² at arity 2, when every 2-fold operator of the
+check passes the translation lemma
 (:func:`~cgybe.tensor._translation_invariant`): the column at each input
 with min index >= 2 is the column at the input one step down, with its
 outputs shifted up by one.  Lifts, products and sums keep that property,
-so a nonzero column of the sum at an input with min index m is the
-translate of a nonzero column at the input m − 1 steps down, which has
-min index 1 and is lexicographically smaller.  The sum therefore vanishes
-iff it vanishes on those inputs, and its smallest entry, the witness
-with its coefficient, lies among them: pass/fail and the report are
-those of the full check.  P, g, both Cremmer-Gervais matrices and their
-evaluations pass the lemma.  When an operator fails it, as a random one
-does, every input is walked.
+as does the identity, so a nonzero column of the sum at an input with min
+index m is the translate of a nonzero column at the input m − 1 steps
+down, which has min index 1 and is lexicographically smaller.  The sum
+therefore vanishes iff it vanishes on those inputs, and its smallest
+entry, the witness with its coefficient, lies among them: pass/fail and
+the report are those of the full check.  P, g, both Cremmer-Gervais
+matrices and their evaluations pass the lemma.  When an operator fails
+it, as a random one does, every input is walked.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -46,10 +51,8 @@ from .model import cg_op, g_op, permutation_op
 from .tensor import (
     TensorOp,
     Witness,
-    _cubic_witness,
     _translation_invariant,
-    _word_factors,
-    compose_sum,
+    _witness,
 )
 
 __all__ = [
@@ -85,44 +88,42 @@ class CheckReport:
         }
 
 
-def _report(name: str, witnesses, started: float) -> CheckReport:
-    """Find the witness of each lhs − rhs from its thunk in turn; the first
-    that is not None fails."""
-    for witness in witnesses:
-        witness = witness()
+def _inputs(n: int, arity: int, reduced: bool):
+    """The inputs a check walks, in sorted order: those with min index 1
+    when ``reduced``, else all n^arity."""
+    for t in itertools.product(range(1, n + 1), repeat=arity):
+        if not reduced or 1 in t:
+            yield t
+
+
+def _report(name: str, arity: int, ops, sums, started: float) -> CheckReport:
+    """Report of a check on the arity-fold tensor power whose operators
+    are ``ops``: each of ``sums``, a list of words (see
+    :class:`~cgybe.tensor._Sum`), must vanish, and is walked only when the
+    ones before it vanished.  The inputs are those with min index 1 when
+    every operator passes the translation lemma, else all of them."""
+    n = ops[0].n
+    reduced = all(_translation_invariant(op) for op in ops)
+    tables: dict = {}
+    for words in sums:
+        witness = _witness(n, arity, words, _inputs(n, arity, reduced), tables)
         if witness is not None:
             return CheckReport(name, False, witness, time.perf_counter() - started)
     return CheckReport(name, True, None, time.perf_counter() - started)
 
 
-def _inputs(n: int, reduced: bool):
-    """The 3-fold inputs a check walks, in sorted order: those with min
-    index 1 when ``reduced``, else all n³."""
-    indices = range(1, n + 1)
-    for t in ((i, j, k) for i in indices for j in indices for k in indices):
-        if not reduced or 1 in t:
-            yield t
-
-
-def _cubic_report(name: str, ops, sums, started: float) -> CheckReport:
-    """Report of a 3-fold check of the 2-fold operators ``ops``: each of
-    ``sums``, a function of their factors giving a sum of words, must
-    vanish, and is evaluated one input at a time only when the ones before
-    it vanished.  The inputs are those with min index 1 when every
-    operator passes the translation lemma, else all of them."""
-    n = ops[0].n
-    factors = _word_factors(*ops)
-    reduced = all(_translation_invariant(op) for op in ops)
-    witnesses = [
-        lambda words=words: _cubic_witness(n, words(*factors), _inputs(n, reduced))
-        for words in sums
-    ]
-    return _report(name, witnesses, started)
+def _places(op: TensorOp):
+    """The factors of a 2-fold operator at place 12 and at place 23 of a
+    3-fold word."""
+    if op.arity != 2:
+        raise ValueError(f"a 3-fold check takes arity-2 operators, got arity {op.arity}")
+    return (op, op.n), (op, 1)
 
 
 def _ybe_words(c):
     """c12 c23 c12 − c23 c12 c23 as words grouped by left factor."""
-    return [(1, c[12], [(c[23], c[12])]), (-1, c[23], [(c[12], c[23])])]
+    c12, c23 = _places(c)
+    return [(c12, [(1, c23, c12)]), (c23, [(-1, c12, c23)])]
 
 
 def _cubic_words(a, b):
@@ -133,18 +134,19 @@ def _cubic_words(a, b):
 
     as words grouped by left factor: four groups of one, two, one and two
     words."""
+    (a12, a23), (b12, b23) = _places(a), _places(b)
     return [
-        (1, a[12], [(b[23], b[12])]),
-        (1, b[12], [(a[23], b[12]), (b[23], a[12])]),
-        (-1, a[23], [(b[12], b[23])]),
-        (-1, b[23], [(a[12], b[23]), (b[12], a[23])]),
+        (a12, [(1, b23, b12)]),
+        (b12, [(1, a23, b12), (1, b23, a12)]),
+        (a23, [(-1, b12, b23)]),
+        (b23, [(-1, a12, b23), (-1, b12, a23)]),
     ]
 
 
 def check_ybe(c: TensorOp, name: str = "ybe") -> CheckReport:
     """c12 c23 c12 = c23 c12 c23 on V⊗V⊗V (rightmost factor acts first)."""
     started = time.perf_counter()
-    return _cubic_report(name, [c], [_ybe_words], started)
+    return _report(name, 3, [c], [_ybe_words(c)], started)
 
 
 def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
@@ -156,7 +158,8 @@ def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
     It is the first mixed condition of the pair (P, g).
     """
     started = time.perf_counter()
-    return _cubic_report(name, [permutation_op(g.n), g], [_cubic_words], started)
+    perm = permutation_op(g.n)
+    return _report(name, 3, [perm, g], [_cubic_words(perm, g)], started)
 
 
 def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> CheckReport:
@@ -172,9 +175,7 @@ def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> Che
     """
     started = time.perf_counter()
     f._check_match(g)
-    return _cubic_report(
-        name, [f, g], [_cubic_words, lambda f, g: _cubic_words(g, f)], started
-    )
+    return _report(name, 3, [f, g], [_cubic_words(f, g), _cubic_words(g, f)], started)
 
 
 def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> CheckReport:
@@ -187,26 +188,21 @@ def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> Chec
         raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {qscalar}")
     started = time.perf_counter()
     identity = TensorOp.identity(rmat.n, rmat.arity)
-    terms = [(rmat, rmat), (qscalar.unit_inverse() - qscalar, rmat), (-1, identity)]
-    return _report(name, [lambda: compose_sum(terms).first_entry()], started)
+    scalar = qscalar.unit_inverse() - qscalar
+    words = [(rmat, [(1, rmat)]), (None, [(scalar, rmat), (-1, identity)])]
+    return _report(name, rmat.arity, [rmat], [words], started)
 
 
 def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
     """The three relations tying g to the flip: g^2 = g, gP = -g, Pg = g + P - I."""
     started = time.perf_counter()
-    g = g_op(n)
-    perm = permutation_op(n)
-    return _report(
-        name,
-        [
-            lambda: compose_sum([(g, g), (-1, g)]).first_entry(),
-            lambda: compose_sum([(g, perm), (1, g)]).first_entry(),
-            lambda: compose_sum(
-                [(perm, g), (-1, g), (-1, perm), (1, TensorOp.identity(n))]
-            ).first_entry(),
-        ],
-        started,
-    )
+    g, perm = g_op(n), permutation_op(n)
+    sums = [
+        [(g, [(1, g)]), (None, [(-1, g)])],
+        [(g, [(1, perm)]), (None, [(1, g)])],
+        [(perm, [(1, g)]), (None, [(-1, g), (-1, perm), (1, TensorOp.identity(n))])],
+    ]
+    return _report(name, 2, [g, perm], sums, started)
 
 
 def check_quadratic(
@@ -215,5 +211,6 @@ def check_quadratic(
     """R^2 = beta*R + alpha*(alpha-beta)*I for R = alpha*P + beta*g."""
     started = time.perf_counter()
     rmat = cg_op(n, alpha, beta)
-    terms = [(rmat, rmat), (-beta, rmat), (-(alpha * (alpha - beta)), TensorOp.identity(n))]
-    return _report(name, [lambda: compose_sum(terms).first_entry()], started)
+    identity = TensorOp.identity(n)
+    words = [(rmat, [(1, rmat)]), (None, [(-beta, rmat), (-(alpha * (alpha - beta)), identity)])]
+    return _report(name, 2, [rmat], [words], started)

@@ -428,19 +428,21 @@ def test_identities_empty_selection_rejected(capsys, only):
 
 def test_identities_oversized_window_fails_fast():
     # In a child process with a timeout, so a scan that starts cannot hang the suite.
+    # ids5 alone on [0, 399] is charged its eta calls, about 2e7.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    started = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "cgybe", "identities", "--lo", "-50", "--hi", "50"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error:") and "cap" in result.stderr
-    assert time.perf_counter() - started < 10
+    for flags in (["--lo", "-50", "--hi", "50"], ["--only", "ids5", "--lo", "0", "--hi", "399"]):
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "cgybe", "identities", *flags],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and "cap" in result.stderr
+        assert time.perf_counter() - started < 10
 
 
 def test_eval_collapses_to_flip_at_one(capsys):

@@ -317,7 +317,30 @@ def test_run_oracles_rejects_oversized_window_before_scanning():
     # each arity-5 scan alone would fit (25^5 < 1e7); the cap is on the total
     with pytest.raises(ValueError, match="cap"):
         run_oracles(0, 24, only=["uid", "cond1"])
+    # 1.6e5 tuples, but about 2.1e7 eta calls
+    with pytest.raises(ValueError, match="cap"):
+        run_oracles(0, 399, only=["ids5"])
     assert time.perf_counter() - started < 1.0
+
+
+def test_interval_sum_is_charged_its_eta_calls(monkeypatch):
+    # each tuple (b, c) of ids5 sums eta over its own padded support, so a
+    # scan makes (side^3 - side)/3 + 2*pad*side^2 eta calls, which the cap
+    # counts
+    calls = []
+    counted = oracles.eta
+    monkeypatch.setattr(oracles, "eta", lambda *args: calls.append(args) or counted(*args))
+    for lo, hi, pad in ((0, 9, 0), (-3, 4, 2)):
+        calls.clear()
+        (report,) = run_oracles(lo, hi, only=["ids5"], pad=pad)
+        side = hi - lo + 1
+        assert report.passed
+        assert len(calls) == (side**3 - side) // 3 + 2 * pad * side**2
+        assert len(calls) == oracles._cost("eta_interval_sum", side, pad)
+    # the windows of the benchmark and of the acceptance tests still fit
+    monkeypatch.setattr(oracles, "_scan", lambda *args: None)
+    for lo, hi, pad in ((-4, 5, 0), (-3, 4, 2), (-4, 5, 2)):
+        assert len(run_oracles(lo, hi, pad=pad)) == len(oracles.oracle_names())
 
 
 def test_run_oracles_sorted_and_passing():

@@ -4,6 +4,7 @@ Composition and lifted application are cross-checked against independent
 dense and nested-loop oracles from helpers.py.
 """
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -578,11 +579,10 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
     # the reference sums constant terms as Fractions, symbolic ones as LaurentQP
     read = LaurentQP.constant_value if symbolic is None else as_laurent
     expected = _grouped_compose_sum(terms, read)
-    kernel = tensor._laurent_sum
-    with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
+    with _recording_sums() as sums:
         result = compose_sum(terms)
-    # q or p anywhere in the terms takes the LaurentQP kernel, else it is skipped
-    assert calls.called == (symbolic is not None)
+    # q or p anywhere in the terms takes the LaurentQP form, else the int form
+    assert [s.base is not None for s in sums] == [symbolic is not None]
     assert (result.n, result.arity) == (n, arity)
     _assert_same_operator(result, expected)
     if cancel and symbolic is None:
@@ -691,16 +691,29 @@ def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
 
 
 def test_laurent_sum_with_constant_values_takes_the_int_form():
-    # q·P − q·P + g carries q in its terms, so it is summed by the Laurent
-    # kernel; every value of the result is constant, so it is stored as
-    # ints and a check on it never reaches the kernel
+    # q·P − q·P + g carries q in its terms, so it is summed in the Laurent
+    # form; every value of the result is constant, so it is stored as ints
+    # and a check on it takes the int form
     P, g = permutation_op(3), g_op(3)
-    kernel = tensor._laurent_sum
-    with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
+    with _recording_sums() as sums:
         combo = compose_sum([(q, P), (-q, P), (1, g)])
-    assert calls.call_count == 1
+    assert [s.base is not None for s in sums] == [True]
     assert holds_int_columns(combo)
     assert combo == g
-    with mock.patch.object(tensor, "_laurent_sum", side_effect=kernel) as calls:
+    with _recording_sums() as sums:
         assert check_ybe(combo).passed
-    assert not calls.called
+    assert [s.base for s in sums] == [None]
+
+
+@contextlib.contextmanager
+def _recording_sums():
+    """Every tensor._Sum built inside the block, in order."""
+    sums = []
+    kernel = tensor._Sum
+
+    def recording(*args):
+        sums.append(kernel(*args))
+        return sums[-1]
+
+    with mock.patch.object(tensor, "_Sum", side_effect=recording):
+        yield sums

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgybe import tensor, verify
+from cgybe import model, tensor, verify
 
 from cgybe import (
     LaurentQP,
@@ -247,15 +247,15 @@ def test_twisted_ybe_small():
 
 
 def _watch_inputs(monkeypatch):
-    """Every walk over 3-fold inputs that a check makes, in order, as
-    (reduced, the inputs it read)."""
+    """Every walk over inputs that a check makes, in order, as (reduced,
+    the inputs it read)."""
     walks = []
     inputs = verify._inputs
 
-    def watching(n, reduced):
+    def watching(n, arity, reduced):
         walk = []
         walks.append((reduced, walk))
-        for t in inputs(n, reduced):
+        for t in inputs(n, arity, reduced):
             walk.append(t)
             yield t
 
@@ -263,8 +263,8 @@ def _watch_inputs(monkeypatch):
     return walks
 
 
-def _all_inputs(n, reduced=False):
-    return [t for t in itertools.product(range(1, n + 1), repeat=3) if not reduced or 1 in t]
+def _all_inputs(n, reduced=False, arity=3):
+    return [t for t in itertools.product(range(1, n + 1), repeat=arity) if not reduced or 1 in t]
 
 
 def test_mixed_conditions_stop_at_first_failure(monkeypatch):
@@ -293,9 +293,8 @@ def test_mixed_conditions_stop_at_first_failure(monkeypatch):
 
 
 def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
-    # g has integer entries, so its check never reaches a LaurentQP kernel
-    # (the sum's or the 3-fold words'); the q- and p-carrying twisted
-    # matrix does.
+    # g and P have integer entries, so their checks, 3-fold or 2-fold, never
+    # reach the LaurentQP kernel; the q- and p-carrying twisted matrix does.
     calls = []
 
     def counting(kernel):
@@ -305,9 +304,9 @@ def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
 
         return counted
 
-    for name in ("_laurent_sum", "_apply_terms"):
-        monkeypatch.setattr(tensor, name, counting(getattr(tensor, name)))
+    monkeypatch.setattr(tensor, "_apply_terms", counting(tensor._apply_terms))
     assert check_ybe(g_op(3)).passed
+    assert check_gp_relations(3).passed
     assert calls == []
     assert check_ybe(cg_twisted_op(3)).passed
     assert len(calls) >= 1
@@ -315,8 +314,9 @@ def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
 
 def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
     # at a rational point the constant path adds int products over one
-    # common denominator: a passing check does no Fraction arithmetic and
-    # builds no Fraction inside compose_sum or the 3-fold word kernel
+    # common denominator: a passing check, 3-fold or 2-fold, does no
+    # Fraction arithmetic and builds no Fraction inside compose_sum or the
+    # column kernel
     numeric = cg_twisted_op(4).eval_at(Fraction(3, 2), Fraction(5, 7))
     calls = Counter()
     inside = []
@@ -347,12 +347,18 @@ def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("__new__", Fraction.__new__)))
     tracked = tracking(compose_sum)
     monkeypatch.setattr(tensor, "compose_sum", tracked)
-    monkeypatch.setattr(verify, "compose_sum", tracked)
-    for name in ("_word_factors", "_cubic_witness"):
-        monkeypatch.setattr(verify, name, tracking(getattr(verify, name)))
+    monkeypatch.setattr(model, "compose_sum", tracked)
+    monkeypatch.setattr(verify, "_witness", tracking(verify._witness))
+    monkeypatch.setattr(tensor, "_Sum", tracking(tensor._Sum))
     assert check_ybe(numeric).passed
     assert not calls
-    assert entered == {"_word_factors": 1, "_cubic_witness": 1}
+    assert entered == {"_witness": 1, "_Sum": 1}
+    # R = (3/2)P + (5/7)g is built by one compose_sum, and its quadratic
+    # relation is one more sum
+    alpha, beta = LaurentQP.const(Fraction(3, 2)), LaurentQP.const(Fraction(5, 7))
+    assert check_quadratic(4, alpha, beta).passed
+    assert not calls
+    assert entered == {"_witness": 2, "_Sum": 3, "compose_sum": 1}
     # the counters do see Fraction arithmetic inside the Laurent kernel
     tracked([(q * Fraction(1, 2), numeric)])
     assert calls["__mul__"] + calls["__rmul__"] > 0
@@ -525,11 +531,12 @@ def _perturb_translates(rng, op):
     st.integers(0, 2**32),
     st.integers(2, 5),
     st.sampled_from(["solution", "perturbed", "random"]),
-    st.sampled_from(["ybe", "compat", "mixed"]),
+    st.sampled_from(["ybe", "compat", "mixed", "hecke"]),
 )
 def test_reduced_checks_match_two_sided_reference(seed, n, kind, check):
-    # every operand passes the lemma, so each check reads only the inputs
-    # with min index 1 and must still find the reference's witness
+    # every operand passes the lemma, so each check, 3-fold or 2-fold,
+    # reads only the inputs with min index 1 and must still find the
+    # reference's witness
     rng = random.Random(seed)
     coeff = rng.choice([lambda r: random_fraction(r, nonzero=True), _unit])
     perm, g = permutation_op(n), g_op(n)
@@ -551,10 +558,15 @@ def test_reduced_checks_match_two_sided_reference(seed, n, kind, check):
     elif check == "compat":
         operands = [operand(g)]
         report, expected = check_compatibility(operands[0]), _reference_compat(operands[0])
-    else:
+    elif check == "mixed":
         f2 = _translation_invariant_op(rng, n, coeff) if kind == "random" else perm
         operands = [f2, operand(g)]
         report, expected = check_mixed_conditions(*operands), _reference_mixed(*operands)
+    else:
+        alpha, beta = hecke_parameters()
+        operands = [operand(cg_op(n, alpha, beta))]
+        s = alpha if kind == "solution" else _unit(rng)
+        report, expected = check_hecke(operands[0], s), _reference_hecke(operands[0], s)
     # a perturbed solution mostly fails, but need not: a scaled flip with
     # one flip entry changed still solves the YBE at n = 2
     assert all(tensor._translation_invariant(op) for op in operands)
@@ -582,10 +594,10 @@ def _lemma_failures():
 def test_lemma_failures_check_every_input(monkeypatch):
     walks = _watch_inputs(monkeypatch)
 
-    def assert_every_input(report, n):
+    def assert_every_input(report, n, arity=3):
         # every walk reads all inputs in order; a failing check's last walk
         # stops at its witness's input
-        full = _all_inputs(n)
+        full = _all_inputs(n, arity=arity)
         *complete, (reduced, last) = walks
         assert not reduced and all(not r and walk == full for r, walk in complete)
         assert last == (full if report.passed else full[: full.index(report.witness[0]) + 1])
@@ -603,6 +615,9 @@ def test_lemma_failures_check_every_input(monkeypatch):
         report = check_mixed_conditions(perm, bad)
         assert (report.passed, report.witness) == _reference_mixed(perm, bad)
         assert_every_input(report, bad.n)
+        report = check_hecke(bad, q)
+        assert (report.passed, report.witness) == _reference_hecke(bad, q)
+        assert_every_input(report, bad.n, arity=2)
     witness = check_ybe(_lemma_failures()[2]).witness
     assert witness[:2] == ((2, 3, 3), (2, 3, 3))
 
@@ -697,21 +712,28 @@ def test_invariant_operators_take_the_restricted_path(monkeypatch):
     n = 6
     perm, g, twisted = permutation_op(n), g_op(n), cg_twisted_op(n)
     numeric = twisted.eval_at(Fraction(3, 2), Fraction(5, 7))
+    alpha, beta = hecke_parameters()
+    rmat = cg_op(n, alpha, beta)
     walks = _watch_inputs(monkeypatch)
     checks = [
-        (lambda: check_ybe(twisted), 1),
-        (lambda: check_ybe(numeric), 1),
-        (lambda: check_ybe(perm), 1),
-        (lambda: check_ybe(g), 1),
-        (lambda: check_compatibility(g), 1),
-        (lambda: check_mixed_conditions(perm, g), 2),
+        (lambda: check_ybe(twisted), 1, 3),
+        (lambda: check_ybe(numeric), 1, 3),
+        (lambda: check_ybe(perm), 1, 3),
+        (lambda: check_ybe(g), 1, 3),
+        (lambda: check_compatibility(g), 1, 3),
+        (lambda: check_mixed_conditions(perm, g), 2, 3),
+        (lambda: check_hecke(rmat, alpha), 1, 2),
+        (lambda: check_gp_relations(n), 3, 2),
+        (lambda: check_quadratic(n, alpha, beta), 1, 2),
     ]
     restricted = _all_inputs(n, reduced=True)
     assert len(restricted) == n**3 - (n - 1) ** 3
-    for check, count in checks:
+    restricted2 = _all_inputs(n, reduced=True, arity=2)
+    assert len(restricted2) == 2 * n - 1
+    for check, count, arity in checks:
         walks.clear()
         assert check().passed
-        assert walks == [(True, restricted)] * count
+        assert walks == [(True, restricted if arity == 3 else restricted2)] * count
     # a failing check on the restricted path stops at its witness's input
     walks.clear()
     report = check_compatibility(twisted)
@@ -719,6 +741,12 @@ def test_invariant_operators_take_the_restricted_path(monkeypatch):
     (reduced, walk), = walks
     assert reduced and walk[-1] == report.witness[0] == (1, 1, 2)
     assert walk == restricted[: len(walk)]
+    # so does a failing 2-fold check: alpha = q, beta = 1 is not Hecke
+    walks.clear()
+    report = check_hecke(cg_op(n, q, 1), q)
+    assert not report.passed
+    (reduced, walk), = walks
+    assert reduced and walk == [(1, 1), (1, 2)] and report.witness[:2] == ((1, 2), (1, 2))
     # a constant operator holds int columns, and neither the lemma nor a
     # passing check turns a stored value into a LaurentQP
     combo = cg_op(n, 2, 1)
