@@ -59,14 +59,21 @@ def kron_delta(x: int) -> int:
     return 1 if x == 0 else 0
 
 
+def _indices(n: int) -> range:
+    """1..n, once ``n`` passes the public constructor's checks of a rank."""
+    TensorOp(n, 2)
+    return range(1, n + 1)
+
+
+# permutation_op and g_op fill int columns, {input: {output: value}} with no
+# empty column and no zero value, and adopt them in the storage form (every
+# value an int over the denominator 1), with no LaurentQP per entry.
+
+
 def permutation_op(n: int) -> TensorOp:
     """The flip P(e_i⊗e_j) = e_j⊗e_i."""
-    entries = {
-        ((j, i), (i, j)): LaurentQP.one()
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
-    return TensorOp(n, 2, entries)
+    indices = _indices(n)
+    return TensorOp._trusted(n, 2, 1, {(i, j): {(j, i): 1} for i in indices for j in indices})
 
 
 def g_op(n: int) -> TensorOp:
@@ -76,12 +83,14 @@ def g_op(n: int) -> TensorOp:
     min(i,j) (inclusive) and max(i,j) (exclusive) contributes, and the
     second output index i+j-k automatically stays in 1..n.
     """
-    entries: dict = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(min(i, j), max(i, j)):
-                entries[((k, i + j - k), (i, j))] = LaurentQP.const(eta(i, j, k))
-    return TensorOp(n, 2, entries)
+    indices = _indices(n)
+    columns = {
+        (i, j): {(k, i + j - k): eta(i, j, k) for k in range(min(i, j), max(i, j))}
+        for i in indices
+        for j in indices
+        if i != j
+    }
+    return TensorOp._trusted(n, 2, 1, columns)
 
 
 def cg_op(n: int, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:

@@ -11,8 +11,8 @@ check is exact and a single counterexample refutes the implementation.
 identity, or the ones ``only`` names by canonical name or command-line
 alias, on ``[lo, hi]^arity`` and returns one ``OracleReport`` each, sorted
 by name.  All sixteen identities live in one registry table, ``_ORACLES``,
-as a row (name, alias, arity, stage); each stage's docstring states its
-identity.  ``oracle_names`` lists the canonical names.
+as a row (name, alias, arity, packed, stage); each stage's docstring states
+its identity.  ``oracle_names`` lists the canonical names.
 
 Sums over an unbounded index are truncated to the support interval
 [min, max) of the relevant eta factor; every summation helper takes a
@@ -21,19 +21,23 @@ itself can be tested: padding must never change any sum.
 
 The scan works on packed rows.  Each identity is written as
 ``stage(rows, *prefix)``: called once per prefix (every coordinate but the
-last, h), it returns lhs - rhs over every h of the window as one integer,
-a row whose k-th field of ``rows.bits`` bits holds the residual at
-h = lo + k (see ``_Rows``).  A factor (eta, the unit step or the delta)
-whose arguments are affine in h becomes a row by one call per field, kept
-in a bounded cache that lives as long as the scan; a product of two
-factors is an AND of their +1/-1 masks, and a weight affine in h is one
-multiply plus a masked copy of a packed ramp of h.  A sum becomes a list of
-``(weight, index)`` terms of its prefix-only first factor over the padded
-support, cached per scan by (x, y); terms of weight 0 are dropped, which
-leaves an integer sum unchanged exactly.  ``_scan`` walks the prefixes in
-lexicographic order and reports the lowest nonzero field of the first
-nonzero residual, which is the lexicographically first failing tuple; each
-field sums over exactly its own tuple's padded support, so reports,
+last ``packed`` ones), it returns lhs - rhs over every value of those as
+one integer, a row of ``rows.bits``-bit fields (see ``_Rows``).  Most
+stages pack the last two coordinates (g, h), so field k holds the residual
+at (g, h) = (lo + k // side, lo + k % side); g_idempotent and
+eta_interval_sum pack h alone, because the range of their sum depends on
+the coordinate before it.  A factor (eta, the unit step or the delta) whose
+arguments are affine in h becomes a row of one coordinate by one call per
+field; a row in g and h is assembled from those, one per value of g.  Both
+are kept in bounded caches that live as long as the scan.  A product of two
+factors is an AND of their +1/-1 masks, and a weight affine in g and h is
+one multiply plus masked copies of packed ramps of g and h.  A sum becomes
+a list of ``(weight, index)`` terms of its prefix-only first factor over the
+padded support, cached per scan by (x, y); terms of weight 0 are dropped,
+which leaves an integer sum unchanged exactly.  ``_scan`` walks the
+prefixes in lexicographic order and reports the lowest nonzero field of the
+first nonzero residual, which is the lexicographically first failing tuple;
+each field sums over exactly its own tuple's padded support, so reports,
 counterexamples and padding semantics are those of a per-tuple check.  The
 public summation helpers run the same row code on a one-field window, so
 each sum has one implementation, and every factor goes through
@@ -74,20 +78,26 @@ DEFAULT_HI = 4
 # tuple plus 2*pad for each prefix, whose sums may walk that many padded
 # terms, except eta_interval_sum, which is charged its eta calls (see
 # _cost).  The benchmark costs about 1e6 per pass.  All sixteen identities on
-# [-8, 7] (7.6e6 tuples) take 3.7 s on a 2-core x86-64 VM with Python 3.11,
-# so 1e7 takes about 5 s, while --lo -50 --hi 50 would ask for about 7e10.
+# [-8, 7] (7.6e6 tuples) take 0.9 s of CPU on a 2-core x86-64 VM with
+# Python 3.11.  One identity near the cap can take far longer: g_idempotent
+# on [-107, 107] (9.9e6 tuples), whose rows do not repeat, takes about
+# 2 min.  --lo -50 --hi 50 would ask for about 7e10.
 MAX_WINDOW_TUPLES = 10**7
 
 # what _scan calls once per prefix: stage(rows, *prefix) -> residual row
-# (see _Rows), zero iff the identity holds for every last coordinate.
+# (see _Rows), zero iff the identity holds at every value of the packed
+# last coordinates.
 Stage = Callable[..., int]
 
-# Fields of factor rows a scan caches in one generation (see _Rows).  One
-# generation holds every row of the benchmark windows (at most 7360 rows of
-# 10 fields, compat_coeffs on [-4, 5]).  On the widest windows the tuple cap
-# admits, the process peaks up to about 13 MB higher than with no cache
-# (compat_coeffs on [-11, 10]); a scan whose rows in use overflow it, such as
-# g_idempotent on [-107, 107], rebuilds them, one call per field each.
+# Fields of factor rows a scan caches in one generation, in each of its two
+# caches: the rows of two coordinates and the rows of one they are assembled
+# from (see _Rows).  One generation holds every row of the benchmark windows
+# (at most 2080 rows of 100 fields and 6360 of 10, compat_coeffs on
+# [-4, 5]).  On the widest windows the tuple cap admits, the process peaks up
+# to about 11 MB higher than with no cache (compat_coeffs on [-11, 10]).  A
+# scan whose rows in use overflow it rebuilds them: g_idempotent on
+# [-107, 107] one call per field each, ybe_coeffs on [-12, 12] (rows of 625
+# fields) one cached slice per g each.
 _FIELDS_KEPT = 1 << 20
 
 # Interval terms a scan caches.  The 5-ary sums reuse the lists of at most
@@ -146,34 +156,58 @@ def _not_a_factor(fn: Callable[..., int], args: tuple, value) -> ValueError:
 
 
 class _Rows:
-    """Packed rows over the last coordinate h in [lo, hi], cached for one scan.
+    """Packed rows over the last one or two coordinates, cached for one scan.
 
-    A row is an int whose field k, ``bits`` wide, holds a signed value at
-    h = lo + k; it is the sum of value_k << (bits * k), so +, - and
-    multiplication by a constant act on every field at once and exactly.
-    With M = reach, the largest |coordinate| (max(|lo|, |hi|) in a scan),
-    every residual field a stage forms is at most 16 * (M + pad + 1) in
-    absolute value: the largest, zeta_closed_form, has a sum of at most
-    2M + 2*pad terms of size 1 and six weights of size at most 2M + 1.
-    ``bits`` is one more than the bit length of that bound, so each nonzero
-    field is below 2**(bits - 1) in size and ``_scan`` finds the lowest one
-    from the lowest set bit of the row.
+    A row is an int of ``width`` fields, each ``bits`` wide, one per point
+    of the packed coordinates.  With one packed coordinate h, field k holds
+    the value at h = lo + k; with two, (g, h), field k = (g - lo)*side +
+    (h - lo) holds the value at (g, h), so the fields run in lexicographic
+    order of the tuple.  A row is the sum of value_k << (bits * k), so +, -
+    and multiplication by a constant act on every field at once and
+    exactly.  With M = reach, the largest |coordinate| (max(|lo|, |hi|) in
+    a scan), every residual field a stage forms is at most
+    16 * (M + pad + 1) in absolute value: the largest, zeta_closed_form, has
+    a sum of at most 2M + 2*pad terms of size 1 and six weights of size at
+    most 2M + 1.  ``bits`` is one more than the bit length of that bound,
+    so each nonzero field is below 2**(bits - 1) in size and ``_scan``
+    finds the lowest one from the lowest set bit of the row.
 
-    Factor arguments are affine forms c + b*h, written with the symbol
-    ``h = 2**bits``; every constant c a stage forms (at most four
-    coordinates and a summation index) is below the same bound, so each
-    form decodes to one (c, b).  A factor row is cached as (plus, minus),
-    the 0/1 masks of its +1 and -1 fields; a product of two factors is then
-    an AND of masks, and a weight affine in h multiplies a masked copy of
-    the packed ramp h - lo.
+    Factor arguments are affine forms c + b_g*g + b_h*h, written with the
+    symbols ``h = 2**bits`` and ``g = 2**(2*bits)``.  Every constant c a
+    stage forms, also once a value of g is put in (at most four coordinates
+    and a summation index), is below the same bound, so |c| < h/2; every
+    coefficient b_g, b_h is at most 2 in size, and h >= 64.  So
+    c + b_h*h is below g/2 in size and each form decodes to one
+    (c, b_g, b_h): b_g from the form rounded to a multiple of g, then b_h
+    from the rest rounded to a multiple of h.  A factor row is cached as
+    (plus, minus), the 0/1 masks of its +1 and -1 fields; a product of two
+    factors is then an AND of masks, and a weight affine in g and h
+    multiplies masked copies of the packed ramps g - lo and h - lo.
+
+    With two packed coordinates a factor row is assembled from rows of one
+    coordinate, one slice per value of g: the row of the forms with that g
+    put in, looked up in (or built into) the cache of an inner one-coordinate
+    ``_Rows``.  A factor in h alone is one slice repeated, and one in g alone
+    is the one-coordinate row over g spread over h.  So every value still
+    comes from one call per field of a one-coordinate row.
     """
 
-    def __init__(self, lo: int, hi: int, pad: int, reach: int):
+    def __init__(self, lo: int, hi: int, pad: int, reach: int, packed: int = 1):
         bits = (16 * (reach + pad + 1)).bit_length() + 1
-        self.lo, self.width, self.pad, self.bits = lo, hi - lo + 1, pad, bits
-        self.h = 1 << bits
-        self.ones = sum(1 << bits * k for k in range(self.width))
-        self._ramp = sum(k << bits * k for k in range(self.width))  # h - lo
+        self.lo, self.side, self.pad, self.bits = lo, hi - lo + 1, pad, bits
+        self.packed, self.width = packed, self.side**packed
+        self.h, self.g = 1 << bits, 1 << 2 * bits
+        line = sum(1 << bits * k for k in range(self.side))
+        ramp = sum(k << bits * k for k in range(self.side))  # h - lo
+        if packed == 1:
+            self._line = None
+            self.ones, self._ramp_h, self._ramp_g = line, ramp, 0
+        else:  # the fields of one g are a line, stride bits from the next
+            self._line = _Rows(lo, hi, pad, reach)
+            self._stride = stride = bits * self.side
+            self._lines = sum(1 << stride * k for k in range(self.side))  # 1 per g
+            self.ones, self._ramp_h = line * self._lines, ramp * self._lines
+            self._ramp_g = sum(k * line << stride * k for k in range(self.side))
         self._full = (1 << bits) - 1
         # the binary digits of one field holding value + 1, by value
         self._digits = {v: format(v + 1, f"0{bits}b") for v in (-1, 0, 1)}
@@ -191,20 +225,30 @@ class _Rows:
         self._intervals: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._terms_room = _TERMS_KEPT
 
-    def pack(self, f: Callable[[int], int]) -> int:
-        """The row of f(h), one call per field."""
-        return sum(f(self.lo + k) << self.bits * k for k in range(self.width))
+    def pack(self, f: Callable[..., int]) -> int:
+        """The row of f at each point (h) or (g, h), one call per field."""
+        points = itertools.product(range(self.lo, self.lo + self.side), repeat=self.packed)
+        return sum(f(*point) << self.bits * k for k, point in enumerate(points))
+
+    def _split(self, form: int) -> tuple[int, int]:
+        """(rest, b) with form = rest + b * self.g and rest free of g."""
+        b = (form + (self.g >> 1)) >> 2 * self.bits
+        return form - (b << 2 * self.bits), b
 
     def _affine(self, form: int) -> tuple[int, int]:
-        """(c, b) with form = c + b * self.h."""
+        """(c, b) with form = c + b * self.h, for a form free of g."""
         b = (form + (self.h >> 1)) >> self.bits
         return form - (b << self.bits), b
+
+    def masks(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
+        """(plus, minus) of fn at the affine forms args, cached."""
+        return self._young[fn].get(args) or self._build(fn, args)
 
     def _build(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
         """Cache and return (plus, minus) of fn at the affine forms args."""
         signs = self._old[fn].pop(args, None)
         if signs is None:
-            signs = self._signs(fn, args)
+            signs = self._signs(fn, args) if self._line is None else self._assemble(fn, args)
             signs = self._shapes.setdefault(signs, signs)
         if not self._room:
             self._old, self._young, self._shapes = self._young, defaultdict(dict), {}
@@ -214,47 +258,89 @@ class _Rows:
         return signs
 
     def _signs(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
-        """(plus, minus) of fn at the affine forms args, one call per field."""
+        """(plus, minus) of fn at the forms args in h, one call per field."""
         forms = [self._affine(form) for form in args]
-        lo, hi = self.lo, self.lo + self.width
+        lo, top = self.lo, self.lo + self.side - 1
+        # from the highest field down, as the digits of a binary string
         columns = [
-            range(c + b * lo, c + b * hi, b) if b else itertools.repeat(c, self.width)
+            range(c + b * top, c + b * (lo - 1), -b) if b else itertools.repeat(c, self.side)
             for c, b in forms
         ]
-        values = list(map(fn, *columns))
-        values.reverse()  # the highest field comes first in a binary string
         try:  # each field as value + 1, in two binary digits
-            shifted = int("".join(map(self._digits.__getitem__, values)), 2)
-        except KeyError:
-            k = next(k for k, value in enumerate(reversed(values)) if value not in (-1, 0, 1))
-            raise _not_a_factor(fn, tuple(c + b * (lo + k) for c, b in forms), values[-1 - k])
+            shifted = int("".join(map(self._digits.__getitem__, map(fn, *columns))), 2)
+        except KeyError:  # name the lowest field outside {-1, 0, 1}
+            for h in range(lo, top + 1):
+                point = tuple(c + b * h for c, b in forms)
+                if (value := fn(*point)) not in (-1, 0, 1):
+                    raise _not_a_factor(fn, point, value) from None
+            raise
         plus = shifted >> 1 & self.ones
         minus = self.ones & ~(shifted | shifted >> 1)
         return plus, minus
 
+    def _assemble(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
+        """(plus, minus) of fn at the forms args in g and h, from one
+        slice of the inner one-coordinate rows per value of g."""
+        split = [self._split(form) for form in args]
+        line, stride = self._line, self._stride
+        if not any(b for _, b in split):  # in h alone: every slice is one row
+            plus, minus = line.masks(fn, args)
+            return plus * self._lines, minus * self._lines
+        if not any(self._affine(rest)[1] for rest, _ in split):  # in g alone
+            over_g = line.masks(fn, tuple(rest + b * self.h for rest, b in split))
+            ones, bits = line.ones, self.bits
+            return tuple(
+                sum(ones << stride * k for k in range(self.side) if mask >> bits * k & 1)
+                for mask in over_g
+            )
+        lo, hi = self.lo, self.lo + self.side
+        columns = [
+            range(rest + b * lo, rest + b * hi, b) if b else itertools.repeat(rest, self.side)
+            for rest, b in split
+        ]
+        cache, plus, minus = line._young[fn], 0, 0
+        for shift, key in zip(range(0, stride * self.side, stride), zip(*columns)):
+            p, m = cache.get(key) or line._build(fn, key)
+            plus |= p << shift
+            minus |= m << shift
+        return plus, minus
+
     def value(self, fn: Callable[..., int], *args: int) -> int:
         """The row of fn at the affine forms args."""
-        plus, minus = self._young[fn].get(args) or self._build(fn, args)
+        plus, minus = self.masks(fn, args)
         return plus - minus
 
     def eta(self, x: int, y: int, z: int) -> int:
         return self.value(eta, x, y, z)
 
+    def _product(self, fn: Callable[..., int], first: tuple, second: tuple) -> tuple[int, int]:
+        """(plus, minus) of fn(*first) * fn(*second)."""
+        p, n = self.masks(fn, first)
+        q, m = self.masks(fn, second)
+        return (p & q) | (n & m), (p & m) | (n & q)
+
     def times(self, fn: Callable[..., int], first: tuple, second: tuple) -> int:
         """The row of fn(*first) * fn(*second)."""
-        cache = self._young[fn]
-        p, n = cache.get(first) or self._build(fn, first)
-        q, m = cache.get(second) or self._build(fn, second)
-        return ((p & q) | (n & m)) - ((p & m) | (n & q))
+        plus, minus = self._product(fn, first, second)
+        return plus - minus
 
-    def weigh(self, weight: int, fn: Callable[..., int], *args: int) -> int:
-        """The row of weight * fn(*args) for an affine weight c + b*h."""
-        c, b = self._affine(weight)
-        plus, minus = self._young[fn].get(args) or self._build(fn, args)
-        row = (c + b * self.lo) * (plus - minus)
-        if b:
-            full, ramp = self._full, self._ramp
-            row += b * ((ramp & plus * full) - (ramp & minus * full))
+    def weigh(self, weight: int, fn: Callable[..., int], *factors: tuple) -> int:
+        """The row of weight * fn(*first) [* fn(*second)] for the one or two
+        argument tuples ``factors`` and an affine weight c + b_g*g + b_h*h."""
+        if len(factors) == 1:
+            plus, minus = self.masks(fn, factors[0])
+        else:
+            plus, minus = self._product(fn, *factors)
+        rest, b_g = self._split(weight)
+        c, b_h = self._affine(rest)
+        row = (c + (b_g + b_h) * self.lo) * (plus - minus)
+        if b_g or b_h:
+            full = self._full
+            plus, minus = plus * full, minus * full
+            if b_h:
+                row += b_h * ((self._ramp_h & plus) - (self._ramp_h & minus))
+            if b_g:
+                row += b_g * ((self._ramp_g & plus) - (self._ramp_g & minus))
         return row
 
     def interval(self, x: int, y: int) -> list[tuple[int, int]]:
@@ -271,22 +357,28 @@ class _Rows:
         return terms
 
 
-def _scan(name: str, window: IntWindow, stage: Stage, pad: int = 0) -> OracleReport:
+def _scan(
+    name: str, window: IntWindow, stage: Stage, pad: int = 0, packed: int = 1
+) -> OracleReport:
     """Report the lexicographically first tuple that fails, or a pass.
 
-    ``stage(rows, *prefix)`` runs once per prefix of ``arity - 1``
-    coordinates and returns the residual row of the last coordinate.  Its
-    lowest set bit lies in its lowest nonzero field; an OR of residuals
-    keeps that, so a stage checking several equations returns the OR of
-    their residuals.
+    ``stage(rows, *prefix)`` runs once per prefix of ``arity - packed``
+    coordinates and returns the residual row of the last ``packed`` (one or
+    two) coordinates.  Its lowest set bit lies in its lowest nonzero field;
+    an OR of residuals keeps that, so a stage checking several equations
+    returns the OR of their residuals.
     """
-    rows = _Rows(window.lo, window.hi, pad, max(abs(window.lo), abs(window.hi)))
-    values = range(window.lo, window.hi + 1)
-    for prefix in itertools.product(values, repeat=window.arity - 1):
+    lo, hi = window.lo, window.hi
+    rows = _Rows(lo, hi, pad, max(abs(lo), abs(hi)), packed)
+    for prefix in itertools.product(range(lo, hi + 1), repeat=window.arity - packed):
         residual = stage(rows, *prefix)
         if residual:
             field = (residual & -residual).bit_length() // rows.bits
-            return OracleReport(name, window, False, (*prefix, window.lo + field))
+            last = []
+            for _ in range(packed):
+                field, k = divmod(field, rows.side)
+                last.append(lo + k)
+            return OracleReport(name, window, False, (*prefix, *reversed(last)))
     return OracleReport(name, window, True, None)
 
 
@@ -380,12 +472,13 @@ def g_idem_sum(i: int, j: int, l: int, pad: int = 0) -> int:
 
 # ----------------------------------------------------------------------
 # staged identities: stage(rows, *prefix) -> residual row of the last
-# coordinate, written as rows.h.  Each docstring states the identity over
-# the tuple the scan walks; each stage binds rows.h to the name of its last
-# coordinate.  Identities without a sum ignore rows.pad.
+# coordinates, written as rows.g and rows.h.  Each docstring states the
+# identity over the tuple the scan walks; each stage binds rows.h to the
+# name of its last coordinate and, when it packs two, rows.g to the name of
+# the one before.  Identities without a sum ignore rows.pad.
 
 
-def _compat_coeffs(rows, i, j, k, a):
+def _compat_coeffs(rows, i, j, k):
     """Coefficient form of the compatibility condition, over (i,j,k,a,b):
 
     eta(i,k,a+b-j)eta(j,a+b-j,a) + eta(i,j,b+a-k)eta(b+a-k,k,a)
@@ -393,7 +486,7 @@ def _compat_coeffs(rows, i, j, k, a):
       = eta(i,k,a)eta(i+k-a,j,b) + eta(j,k,a)eta(i,j+k-a,b)
         + eta(j,k,j+k-b)eta(i,j+k-b,a)
     """
-    b, times = rows.h, rows.times
+    a, b, times = rows.g, rows.h, rows.times
     lhs = (
         times(eta, (i, k, a + b - j), (j, a + b - j, a))
         + times(eta, (i, j, b + a - k), (b + a - k, k, a))
@@ -407,43 +500,45 @@ def _compat_coeffs(rows, i, j, k, a):
     return lhs - rhs
 
 
-def _step_identity(rows, a, b, i, j):
+def _step_identity(rows, a, b, i):
     """The five-variable unit-step identity, over (a,b,i,j,k):
 
     u(a+b-i-j)(u(a-j)+u(b-i)-u(b-j)-u(j-b)) + u(k-b)u(a+b-i-k)
       = u(a-i)(u(k-b)-u(j-b)-u(b-j)+u(b+a-i-k)) + u(b-i)u(a-j)
     """
-    k, ones, times = rows.h, rows.ones, rows.times
-
-    def u(x):  # a prefix-only factor
-        return _factor(step_u, x)
-
-    u_aj, u_bi, u_bj, u_jb = u(a - j), u(b - i), u(b - j), u(j - b)
-    lhs = u(a + b - i - j) * (u_aj + u_bi - u_bj - u_jb) * ones
-    lhs += times(step_u, (k - b,), (a + b - i - k,))
-    rhs = u(a - i) * (
-        rows.value(step_u, k - b) - (u_jb + u_bj) * ones + rows.value(step_u, b + a - i - k)
+    j, k, times, u = rows.g, rows.h, rows.times, rows.value
+    u_ai, u_bi = _factor(step_u, a - i), _factor(step_u, b - i)  # prefix-only
+    abij = (a + b - i - j,)
+    lhs = (
+        times(step_u, abij, (a - j,))
+        + u_bi * u(step_u, *abij)
+        - times(step_u, abij, (b - j,))
+        - times(step_u, abij, (j - b,))
+        + times(step_u, (k - b,), (a + b - i - k,))
     )
-    rhs += u_bi * u_aj * ones
+    rhs = u_ai * (
+        u(step_u, k - b) - u(step_u, j - b) - u(step_u, b - j) + u(step_u, b + a - i - k)
+    )
+    rhs += u_bi * u(step_u, a - j)
     return lhs - rhs
 
 
-def _eta_convolution(rows, t, s, b, d):
+def _eta_convolution(rows, t, s, b):
     """Closed form of the sliding-product sum, over (t,s,b,d,h):
 
     sum_a eta(t,s,a)eta(b+a,d-a,h) = (s-t)eta(b+t,d-t,h)
         + (d-h-s)eta(d-s,d-t,h) + (h-b-s+1)eta(b+t,b+s,h)
     """
-    h = rows.h
+    d, h = rows.g, rows.h
     rhs = (
         (s - t) * rows.eta(b + t, d - t, h)
-        + rows.weigh(d - h - s, eta, d - s, d - t, h)
-        + rows.weigh(h - b - s + 1, eta, b + t, b + s, h)
+        + rows.weigh(d - h - s, eta, (d - s, d - t, h))
+        + rows.weigh(h - b - s + 1, eta, (b + t, b + s, h))
     )
     return _convolution_row(rows, t, s, b, d, h) - rhs
 
 
-def _zeta_closed_form(rows, i, j, k, c):
+def _zeta_closed_form(rows, i, j, k):
     """Closed form of zeta in six eta terms, over (i,j,k,c,h):
 
     zeta(i,j,k,c,h) = eta(j,k,c)((k-c-1)eta(i-c+k,j+k-c,h)
@@ -451,35 +546,35 @@ def _zeta_closed_form(rows, i, j, k, c):
                     + eta(i,j,c)((c-i+1)eta(i+j-c,i+k-c,h)
                         + (h-j)eta(i+j-c,j,h) + (k-h)eta(i+k-c,k,h))
     """
-    h = rows.h
-    eta_jkc, eta_ijc = _factor(eta, j, k, c), _factor(eta, i, j, c)
+    c, h, weigh = rows.g, rows.h, rows.weigh
+    jkc, ijc = (j, k, c), (i, j, c)
     rhs = 0
-    if eta_jkc:
-        rhs += eta_jkc * (
-            (k - c - 1) * rows.eta(i - c + k, j + k - c, h)
-            + rows.weigh(j - h, eta, j, j + k - c, h)
-            + rows.weigh(h - i, eta, i, i + k - c, h)
+    if rows.value(eta, *jkc):
+        rhs += (
+            weigh(k - c - 1, eta, jkc, (i - c + k, j + k - c, h))
+            + weigh(j - h, eta, jkc, (j, j + k - c, h))
+            + weigh(h - i, eta, jkc, (i, i + k - c, h))
         )
-    if eta_ijc:
-        rhs += eta_ijc * (
-            (c - i + 1) * rows.eta(i + j - c, i + k - c, h)
-            + rows.weigh(h - j, eta, i + j - c, j, h)
-            + rows.weigh(k - h, eta, i + k - c, k, h)
+    if rows.value(eta, *ijc):
+        rhs += (
+            weigh(c - i + 1, eta, ijc, (i + j - c, i + k - c, h))
+            + weigh(h - j, eta, ijc, (i + j - c, j, h))
+            + weigh(k - h, eta, ijc, (i + k - c, k, h))
         )
     return _zeta_row(rows, i, j, k, c, h) - rhs
 
 
-def _ybe_coeffs(rows, i, j, k, c):
+def _ybe_coeffs(rows, i, j, k):
     """Coefficient form of the Yang-Baxter equation for g, over (i,j,k,c,h):
 
     sum_a eta(j,k,a)eta(i,a,c)eta(i+a-c,j+k-a,h)
       = sum_s eta(i,j,s)eta(i+j-s,k,h+c-s)eta(s,h+c-s,c)
     """
-    h = rows.h
+    c, h = rows.g, rows.h
     return _zeta_row(rows, i, j, k, c, h) - _ybe_rhs_row(rows, i, j, k, c, h)
 
 
-def _zeta_symmetry(rows, i, j, k, c):
+def _zeta_symmetry(rows, i, j, k):
     """The right side of the Yang-Baxter coefficient identity is itself a
     zeta, over (i,j,k,c,h):
 
@@ -488,7 +583,7 @@ def _zeta_symmetry(rows, i, j, k, c):
     """
     # eta(i,j,.) is the first factor of both sides, so both sums walk the
     # one cached term list of (i, j).
-    h = rows.h
+    c, h = rows.g, rows.h
     rhs = _zeta_row(rows, i + j - k, i, j, h + c - k, i + j - h)
     return _ybe_rhs_row(rows, i, j, k, c, h) - rhs
 
@@ -510,28 +605,28 @@ def _g_idempotent(rows, i, j):
     )
 
 
-def _eta_translation(rows, a, b, c):
+def _eta_translation(rows, a, b):
     """Translation invariance, over (a,b,c,d): eta(a+d,b+d,c+d) = eta(a,b,c)."""
-    d = rows.h
-    return rows.eta(a + d, b + d, c + d) - _factor(eta, a, b, c) * rows.ones
+    c, d = rows.g, rows.h
+    return rows.eta(a + d, b + d, c + d) - rows.eta(a, b, c)
 
 
-def _eta_antisymmetry(rows, a, b):
+def _eta_antisymmetry(rows, a):
     """Antisymmetry, over (a,b,c): eta(a,b,c) = -eta(b,a,c)."""
-    c = rows.h
+    b, c = rows.g, rows.h
     return rows.eta(a, b, c) + rows.eta(b, a, c)
 
 
-def _eta_reflection(rows, a, b):
+def _eta_reflection(rows, a):
     """Reflection, over (a,b,c): eta(a,b,c) = eta(-b,-a,-c-1) = eta(a,b,a+b-c-1)."""
-    c = rows.h
+    b, c = rows.g, rows.h
     eta_abc = rows.eta(a, b, c)
     return (eta_abc - rows.eta(-b, -a, -c - 1)) | (eta_abc - rows.eta(a, b, a + b - c - 1))
 
 
-def _eta_delta_adjacent(rows, a):
+def _eta_delta_adjacent(rows):
     """The adjacent-interval delta, over (a,c): eta(a,a+1,c) = delta(a-c)."""
-    c = rows.h
+    a, c = rows.g, rows.h
     return rows.eta(a, a + 1, c) - rows.value(kron_delta, a - c)
 
 
@@ -540,31 +635,30 @@ def _eta_interval_sum(rows, b):
     return rows.pack(lambda c: eta_interval_sum(b, c, rows.pad) - (c - b))
 
 
-def _eta_cocycle(rows, a, b, c):
+def _eta_cocycle(rows, a, b):
     """The cocycle rule, over (a,b,c,d): eta(a,b,d) + eta(b,c,d) = eta(a,c,d)."""
-    d = rows.h
+    c, d = rows.g, rows.h
     return rows.eta(a, b, d) + rows.eta(b, c, d) - rows.eta(a, c, d)
 
 
-def _eta_annihilation(rows, a, b):
+def _eta_annihilation(rows, a):
     """Annihilation, over (a,b,c): eta(a,b+1,c)eta(c,a,b) = 0."""
-    c = rows.h
+    b, c = rows.g, rows.h
     return rows.times(eta, (a, b + 1, c), (c, a, b))
 
 
-def _eta_exchange(rows, a, b, c):
+def _eta_exchange(rows, a, b):
     """Exchange, over (a,b,c,d): eta(a,b,c)eta(c,b,d) = eta(a,b,d)eta(a,d+1,c)."""
-    d = rows.h
-    lhs = _factor(eta, a, b, c) * rows.eta(c, b, d)
-    return lhs - rows.times(eta, (a, b, d), (a, d + 1, c))
+    c, d = rows.g, rows.h
+    return rows.times(eta, (a, b, c), (c, b, d)) - rows.times(eta, (a, b, d), (a, d + 1, c))
 
 
-def _eta_splitting(rows, a, b, c, d):
+def _eta_splitting(rows, a, b, c):
     """Splitting, over (a,b,c,d,e):
 
     eta(a,b,c)eta(d,c,e) = eta(a,b,c)eta(d,a,e) + eta(a,b,e)eta(e+1,b,c)
     """
-    e = rows.h
+    d, e = rows.g, rows.h
     eta_abc = _factor(eta, a, b, c)
     return eta_abc * (rows.eta(d, c, e) - rows.eta(d, a, e)) - rows.times(
         eta, (a, b, e), (e + 1, b, c)
@@ -572,31 +666,34 @@ def _eta_splitting(rows, a, b, c, d):
 
 
 # ----------------------------------------------------------------------
-# registry: (name, command-line alias, arity, stage), the one table that
-# run_oracles and oracle_names read.  ids1..ids9 are the nine elementary eta
-# identities.
+# registry: (name, command-line alias, arity, packed, stage), the one table
+# that run_oracles and oracle_names read.  ``packed`` is how many last
+# coordinates one row of the stage covers: two, except where the range of a
+# sum depends on the coordinate before the last (g_idempotent sums over
+# interval(i, j), eta_interval_sum over the support of (b, c)).  ids1..ids9
+# are the nine elementary eta identities.
 
-_ORACLES: list[tuple[str, str, int, Stage]] = [
-    ("compat_coeffs", "cond1", 5, _compat_coeffs),
-    ("ybe_coeffs", "cond2", 5, _ybe_coeffs),
-    ("step_identity", "uid", 5, _step_identity),
-    ("eta_convolution", "prexi", 5, _eta_convolution),
-    ("zeta_closed_form", "xi", 5, _zeta_closed_form),
-    ("zeta_symmetry", "zeta_sym", 5, _zeta_symmetry),
-    ("g_idempotent", "g_idem", 3, _g_idempotent),
-    ("eta_translation", "ids1", 4, _eta_translation),
-    ("eta_antisymmetry", "ids2", 3, _eta_antisymmetry),
-    ("eta_reflection", "ids3", 3, _eta_reflection),
-    ("eta_delta_adjacent", "ids4", 2, _eta_delta_adjacent),
-    ("eta_interval_sum", "ids5", 2, _eta_interval_sum),
-    ("eta_cocycle", "ids6", 4, _eta_cocycle),
-    ("eta_annihilation", "ids7", 3, _eta_annihilation),
-    ("eta_exchange", "ids8", 4, _eta_exchange),
-    ("eta_splitting", "ids9", 5, _eta_splitting),
+_ORACLES: list[tuple[str, str, int, int, Stage]] = [
+    ("compat_coeffs", "cond1", 5, 2, _compat_coeffs),
+    ("ybe_coeffs", "cond2", 5, 2, _ybe_coeffs),
+    ("step_identity", "uid", 5, 2, _step_identity),
+    ("eta_convolution", "prexi", 5, 2, _eta_convolution),
+    ("zeta_closed_form", "xi", 5, 2, _zeta_closed_form),
+    ("zeta_symmetry", "zeta_sym", 5, 2, _zeta_symmetry),
+    ("g_idempotent", "g_idem", 3, 1, _g_idempotent),
+    ("eta_translation", "ids1", 4, 2, _eta_translation),
+    ("eta_antisymmetry", "ids2", 3, 2, _eta_antisymmetry),
+    ("eta_reflection", "ids3", 3, 2, _eta_reflection),
+    ("eta_delta_adjacent", "ids4", 2, 2, _eta_delta_adjacent),
+    ("eta_interval_sum", "ids5", 2, 1, _eta_interval_sum),
+    ("eta_cocycle", "ids6", 4, 2, _eta_cocycle),
+    ("eta_annihilation", "ids7", 3, 2, _eta_annihilation),
+    ("eta_exchange", "ids8", 4, 2, _eta_exchange),
+    ("eta_splitting", "ids9", 5, 2, _eta_splitting),
 ]
 
-_BY_NAME = {name: (arity, stage) for name, _, arity, stage in _ORACLES}
-_ALIASES = {alias: name for name, alias, _, _ in _ORACLES}
+_BY_NAME = {name: (arity, packed, stage) for name, _, arity, packed, stage in _ORACLES}
+_ALIASES = {alias: name for name, alias, *_ in _ORACLES}
 
 
 def oracle_names() -> list[str]:
@@ -650,6 +747,6 @@ def run_oracles(
         raise ValueError(f"window [{lo},{hi}] {needs}, above the cap of {MAX_WINDOW_TUPLES}")
     reports = []
     for name in sorted(selected):
-        arity, stage = _BY_NAME[name]
-        reports.append(_scan(name, IntWindow(lo, hi, arity), stage, pad))
+        arity, packed, stage = _BY_NAME[name]
+        reports.append(_scan(name, IntWindow(lo, hi, arity), stage, pad, packed))
     return reports

@@ -193,3 +193,27 @@ def test_constructor_rank_validation():
         cg_op(0, *hecke_parameters())
     with pytest.raises(ValueError):
         cg_twisted_op(0)
+    for build in (permutation_op, g_op):
+        with pytest.raises(ValueError, match="positive"):
+            build(0)
+        with pytest.raises(TypeError):
+            build(True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_int_built_operators_match_entry_built(n):
+    # permutation_op and g_op fill int columns directly; the validating
+    # constructor on one LaurentQP per entry must give the same storage form
+    indices = range(1, n + 1)
+    flip = {((j, i), (i, j)): LaurentQP.one() for i in indices for j in indices}
+    shift = {
+        ((k, i + j - k), (i, j)): LaurentQP.const(naive_eta(i, j, k))
+        for i in indices
+        for j in indices
+        for k in range(min(i, j), max(i, j))
+    }
+    for built, entries in ((permutation_op(n), flip), (g_op(n), shift)):
+        reference = TensorOp(n, 2, entries)
+        assert built._den == reference._den == 1
+        assert built._columns == reference._columns
+        assert list(built._columns) == list(reference._columns)

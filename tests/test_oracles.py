@@ -367,6 +367,31 @@ def test_scan_reports_first_counterexample_lexicographically():
     assert obj["counterexample"] == [1, 3]
 
 
+@pytest.mark.parametrize("lo", [0, 10**12])
+def test_two_packed_coordinates_report_first_counterexample_lexicographically(lo):
+    # field k = (g - lo)*side + (h - lo): a failure at (g, h) = (0, 3) comes
+    # before one at (1, 0), whatever their signs and sizes
+    window = IntWindow(lo, lo + 3, 3)
+    bound = 16 * (lo + 3 + 1)  # the field bound documented in _Rows
+    bad = {(lo + 1, lo, lo + 3): -bound, (lo + 1, lo + 1, lo): bound, (lo + 2, lo, lo): 1}
+    prefixes = []
+
+    def stage(rows, a):
+        prefixes.append(a)
+        return rows.pack(lambda g, h: bad.get((a, g, h), 0))
+
+    report = _scan("demo", window, stage, 0, 2)
+    assert report.counterexample == (lo + 1, lo, lo + 3)
+    assert prefixes == [lo, lo + 1]
+    # a failure only at the last field, (hi, hi), is found
+    hi = lo + 3
+    last = _scan("demo", window, lambda rows, a: rows.pack(lambda g, h: a == g == h == hi), 0, 2)
+    assert last.counterexample == (hi, hi, hi)
+    # with no prefix at all, the one stage call packs the whole window
+    pair = _scan("demo", IntWindow(lo, hi, 2), lambda rows: rows.pack(lambda g, h: g > h), 0, 2)
+    assert pair.counterexample == (lo + 1, lo)
+
+
 def test_report_invariant():
     [passing] = run_oracles(0, 2, only=["g_idempotent"])
     assert passing.passed and passing.counterexample is None
@@ -553,6 +578,18 @@ def test_far_window_matches_per_tuple_reference(eta, lo):
     # weights of eta_convolution and zeta_closed_form), so the field width
     # must grow with the coordinates
     assert_scans_match_reference(eta, lo, lo + 2, 1)
+
+
+@pytest.mark.parametrize(
+    "eta",
+    [closed_interval_eta, one_point_mutant((0, 1, 0), 0), one_point_mutant((2, -3, 1), 0)],
+    ids=["closed", "one_point_0_1_0", "one_point_2_m3_1"],
+)
+def test_wide_window_matches_per_tuple_reference(eta):
+    # six values per coordinate, so a packed row of (g, h) holds 36 fields;
+    # the one-point mutants sit inside the window, and several identities
+    # fail there at a g other than lo
+    assert_scans_match_reference(eta, -3, 2, 1)
 
 
 def test_factor_outside_unit_range_rejected():
