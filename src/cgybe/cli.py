@@ -62,7 +62,7 @@ USAGE_ERROR = 2
 # with --op g, whole processes that peak at 17-18 MB of RSS, on a 2-core
 # x86-64 VM with Python 3.11.  The 2-fold checks (hecke, gp, quadratic)
 # walk the same way, on the 2n - 1 inputs with min index 1, and take about
-# 4.4 s and 115 MB together at n = 64, most of it building cg_op and g_op.
+# 1.5 s and 113 MB together at n = 64.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
@@ -83,13 +83,11 @@ MAX_RATIONAL_DIGITS = 64
 # Bounds on each --alpha/--beta value, checked right after it is parsed:
 # its terms, the largest |exponent| of q or p, and the bits of its widest
 # coefficient (numerator plus denominator).  Terms set the cost.  ybe,
-# compat, mixed, gp and quadratic of --op cg at n = 16 take 4.5 s with
-# 2-term parameters, as all six checks of --op cg2 do, 6.6-8.7 s with
-# 3-term ones, 13.6 s at all three bounds, and 9.7-13.3 s with 4-term ones
-# of degree 3, on the VM above, when the 3-fold checks built their sums as
-# operators; column by column they take about half (1.8 s with the default
-# parameters, 2.9 s with (q+p)^2 and (q-p)^2).  Exponents and bits set the
-# digits printed.
+# compat, mixed, gp and quadratic of --op cg at n = 16 take 1.3-1.7 s with
+# the default or 2-term parameters, 2.0-2.4 s with 3-term ones and 3.8 s
+# at all three bounds, whole processes on the VM above; with 4-term ones of
+# degree 3, past the bound, the same checks take 3.0-3.9 s in process.
+# Exponents and bits set the digits printed.
 # An entry of cg is alpha, beta, -beta or alpha - beta: at most 6 terms
 # (u/v)·q^a·p^b with |a|, |b| <= 10 and |u|, v < 2^64.  eval evaluates it
 # at q = r/s and p = r'/s' with |r|, s, |r'|, s' < 10^63 (64-character

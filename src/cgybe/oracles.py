@@ -114,6 +114,7 @@ class IntWindow:
     arity: int
 
     def __post_init__(self):
+        _require_ints(lo=self.lo, hi=self.hi, arity=self.arity)
         if self.lo > self.hi:
             raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
         if self.arity < 1:
@@ -121,6 +122,13 @@ class IntWindow:
 
     def to_json_obj(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "arity": self.arity}
+
+
+def _require_ints(**values) -> None:
+    """Raise TypeError unless every value is an int; a bool is not one."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
@@ -720,13 +728,15 @@ def run_oracles(
 ) -> list[OracleReport]:
     """Run all (or the selected) identity checks; reports sorted by name.
 
-    Raises ValueError for an unknown or empty selection, an empty window, a
+    Raises TypeError when lo, hi or pad is not an int (a bool is not one),
+    and ValueError for an unknown or empty selection, an empty window, a
     negative pad, or a selection whose cost is above MAX_WINDOW_TUPLES: the
     sum over the identities of their ``_cost`` with side = hi - lo + 1,
     side**(arity - 1) * (side + 2*pad) for each but eta_interval_sum, which
     costs its (side**3 - side)/3 + 2*pad*side**2 eta calls.  All before any
     scan starts.
     """
+    _require_ints(lo=lo, hi=hi, pad=pad)
     if pad < 0:
         raise ValueError(f"pad must not be negative, got {pad}")
     if only is None:

@@ -34,17 +34,20 @@ pair (f, g): an operator f adds f∘g, a scalar f (``int``, ``Fraction`` or
 [(-1, f)], ``s * f`` is [(s, f)] and the Yang-Baxter sum
 c12∘c23∘c12 − c23∘c12∘c23 is [(c12, c23∘c12), (c23, c12∘(−c23))].
 
-Every sum, of :func:`compose_sum` and of every check, is evaluated by one
+Every sum, of :func:`compose_sum` and of every check, is a list of flat
+signed words ``(scalar, *factors)``, the factors applied right to left and
+a word with no factor standing for scalar·I, and is evaluated by one
 kernel, :class:`_Sum`, one input column at a time: for an input basis
-vector e_t its words are applied right to left to e_t, a scalar of a word
-scaling the start vector, and the words that share a left factor are
-summed before it is applied.  A factor reads its operator's column at the
-input's digits in its place: all of them for an operator of the sum's
-arity, and (i, j) of (i, j, k) for a 2-fold operator at place 12 of a
-3-fold word, (j, k) at place 23.  So no lift, product or scalar multiple
-is built.  :func:`compose_sum` keeps the column at every input of a right
-factor; a check keeps only the first nonzero one (:func:`_witness`).
-When every operator and scalar of the sum is constant the kernel adds int
+vector e_t each word is applied right to left to scalar·e_t, and the
+three-factor words that share a left factor are summed before it is
+applied.  A factor reads its operator's column at the input's digits in
+its place: all of them for an operator applied whole, and (i, j) of
+(i, j, k) for a 2-fold operator placed at 12 in a 3-fold word, (j, k) at
+23.  So no lift, product, identity or scalar multiple is built.
+:func:`compose_sum` keeps the column at every input of a right factor; a
+check keeps only the first nonzero one (:func:`_witness`), walking only
+the inputs with min index 1 when the translation lemma allows.  When
+every operator and scalar of the sum is constant the kernel adds int
 products over one common denominator, with no exponent pairs or
 ``Fraction`` arithmetic; otherwise it adds the terms of LaurentQP
 coefficients into one raw dict per output.  An equation is therefore
@@ -217,13 +220,6 @@ class TensorOp:
 
     # ------------------------------------------------------------------
     # algebra
-
-    def _check_match(self, other: "TensorOp") -> None:
-        if self.n != other.n or self.arity != other.arity:
-            raise ValueError(
-                f"operator mismatch: n={self.n},arity={self.arity} "
-                f"vs n={other.n},arity={other.arity}"
-            )
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
         return compose_sum([(1, self), (1, other)])
@@ -431,51 +427,68 @@ def compose_sum(terms) -> TensorOp:
     smaller.  All operators must share one rank and arity.  A term that is
     not a pair, or whose right factor is not an operator, raises TypeError.
 
-    Each term is one word of a :class:`_Sum`, a scalar f the start value
-    of its word, so no f·I is built.  The result holds the sum's column at
-    each input of a right factor, in first-seen order, and keeps the sum's
-    ``den``; a Laurent sum whose values are all constant takes the int
-    form.
+    Each term is one word of a :class:`_Sum`, (1, f, g) or (f, g), so no
+    f·I is built.  The result holds the sum's column at each input of a
+    right factor, in first-seen order, and keeps the sum's ``den``; a
+    Laurent sum whose values are all constant takes the int form.
     """
-    words, rights = [], []
-    shape = None
+    words = []
     for term in terms:
         if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], TensorOp)):
             raise TypeError(f"a compose_sum term must be a pair (f, operator), got {term!r}")
         f, g = term
-        if shape is None:
-            shape = g
-        shape._check_match(g)
-        if isinstance(f, TensorOp):
-            shape._check_match(f)
-            words.append((f, [(1, g)]))
-        else:
-            words.append((None, [(f, g)]))
-        rights.append(g)
-    if shape is None:
-        raise ValueError("compose_sum needs at least one term")
-    total = _Sum(shape.n, shape.arity, words)
+        words.append((1, f, g) if isinstance(f, TensorOp) else term)
+    total = _Sum(words)
     columns = {}
-    for inp in dict.fromkeys(inp for g in rights for inp in g._columns):
+    for inp in dict.fromkeys(inp for *_, g in words for inp in g._columns):
         column = total.column(inp)
         if column:
             columns[inp] = column if total.base is None else {
                 out: total.value(raw) for out, raw in column.items()
             }
     if total.den is None:
-        return TensorOp._trusted(shape.n, shape.arity, *_stored_form(columns))
-    return TensorOp._trusted(shape.n, shape.arity, total.den, columns)
+        return TensorOp._trusted(total.n, total.arity, *_stored_form(columns))
+    return TensorOp._trusted(total.n, total.arity, total.den, columns)
 
 
-def _witness(n: int, arity: int, words, inputs, tables: dict) -> Witness | None:
-    """The witness of the :class:`_Sum` of ``words``, walked one input at a
-    time: the first t of ``inputs``, in the order given, whose column has a
-    nonzero entry gives (t, its smallest such output, the coefficient
-    there), and no input after it is read.  None when every column
-    vanishes.  ``tables`` keeps the packed factors for further sums over
-    the same operators."""
-    total = _Sum(n, arity, words, tables)
-    for t in inputs:
+def _inputs(n: int, arity: int, reduced: bool):
+    """The inputs :func:`_witness` walks, in sorted order: those with min
+    index 1 when ``reduced``, else all n^arity."""
+    for t in itertools.product(range(1, n + 1), repeat=arity):
+        if not reduced or 1 in t:
+            yield t
+
+
+def _witness(words, tables: dict) -> Witness | None:
+    """The witness of the :class:`_Sum` of the flat ``words``: the first
+    input t in sorted order whose column has a nonzero entry gives (t, its
+    smallest such output, the coefficient there), and no input after it is
+    read.  None when every column vanishes.
+
+    The rank and arity are the sum's.  When every operator of the words
+    passes the translation lemma (:func:`_translation_invariant`), only the
+    inputs with min index 1 are walked: about 3n² of the n³ at arity 3 and
+    2n − 1 of the n² at arity 2.  The column at an input with min index
+    >= 2 is the column at the input one step down, its outputs shifted up
+    by one; placed factors, products and sums keep that property, as does a
+    word with no factor.  So a nonzero column at an input with min index m
+    is the translate of one at the input m − 1 steps down, which has min
+    index 1 and is smaller: the sum vanishes iff it vanishes there, and its
+    witness, with its coefficient, lies there.  When some operator fails
+    the lemma, as a random one does, every input is walked.
+
+    ``tables`` keeps each operator's packed factors and its lemma result,
+    keyed by ``id``, for further sums over the same live operators.
+    """
+    total = _Sum(words, tables)
+
+    def lemma(op: TensorOp) -> bool:
+        if id(op) not in tables:
+            tables[id(op)] = _translation_invariant(op)
+        return tables[id(op)]
+
+    reduced = all(lemma(op) for op in total.operands)
+    for t in _inputs(total.n, total.arity, reduced):
         column = total.column(t)
         if column:
             out = min(column)
@@ -497,9 +510,10 @@ class _Factor(NamedTuple):
     table: list
 
 
-def _placed(factor) -> tuple[TensorOp, int]:
-    """A factor of a :class:`_Sum` word as (operator, stride)."""
-    return (factor, 1) if isinstance(factor, TensorOp) else factor
+def _placed(factor) -> tuple[TensorOp, int | None]:
+    """A factor of a :class:`_Sum` word as (operator, place): 12 or 23 for
+    a 2-fold operator placed in a 3-fold word, None for a bare one."""
+    return (factor, None) if isinstance(factor, TensorOp) else factor
 
 
 @functools.lru_cache(maxsize=8)
@@ -515,16 +529,23 @@ class _Sum:
     """A signed sum of operator products, packed to be evaluated one input
     column at a time; every check and every :func:`compose_sum` is one.
 
-    ``words`` lists groups ``(left, chains)``, the words left∘chain for
-    each chain, which share the left factor (None for none).  A chain is
-    ``(scalar, right)`` or ``(scalar, middle, right)``, whose factors apply
-    right to left to scalar·e_t.  A factor is an operator of the sum's
-    arity, or a pair (operator, stride) that places a 2-fold one in a
-    3-fold word (see :class:`_Factor`).  :meth:`column` applies each chain to its start
-    vector, sums a group's chains and applies the group's left factor to
-    that sum, all into one accumulator; no lift or product operator is
-    built.  Each operator is packed once per place and form into
-    ``tables``, which sums over the same live operators may share.
+    ``words`` is a list of flat signed words ``(scalar, *factors)``, the
+    factors applied right to left to scalar·e_t; a word with no factor is
+    scalar·I.  A factor is an operator applied whole, or a pair (operator,
+    12 or 23) that places a 2-fold operator in a 3-fold word.  The sum
+    reads its rank, its arity (3 when a factor is placed, else that of its
+    operators) and its ``operands`` off the words, and raises ValueError
+    when an operator does not fit them.
+
+    The sum alone groups, places and applies the words.  Words of three
+    factors that share a left factor are grouped, their chains (middle,
+    right) summed before that factor is applied once.  Every other word is
+    a chain (right) or (middle, right) added straight into the result; a
+    word with no factor applies the unit factor, which maps every code to
+    itself.  :meth:`column` does all of it into one accumulator; no lift,
+    product, identity or partial sum is built.  Each operator is packed
+    once per place and form into ``tables``, which sums over the same live
+    operators may share.
 
     Every value of the sum takes one form, chosen from its operators and
     scalars:
@@ -544,38 +565,45 @@ class _Sum:
       packed tuple of terms.
     """
 
-    __slots__ = ("den", "base", "basis", "codes", "words")
+    __slots__ = ("n", "arity", "operands", "den", "base", "basis", "codes", "groups")
 
-    def __init__(self, n: int, arity: int, words, tables: dict | None = None):
+    def __init__(self, words, tables: dict | None = None):
+        words = [(as_laurent(scalar), [_placed(f) for f in factors]) for scalar, *factors in words]
+        placed = [f for _, factors in words for f in factors]
+        if not placed:
+            raise ValueError("a sum needs at least one operator")
+        n = self.n = placed[0][0].n
+        arity = self.arity = 3 if any(place for _, place in placed) else placed[0][0].arity
+        for op, place in placed:
+            if place not in (None, 12, 23) or (op.n, op.arity) != (n, 2 if place else arity):
+                raise ValueError(
+                    f"operator mismatch: n={op.n},arity={op.arity} at place {place} "
+                    f"in a sum of rank {n} and arity {arity}"
+                )
+        self.operands = list({id(op): op for op, _ in placed}.values())
         self.basis, self.codes = _basis(n, arity)
-        flat = [
-            (as_laurent(scalar), [_placed(f)[0] for f in ([] if left is None else [left]) + chain])
-            for left, chains in words
-            for scalar, *chain in chains
-        ]
-        self.den, self.base, starts = _starts(flat)
-        starts = iter(starts)
+        self.den, self.base, starts = _starts(words, self.operands)
         tables = {} if tables is None else tables
         interned: dict = {}
 
-        def factor(spec) -> _Factor:
-            op, stride = _placed(spec)
+        def factor(op: TensorOp, place: int | None) -> _Factor:
+            stride = n if place == 12 else 1
             key = (id(op), stride, self.base)
-            placed = tables.get(key)
-            if placed is None:
-                placed = tables[key] = _factor(op, n, stride, self.base, interned)
-            return placed
+            packed = tables.get(key)
+            if packed is None:
+                packed = tables[key] = _factor(op, n, stride, self.base, interned)
+            return packed
 
-        self.words = [
-            (
-                None if left is None else factor(left),
-                [
-                    (next(starts), factor(c[-1]), None if len(c) == 1 else factor(c[0]))
-                    for _, *c in chains
-                ],
-            )
-            for left, chains in words
-        ]
+        unit = _Factor(1, 1, [[(0, 1 if self.base is None else ((0, 1),))]])
+        groups: dict = {}
+        for (_, factors), start in zip(words, starts):
+            if len(factors) > 3:
+                raise ValueError(f"a word has at most three factors, got {len(factors)}")
+            chain = [factor(*f) for f in factors] or [unit]
+            left = chain.pop(0) if len(chain) == 3 else None
+            group = groups.setdefault(id(left), (left, []))
+            group[1].append((start, chain[-1], chain[0] if len(chain) == 2 else None))
+        self.groups = list(groups.values())
 
     def column(self, inp: tuple[int, ...]) -> dict:
         """The sum's column at ``inp``: its nonzero raw values by output tuple."""
@@ -583,7 +611,7 @@ class _Sum:
         apply = _apply_terms if laurent else _apply_ints
         code = self.codes[inp]
         acc: dict = {}
-        for left, chains in self.words:
+        for left, chains in self.groups:
             vector = acc if left is None else {}
             for start, right, middle in chains:
                 if middle is None:
@@ -612,18 +640,18 @@ class _Sum:
         return LaurentQP._trusted(terms)
 
 
-def _starts(words) -> tuple[int | None, int | None, list]:
+def _starts(words, ops) -> tuple[int | None, int | None, list]:
     """(den, base, the start value of each word) of a :class:`_Sum` whose
-    words are given as (scalar, [operator, ...]), in the form its class
-    docstring describes: the int form when every operator and scalar is
-    constant, else the Laurent form."""
-    ops = {id(op): op for _, word in words for op in word}.values()
+    words are given as (scalar, [(operator, place), ...]) over the distinct
+    operators ``ops``, in the form its class docstring describes: the int
+    form when every operator and scalar is constant, else the Laurent
+    form."""
     scalars = [scalar for scalar, _ in words]
     if all(op._den is not None for op in ops) and all(s.is_constant() for s in scalars):
         ratios = []
         for scalar, word in words:
             num, den = scalar.constant_value().as_integer_ratio()
-            for op in word:
+            for op, _ in word:
                 den *= op._den
             ratios.append((num, den))
         den = lcm(*(den for _, den in ratios))

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -355,6 +356,30 @@ def test_window_validation():
         IntWindow(3, 1, 2)
     with pytest.raises(ValueError):
         IntWindow(0, 1, 0)
+
+
+def test_window_bounds_must_be_ints(monkeypatch):
+    # a bool or a float bound, pad or arity is refused before the cost
+    # check and before any scan starts
+    monkeypatch.setattr(oracles, "_cost", lambda *args: pytest.fail("cost check reached"))
+    monkeypatch.setattr(oracles, "_scan", lambda *args: pytest.fail("scan started"))
+    for kwargs in (
+        {"lo": True, "hi": 2},
+        {"lo": 0, "hi": True},
+        {"lo": 0.0, "hi": 2},
+        {"lo": 0, "hi": 2.0},
+        {"lo": 0, "hi": 2, "pad": True},
+        {"lo": 0, "hi": 2, "pad": 1.0},
+        {"lo": Fraction(0), "hi": 2},
+    ):
+        with pytest.raises(TypeError):
+            run_oracles(only=["ids2"], **kwargs)
+    for args in ((True, 2, 2), (0, False, 2), (0, 1, True), (0.0, 1, 2), (0, 1, 2.0)):
+        with pytest.raises(TypeError):
+            IntWindow(*args)
+    monkeypatch.undo()
+    [report] = run_oracles(0, 2, only=["ids2"])
+    assert report.passed and report.to_json_obj()["window"] == {"lo": 0, "hi": 2, "arity": 3}
 
 
 def test_scan_reports_first_counterexample_lexicographically():

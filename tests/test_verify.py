@@ -1,7 +1,9 @@
 """Operator-level checks: Yang-Baxter, compatibility, mixed, Hecke,
 the g/P relations and the quadratic relation, pass and fail paths."""
 
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +41,8 @@ from helpers import (
     YBE_FAIL_FIXTURE_WITNESS,
     holds_int_columns,
     random_fraction,
+    random_int,
+    random_laurent,
     random_op,
 )
 
@@ -250,7 +254,7 @@ def _watch_inputs(monkeypatch):
     """Every walk over inputs that a check makes, in order, as (reduced,
     the inputs it read)."""
     walks = []
-    inputs = verify._inputs
+    inputs = tensor._inputs
 
     def watching(n, arity, reduced):
         walk = []
@@ -259,7 +263,7 @@ def _watch_inputs(monkeypatch):
             walk.append(t)
             yield t
 
-    monkeypatch.setattr(verify, "_inputs", watching)
+    monkeypatch.setattr(tensor, "_inputs", watching)
     return walks
 
 
@@ -759,3 +763,160 @@ def test_invariant_operators_take_the_restricted_path(monkeypatch):
     assert reads == []
     combo.first_entry()
     assert len(reads) == 1
+
+
+# ----------------------------------------------------------------------
+# flat signed words: the witness of any sum of words (scalar, *factors)
+# is that of the same sum built two-sided from lifts, products and the
+# identity
+
+
+def _flat_word_operand(rng, n):
+    """A 2-fold operator with int, rational or Laurent coefficients: random,
+    which fails the translation lemma, or passing it."""
+    coeff = rng.choice([random_int, random_fraction, lambda r: random_laurent(r, max_terms=2)])
+    if rng.random() < 0.7:
+        return _translation_invariant_op(rng, n, coeff)
+    basis = list(itertools.product(range(1, n + 1), repeat=2))
+    pairs = [(out, inp) for out in basis for inp in basis if rng.random() < 0.3]
+    return TensorOp(n, 2, {pair: coeff(rng) for pair in pairs})
+
+
+def _perturbed(rng, op):
+    """op with the entry at one output of an input with min index >= 2
+    changed, so that it fails the translation lemma (op itself at n = 1)."""
+    inputs = [inp for inp in op.basis_tuples() if min(inp) >= 2]
+    if not inputs:
+        return op
+    inp = rng.choice(inputs)
+    entries = dict(op.entries)
+    key = ((rng.randint(1, op.n), rng.randint(1, op.n)), inp)
+    entries[key] = entries.get(key, LaurentQP.zero()) + random_fraction(rng, nonzero=True)
+    return TensorOp(op.n, 2, entries)
+
+
+def _word_scalar(rng):
+    kind = rng.choice(["int", "fraction", "laurent"])
+    if kind == "int":
+        return random_int(rng)
+    return random_fraction(rng) if kind == "fraction" else random_laurent(rng, max_terms=2)
+
+
+def _two_sided_word(word, n, arity):
+    """scalar·(the product of the factors, lifted to their places), or
+    scalar·I for a word with no factor."""
+    scalar, *factors = word
+    lifts = {12: lift12, 23: lift23}
+    lifted = [f if arity == 2 else lifts[f[1]](f[0]) for f in factors]
+    if not lifted:
+        return compose_sum([(scalar, TensorOp.identity(n, arity))])
+    return compose_sum([(scalar, functools.reduce(operator.matmul, lifted))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["plain", "cancelled", "perturbed"]),
+)
+def test_flat_words_match_two_sided_reference(seed, n, arity, kind):
+    rng = random.Random(seed)
+    operands = [_flat_word_operand(rng, n) for _ in range(rng.randint(1, 3))]
+
+    def factor():
+        op = rng.choice(operands)
+        return op if arity == 2 else (op, rng.choice([12, 23]))
+
+    def word(least):
+        count = rng.choice([c for c in (0, 1, 2, 3, 3, 3) if c >= least])
+        return (_word_scalar(rng), *(factor() for _ in range(count)))
+
+    words = [word(0) for _ in range(rng.randint(0, 4))] + [word(1)]
+    if kind != "plain":
+        # each word less its copy; when perturbed, a copy whose right factor
+        # reads one chosen operand reads it changed at an input with min
+        # index >= 2, so the sum vanishes but for the columns that change
+        # reaches, and at arity 2 its witness often has min index >= 2
+        old = rng.choice(operands)
+        new = _perturbed(rng, old) if kind == "perturbed" else old
+
+        def copy(scalar, *factors):
+            if factors and (factors[-1] if arity == 2 else factors[-1][0]) is old:
+                factors = (*factors[:-1], new if arity == 2 else (new, factors[-1][1]))
+            return (-scalar, *factors)
+
+        words += [copy(*w) for w in words]
+        rng.shuffle(words)
+    cut = rng.randint(0, len(words))
+    zero = TensorOp.zero(n, arity)
+    lhs = sum((_two_sided_word(w, n, arity) for w in words[:cut]), zero)
+    rhs = sum((_two_sided_word((-s, *f), n, arity) for s, *f in words[cut:]), zero)
+    equal, expected = endo_eq(lhs, rhs)
+    assert tensor._witness(words, {}) == expected
+    assert equal == (expected is None)
+    if kind == "cancelled":
+        assert equal
+
+
+def test_words_fix_the_rank_and_arity():
+    # a placed factor makes the sum 3-fold, where a bare factor must be a
+    # 3-fold operator; a sum of scalar words alone has no rank
+    perm, g = permutation_op(2), g_op(2)
+    assert tensor._witness([(1, (perm, 12)), (-1, lift12(perm))], {}) is None
+    assert tensor._witness([(1, (g, 23), (perm, 12)), (-1, lift23(g) @ lift12(perm))], {}) is None
+    for words in (
+        [(1,), (-1,)],
+        [(1, perm), (1, (g, 12))],
+        [(1, perm), (1, g_op(3))],
+        [(1, (TensorOp.identity(2, 3), 23))],
+        [(1, (perm, 13))],
+        [(1, perm, perm, perm, perm)],
+    ):
+        with pytest.raises(ValueError):
+            tensor._witness(words, {})
+
+
+def test_each_check_runs_the_lemma_once_per_operator(monkeypatch):
+    # mixed and gp walk two or three sums over the same two operators
+    n = 4
+    perm, g = permutation_op(n), g_op(n)
+    lemma = tensor._translation_invariant
+    seen = []
+    monkeypatch.setattr(tensor, "_translation_invariant", lambda op: seen.append(op) or lemma(op))
+    assert check_mixed_conditions(perm, g).passed
+    assert [id(op) for op in seen] == [id(perm), id(g)]
+    seen.clear()
+    assert check_gp_relations(n).passed
+    assert len(seen) == len({id(op) for op in seen}) == 2
+    seen.clear()
+    assert check_ybe(g).passed
+    assert [id(op) for op in seen] == [id(g)]
+
+
+def test_checks_build_no_identity_operator(monkeypatch):
+    # every -I or +I of a 2-fold check is a word with no factor, passing or
+    # failing
+    n = 4
+    alpha, beta = hecke_parameters()
+    rmat, not_hecke = cg_op(n, alpha, beta), cg_op(n, q, 1)
+    expected = {
+        "hecke": _reference_hecke(not_hecke, q),
+        "gp": _reference_gp(not_hecke, permutation_op(n)),
+        "quadratic": _reference_quadratic(not_hecke, alpha, beta),
+    }
+    assert not any(passed for passed, _ in expected.values())
+
+    def refuse(cls, *args):
+        raise AssertionError("a check built an identity operator")
+
+    monkeypatch.setattr(TensorOp, "identity", classmethod(refuse))
+    assert check_hecke(rmat, alpha).passed
+    assert check_gp_relations(n).passed
+    assert check_quadratic(n, alpha, beta).passed
+    failing = {"hecke": check_hecke(not_hecke, q)}
+    monkeypatch.setattr(verify, "g_op", lambda n: not_hecke)
+    failing["gp"] = check_gp_relations(n)
+    monkeypatch.setattr(verify, "cg_op", lambda n, a, b: not_hecke)
+    failing["quadratic"] = check_quadratic(n, alpha, beta)
+    assert {name: (r.passed, r.witness) for name, r in failing.items()} == expected
