@@ -13,25 +13,27 @@ deeply, over the parse budget (``MAX_PARSE_WORK`` term operations,
 ``MAX_PARSE_COEFF_BITS`` coefficient bits), over the parameter bounds
 (``MAX_PARAM_TERMS`` terms, ``MAX_PARAM_EXPONENT`` for |exponent|,
 ``MAX_PARAM_COEFF_BITS`` bits per coefficient), or read by neither the
-operator nor a selected check (see the ``reads`` of ``OPERATORS`` and
-``CHECKS``); an --alpha that is not a unit of the Laurent ring with the
-hecke check; an unknown or empty --checks
-or --only selection (``--checks ,``); a rank above the cap of the selected
-checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with a 3-fold one, eval --check-ybe
-included, else ``MAX_VERIFY_RANK_2FOLD`` = 64, which also caps gen
---format json) or of dense output (``MAX_DENSE_RANK`` = 56, eval and gen
---format latex); an eval --q/--p with an exponent or over
-``MAX_RATIONAL_DIGITS`` characters; an --out path that cannot be opened;
-an empty window (--lo above --hi), or windows holding more than
-``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream as JSON
-lines in sorted check order.
+operator nor an operand of the equations of a selected check (see the
+``reads`` of ``OPERATORS`` and ``OPERANDS``, and ``verify.CHECKS``); an
+--alpha that is not a unit of the Laurent ring with the hecke check; an
+unknown or empty --checks or --only selection (``--checks ,``); a rank
+above the cap of the selected checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with
+a 3-fold one, eval --check-ybe included, else ``MAX_VERIFY_RANK_2FOLD`` =
+64, which also caps gen --format json) or of dense output
+(``MAX_DENSE_RANK`` = 56, eval and gen --format latex); an eval --q/--p
+with an exponent or over ``MAX_RATIONAL_DIGITS`` characters; an --out
+path that cannot be opened; an empty window (--lo above --hi), or windows
+holding more than ``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports
+stream as JSON lines in sorted check order.  verify runs the selected
+checks as one ``verify.run_checks``: it builds each operand on first
+read, and an equation that two checks list (compat is the first sum of
+mixed) is walked once and reported under both.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import json
 import re
@@ -42,27 +44,21 @@ from typing import Callable, NamedTuple
 from .laurent import LaurentQP, p, q
 from .model import cg_op, cg_twisted_op, g_op, hecke_parameters, permutation_op
 from .oracles import DEFAULT_HI, DEFAULT_LO, run_oracles
-from .verify import (
-    check_compatibility,
-    check_gp_relations,
-    check_hecke,
-    check_mixed_conditions,
-    check_quadratic,
-    check_ybe,
-)
+from .verify import CHECKS, check_ybe, operands_of, run_checks
 
 USAGE_ERROR = 2
 
 # Largest rank verify accepts, checked before any operator is built.  Every
 # --op passes the translation lemma, so the 3-fold checks (ybe, compat,
 # mixed) walk only the inputs with min index 1, one input column at a time,
-# and hold no 3-fold operator (see verify.py).  All three take 0.36 s at
-# n = 14 and 0.8 s at n = 16 with --op cg2, whose compat and mixed fail at
-# their first input, 1.1 s and 1.6 s with --op cg, and 0.33 s and 0.45 s
-# with --op g, whole processes that peak at 17-18 MB of RSS, on a 2-core
-# x86-64 VM with Python 3.11.  The 2-fold checks (hecke, gp, quadratic)
-# walk the same way, on the 2n - 1 inputs with min index 1, and take about
-# 1.5 s and 113 MB together at n = 64.
+# and hold no 3-fold operator (see verify.py); compat and mixed walk their
+# shared first sum once.  All three take 0.5 s at n = 14 and 0.5-0.8 s at
+# n = 16 with --op cg2, whose compat and mixed fail at their first input,
+# 0.7-0.9 s at either rank with --op cg, and 0.22-0.27 s with --op g,
+# whole processes that peak at 18-19 MB of RSS, on a 2-core x86-64 VM with
+# Python 3.11.  The 2-fold checks (hecke, gp, quadratic) walk the same way,
+# on the 2n - 1 inputs with min index 1, and take 1.7-2.1 s and 75 MB
+# together at n = 64.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
@@ -107,20 +103,12 @@ MAX_PARAM_COEFF_BITS = 64
 
 class Operator(NamedTuple):
     reads: tuple[str, ...]  # the parameters (alpha, beta) it is built from
-    build: Callable  # (n, alpha, beta) -> TensorOp
+    build: Callable  # (n, alpha, beta) -> the operator, or the scalar itself
 
 
-class Check(NamedTuple):
-    power: int  # tensor power it works in: 2 or 3
-    reads: tuple[str, ...]  # the parameters it reads besides the operator
-    run: Callable  # (operator builder, n, alpha, beta) -> CheckReport
-
-
-# The rows call constructors and checks through this module's globals at
-# call time, never through a stored function object, so that a wrapper
-# installed over a global (bench/tracing.py does this) sees every call.
-# A check row gets a zero-argument builder of the --op operator and calls
-# it only if it reads the operator; gp and quadratic never do.
+# The rows call constructors through this module's globals at call time,
+# never through a stored function object, so that a wrapper installed over
+# a global (bench/tracing.py does this) sees every call.
 OPERATORS = {
     "perm": Operator((), lambda n, alpha, beta: permutation_op(n)),
     "g": Operator((), lambda n, alpha, beta: g_op(n)),
@@ -128,13 +116,15 @@ OPERATORS = {
     "cg2": Operator((), lambda n, alpha, beta: cg_twisted_op(n)),
 }
 
-CHECKS = {
-    "compat": Check(3, (), lambda c, n, alpha, beta: check_compatibility(c())),
-    "gp": Check(2, (), lambda c, n, alpha, beta: check_gp_relations(n)),
-    "hecke": Check(2, ("alpha",), lambda c, n, alpha, beta: check_hecke(c(), alpha)),
-    "mixed": Check(3, (), lambda c, n, alpha, beta: check_mixed_conditions(permutation_op(n), c())),
-    "quadratic": Check(2, ("alpha", "beta"), lambda c, n, a, b: check_quadratic(n, a, b)),
-    "ybe": Check(3, (), lambda c, n, alpha, beta: check_ybe(c())),
+# The operands of verify.EQUATIONS but X, the --op operator: the flip, g,
+# R = alpha*P + beta*g and the two scalars.  verify builds each one it
+# reads once, when it first reads it.
+OPERANDS = {
+    "P": OPERATORS["perm"],
+    "g": OPERATORS["g"],
+    "R": OPERATORS["cg"],
+    "alpha": Operator(("alpha",), lambda n, alpha, beta: alpha),
+    "beta": Operator(("beta",), lambda n, alpha, beta: beta),
 }
 
 
@@ -313,7 +303,8 @@ def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
     one that neither the operator nor any of ``checks`` reads, and a value
     over the parameter bounds (``MAX_PARAM_TERMS`` and the two after it)."""
     given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
-    reads = set(OPERATORS[args.op].reads).union(*(CHECKS[name].reads for name in checks))
+    operands = {"X": OPERATORS[args.op], **OPERANDS}
+    reads = set().union(*(operands[name].reads for name in {"X"}.union(*map(operands_of, checks))))
     unread = [flag for flag in given if flag[2:] not in reads]
     if unread:
         selected = f" with --checks {','.join(checks)}" if checks else ""
@@ -378,9 +369,9 @@ def _require_rank(n: int, cap: int, kind: str = "dense output") -> None:
 
 def _require_verify_rank(n: int, names) -> None:
     """Reject a rank above the cap of the selected checks, before any work."""
-    power = max(CHECKS[name].power for name in names)
+    power = max(CHECKS[name][0] for name in names)
     cap = MAX_VERIFY_RANK_3FOLD if power == 3 else MAX_VERIFY_RANK_2FOLD
-    kind = ", ".join(name for name, check in CHECKS.items() if check.power == power)
+    kind = ", ".join(name for name, (check_power, _) in CHECKS.items() if check_power == power)
     _require_rank(n, cap, f"{power}-fold checks ({kind})")
 
 
@@ -414,8 +405,9 @@ def cmd_verify(args) -> int:
     if "hecke" in names and not alpha.is_unit():
         raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {alpha}")
     _require_verify_rank(args.n, names)
-    operator = functools.cache(lambda: OPERATORS[args.op].build(args.n, alpha, beta))
-    return _report((CHECKS[name].run(operator, args.n, alpha, beta) for name in names), sys.stdout)
+    operands = {"X": OPERATORS[args.op], **OPERANDS}
+    reports = run_checks(zip(names, names), lambda name: operands[name].build(args.n, alpha, beta))
+    return _report(reports, sys.stdout)
 
 
 def cmd_identities(args) -> int:

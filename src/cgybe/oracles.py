@@ -728,15 +728,17 @@ def run_oracles(
 ) -> list[OracleReport]:
     """Run all (or the selected) identity checks; reports sorted by name.
 
-    Raises TypeError when lo, hi or pad is not an int (a bool is not one),
-    and ValueError for an unknown or empty selection, an empty window, a
-    negative pad, or a selection whose cost is above MAX_WINDOW_TUPLES: the
-    sum over the identities of their ``_cost`` with side = hi - lo + 1,
-    side**(arity - 1) * (side + 2*pad) for each but eta_interval_sum, which
-    costs its (side**3 - side)/3 + 2*pad*side**2 eta calls.  All before any
-    scan starts.
+    Raises TypeError when lo, hi or pad is not an int (a bool is not one)
+    or ``only`` is a bare str, and ValueError for an unknown or empty
+    selection, an empty window, a negative pad, or a selection whose cost
+    is above MAX_WINDOW_TUPLES: the sum over the identities of their
+    ``_cost`` with side = hi - lo + 1, side**(arity - 1) * (side + 2*pad)
+    for each but eta_interval_sum, which costs its (side**3 - side)/3 +
+    2*pad*side**2 eta calls.  All before any scan starts.
     """
     _require_ints(lo=lo, hi=hi, pad=pad)
+    if isinstance(only, str):
+        raise TypeError(f"only must be a list of identity names, not the str {only!r}")
     if pad < 0:
         raise ValueError(f"pad must not be negative, got {pad}")
     if only is None:

@@ -1,14 +1,17 @@
 """Exact symbolic verification of the operator-level equations.
 
-Every check states its equation as "this signed sum of operator products
-is zero" and never builds either side or their difference.  Each sum is a
-list of flat signed words ``(scalar, *factors)``, the factors applied right
-to left, a word with no factor standing for scalar·I, written in the order
-of the equation in its check's docstring.  For the Yang-Baxter equation
-that is [(1, c12, c23, c12), (-1, c23, c12, c23)], where c12 = (c, 12) and
-c23 = (c, 23) place a 2-fold operator at factors (1,2) and (2,3) of the
-3-fold power.  :func:`~cgybe.tensor._witness` alone groups, places and
-walks the words; see :class:`~cgybe.tensor._Sum`.
+Every check states its equations as "this signed sum of operator products
+is zero" and never builds either side or their difference.  Each sum is
+written once, as a named row of ``EQUATIONS``: the operands it reads and
+the builder of its list of flat signed words ``(scalar, *factors)``, the
+factors applied right to left, a word with no factor standing for
+scalar·I, in the order of the equation in its check's docstring.  For the
+Yang-Baxter equation that is [(1, c12, c23, c12), (-1, c23, c12, c23)],
+where c12 = (c, 12) and c23 = (c, 23) place a 2-fold operator at factors
+(1,2) and (2,3) of the 3-fold power.  :func:`~cgybe.tensor._witness` alone
+groups, places and walks the words; see :class:`~cgybe.tensor._Sum`.  A
+check of ``CHECKS`` is its tensor power and an ordered list of rows, and
+:func:`run_checks` walks a list of checks, a row two of them share once.
 
 There is no tolerance, because there is nothing to tolerate: coefficients
 are exact Laurent polynomials and a check passes iff each of its sums has
@@ -61,18 +64,6 @@ class CheckReport:
         }
 
 
-def _report(name: str, sums, started: float) -> CheckReport:
-    """Report of a check each of whose ``sums``, a list of flat words (see
-    :class:`~cgybe.tensor._Sum`), must vanish; a sum is walked only when
-    the ones before it vanished."""
-    tables: dict = {}
-    for words in sums:
-        witness = _witness(words, tables)
-        if witness is not None:
-            return CheckReport(name, False, witness, time.perf_counter() - started)
-    return CheckReport(name, True, None, time.perf_counter() - started)
-
-
 def _cubic_words(a, b):
     """The cubic sum whose vanishing is the mixed condition of (a, b):
 
@@ -80,21 +71,77 @@ def _cubic_words(a, b):
           − (a23 b12 b23 + b23 a12 b23 + b23 b12 a23)
     """
     a12, a23, b12, b23 = (a, 12), (a, 23), (b, 12), (b, 23)
-    return [
-        (1, a12, b23, b12),
-        (1, b12, a23, b12),
-        (1, b12, b23, a12),
-        (-1, a23, b12, b23),
-        (-1, b23, a12, b23),
-        (-1, b23, b12, a23),
-    ]
+    lhs = [(a12, b23, b12), (b12, a23, b12), (b12, b23, a12)]
+    rhs = [(a23, b12, b23), (b23, a12, b23), (b23, b12, a23)]
+    return [(1, *word) for word in lhs] + [(-1, *word) for word in rhs]
+
+
+# Every equation a check may read, once: its name, the operands it reads
+# and the builder of its words from them, in that order.  An operand is X,
+# the checked operator; P, the flip; g; R = alpha*P + beta*g; or one of
+# the scalars alpha and beta (the Hecke scalar s of check_hecke is alpha).
+EQUATIONS = {
+    "ybe": (("X",), lambda c: [(1, (c, 12), (c, 23), (c, 12)), (-1, (c, 23), (c, 12), (c, 23))]),
+    "cubic(P,X)": (("P", "X"), _cubic_words),
+    "cubic(X,P)": (("X", "P"), _cubic_words),
+    "hecke": (("X", "alpha"), lambda r, s: [(1, r, r), (s.unit_inverse() - s, r), (-1,)]),
+    "quadratic": (("R", "alpha", "beta"), lambda r, a, b: [(1, r, r), (-b, r), (-(a * (a - b)),)]),
+    "g^2=g": (("g",), lambda g: [(1, g, g), (-1, g)]),
+    "gP=-g": (("g", "P"), lambda g, perm: [(1, g, perm), (1, g)]),
+    "Pg=g+P-I": (("P", "g"), lambda perm, g: [(1, perm, g), (-1, g), (-1, perm), (1,)]),
+}
+
+# Every check: the tensor power it works in and its equations, in the
+# order they are walked.
+CHECKS = {
+    "compat": (3, ("cubic(P,X)",)),
+    "gp": (2, ("g^2=g", "gP=-g", "Pg=g+P-I")),
+    "hecke": (2, ("hecke",)),
+    "mixed": (3, ("cubic(P,X)", "cubic(X,P)")),
+    "quadratic": (2, ("quadratic",)),
+    "ybe": (3, ("ybe",)),
+}
+
+
+def operands_of(check: str) -> set[str]:
+    """The names of the operands the equations of ``check`` read."""
+    return {name for equation in CHECKS[check][1] for name in EQUATIONS[equation][0]}
+
+
+def run_checks(checks, build):
+    """One report per (report name, check) pair of ``checks``, each as it
+    is made.  A check walks its equations in order and stops at the first
+    whose sum is nonzero.  An equation is walked at most once per run: its
+    witness (None when its sum vanishes) is kept for every later check that
+    lists it.  ``build(name)`` gives the operand of that name; the run
+    calls it when an equation first reads that operand, and keeps the
+    value only while a later check reads it.  All sums share one
+    ``tables`` (see :func:`~cgybe.tensor._witness`), so a kept operator is
+    packed and lemma-checked once.  ``tables`` is emptied whenever an
+    operand is let go: it is keyed by ``id``, so it must hold nothing of a
+    freed operator, and it should hold no more than the checks ahead read.
+    """
+    checks = list(checks)
+    tables, witnesses, values = {}, {}, {}
+    for i, (name, check) in enumerate(checks):
+        started = time.perf_counter()
+        for equation in CHECKS[check][1]:
+            if equation not in witnesses:
+                reads, words = EQUATIONS[equation]
+                values.update((r, build(r)) for r in reads if r not in values)
+                witnesses[equation] = _witness(words(*map(values.get, reads)), tables)
+            witness = witnesses[equation]
+            if witness is not None:
+                break
+        yield CheckReport(name, witness is None, witness, time.perf_counter() - started)
+        later = set().union(*(operands_of(c) for _, c in checks[i + 1 :]))
+        if values.keys() - later:
+            values, tables = {r: values[r] for r in values.keys() & later}, {}
 
 
 def check_ybe(c: TensorOp, name: str = "ybe") -> CheckReport:
     """c12 c23 c12 = c23 c12 c23 on V⊗V⊗V (rightmost factor acts first)."""
-    started = time.perf_counter()
-    c12, c23 = (c, 12), (c, 23)
-    return _report(name, [[(1, c12, c23, c12), (-1, c23, c12, c23)]], started)
+    return next(run_checks([(name, "ybe")], {"X": c}.get))
 
 
 def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
@@ -105,9 +152,7 @@ def check_compatibility(g: TensorOp, name: str = "compat") -> CheckReport:
 
     It is the first mixed condition of the pair (P, g).
     """
-    started = time.perf_counter()
-    perm = permutation_op(g.n)
-    return _report(name, [_cubic_words(perm, g)], started)
+    return next(run_checks([(name, "compat")], {"P": permutation_op(g.n), "X": g}.get))
 
 
 def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> CheckReport:
@@ -121,8 +166,7 @@ def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> Che
     and the same with the roles of f and g exchanged.  The second is
     evaluated only when the first holds.
     """
-    started = time.perf_counter()
-    return _report(name, [_cubic_words(f, g), _cubic_words(g, f)], started)
+    return next(run_checks([(name, "mixed")], {"P": f, "X": g}.get))
 
 
 def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> CheckReport:
@@ -133,28 +177,17 @@ def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> Chec
     qscalar = as_laurent(qscalar)
     if not qscalar.is_unit():
         raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {qscalar}")
-    started = time.perf_counter()
-    words = [(1, rmat, rmat), (qscalar.unit_inverse() - qscalar, rmat), (-1,)]
-    return _report(name, [words], started)
+    return next(run_checks([(name, "hecke")], {"X": rmat, "alpha": qscalar}.get))
 
 
 def check_gp_relations(n: int, name: str = "gp") -> CheckReport:
     """The three relations tying g to the flip: g^2 = g, gP = -g, Pg = g + P - I."""
-    started = time.perf_counter()
-    g, perm = g_op(n), permutation_op(n)
-    sums = [
-        [(1, g, g), (-1, g)],
-        [(1, g, perm), (1, g)],
-        [(1, perm, g), (-1, g), (-1, perm), (1,)],
-    ]
-    return _report(name, sums, started)
+    return next(run_checks([(name, "gp")], {"g": g_op(n), "P": permutation_op(n)}.get))
 
 
 def check_quadratic(
     n: int, alpha: LaurentQP, beta: LaurentQP, name: str = "quadratic"
 ) -> CheckReport:
     """R^2 = beta*R + alpha*(alpha-beta)*I for R = alpha*P + beta*g."""
-    started = time.perf_counter()
-    rmat = cg_op(n, alpha, beta)
-    words = [(1, rmat, rmat), (-beta, rmat), (-(alpha * (alpha - beta)),)]
-    return _report(name, [words], started)
+    operands = {"R": cg_op(n, alpha, beta), "alpha": alpha, "beta": beta}
+    return next(run_checks([(name, "quadratic")], operands.get))

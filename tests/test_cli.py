@@ -10,7 +10,21 @@ from pathlib import Path
 
 import pytest
 
-from cgybe import TensorOp, cg_op, cg_twisted_op, hecke_parameters, permutation_op
+from cgybe import (
+    TensorOp,
+    cg_op,
+    cg_twisted_op,
+    check_compatibility,
+    check_gp_relations,
+    check_hecke,
+    check_mixed_conditions,
+    check_quadratic,
+    check_ybe,
+    g_op,
+    hecke_parameters,
+    permutation_op,
+    verify,
+)
 from cgybe.cli import (
     MAX_DENSE_RANK,
     MAX_PARAM_COEFF_BITS,
@@ -323,6 +337,10 @@ def test_verify_reports_in_sorted_check_order(capsys):
         ("verify", "--op", "g", "--n", "2", "--checks", "ybe", "--alpha", "q"),
         ("verify", "--op", "cg2", "--n", "2", "--checks", "gp,mixed", "--beta", "1"),
         ("verify", "--op", "perm", "--n", "2", "--checks", "hecke", "--beta", "1"),
+        # what a check reads is derived from the equations it lists
+        ("verify", "--op", "g", "--n", "2", "--checks", "hecke,gp", "--beta", "1"),
+        ("verify", "--op", "perm", "--n", "2", "--checks", "gp", "--alpha", "q"),
+        ("verify", "--op", "cg2", "--n", "2", "--checks", "compat,ybe", "--alpha", "q"),
     ],
 )
 def test_conflicting_or_ignored_param_flags_rejected(capsys, argv):
@@ -390,6 +408,64 @@ def test_verify_builds_operator_only_if_read(capsys, monkeypatch, checks, builds
     assert code in (0, 1)
     assert len(out.splitlines()) == len(checks.split(","))
     assert calls == [2] * builds
+
+
+def _stable(report: dict) -> dict:
+    """A report line without its elapsed_ms."""
+    return {key: value for key, value in report.items() if key != "elapsed_ms"}
+
+
+@pytest.mark.parametrize(
+    "op, n, walks, shared_walks",
+    [("cg2", 5, 2, 1), ("g", 4, 3, 2)],
+    ids=["cg2-fails-first-sum", "g-passes"],
+)
+def test_verify_walks_a_shared_sum_once(capsys, monkeypatch, op, n, walks, shared_walks):
+    # compat is the first sum of mixed: run alone, the two checks walk it
+    # twice; run together, once, and each report line is the one it gives
+    # alone
+    calls = []
+    witness = verify._witness
+    monkeypatch.setattr(verify, "_witness", lambda *args: calls.append(1) or witness(*args))
+    alone = []
+    for check in ("compat", "mixed"):
+        code, out, _ = run_cli(capsys, "verify", "--op", op, "--n", str(n), "--checks", check)
+        alone.append(_stable(json.loads(out)))
+    assert len(calls) == walks
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify", "--op", op, "--n", str(n), "--checks", "compat,mixed")
+    assert len(calls) == shared_walks
+    assert code == (0 if op == "g" else 1)
+    assert [_stable(json.loads(line)) for line in out.splitlines()] == alone
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize(
+    "op, flags",
+    [("perm", ()), ("g", ()), ("cg", ()), ("cg2", ()), ("cg", ("--alpha", "q", "--beta", "1"))],
+    ids=["perm", "g", "cg", "cg2", "cg-not-hecke"],
+)
+def test_verify_lines_are_the_public_checks(capsys, op, flags, n):
+    # the CLI runs the equation table directly; every line it prints is
+    # the report of the matching public check
+    code, out, _ = run_cli(capsys, "verify", "--op", op, "--n", str(n), *flags)
+    alpha, beta = hecke_parameters()
+    if flags:
+        alpha, beta = q, LaurentQP.one()
+    x = {"perm": permutation_op, "g": g_op, "cg2": cg_twisted_op}.get(
+        op, lambda n: cg_op(n, alpha, beta)
+    )(n)
+    reports = [
+        check_compatibility(x),
+        check_gp_relations(n),
+        check_hecke(x, alpha),
+        check_mixed_conditions(permutation_op(n), x),
+        check_quadratic(n, alpha, beta),
+        check_ybe(x),
+    ]
+    expected = [_stable(report.to_json_obj()) for report in reports]
+    assert [_stable(json.loads(line)) for line in out.splitlines()] == expected
+    assert code == (0 if all(report.passed for report in reports) else 1)
 
 
 def test_identities_default_window(capsys):

@@ -289,6 +289,10 @@ def test_run_oracles_selection_and_aliases():
     assert [r.name for r in reports] == ["compat_coeffs", "step_identity"]
     with pytest.raises(ValueError):
         run_oracles(0, 3, only=["no_such_check"])
+    # a bare str is not a list of names: it would be read one character
+    # at a time
+    with pytest.raises(TypeError, match="str"):
+        run_oracles(0, 3, only="uid")
 
 
 def test_run_oracles_rejects_empty_selection():
