@@ -84,11 +84,11 @@ class LaurentQP:
         normalized: dict[ExpPair, Coeff] = {}
         if terms:
             for (a, b), coeff in terms.items():
-                if not isinstance(a, int) or not isinstance(b, int):
+                if type(a) is not int or type(b) is not int:
                     raise TypeError(f"exponents must be int, got ({a!r}, {b!r})")
                 coeff = _canonical(coeff)
                 if coeff:
-                    normalized[(int(a), int(b))] = coeff
+                    normalized[(a, b)] = coeff
         self._terms = normalized
 
     @classmethod

@@ -145,5 +145,4 @@ def cg_inverse(rmat: TensorOp, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:
             "the closed-form inverse leaves the coefficient ring"
         )
     inverse = scalar.unit_inverse()
-    identity = TensorOp.identity(rmat.n, rmat.arity)
-    return compose_sum([(inverse, rmat), (-beta * inverse, identity)])
+    return compose_sum([(inverse, rmat), (-beta * inverse,)])

@@ -441,7 +441,9 @@ def _g_idem_row(rows: _Rows, i: int, j: int, l: int) -> int:
 
 
 def _point(pad: int, *coords: int) -> _Rows:
-    """Rows of the one-field window at the last coordinate."""
+    """Rows of the one-field window at the last coordinate; TypeError when
+    a coordinate or the pad is not an int (a bool is not one)."""
+    _require_ints(pad=pad, **{f"coordinate {n}": x for n, x in enumerate(coords, 1)})
     return _Rows(coords[-1], coords[-1], pad, max(map(abs, coords)))
 
 
@@ -463,6 +465,7 @@ def ybe_coeff_rhs(i: int, j: int, k: int, c: int, h: int, pad: int = 0) -> int:
 
 def eta_interval_sum(b: int, c: int, pad: int = 0) -> int:
     """sum_a eta(b, c, a); equals c - b."""
+    _require_ints(b=b, c=c, pad=pad)
     return sum(w for w, _ in _interval_terms(b, c, pad))
 
 
@@ -640,7 +643,7 @@ def _eta_delta_adjacent(rows):
 
 def _eta_interval_sum(rows, b):
     """The interval sum, over (b,c): sum_a eta(b,c,a) = c - b."""
-    return rows.pack(lambda c: eta_interval_sum(b, c, rows.pad) - (c - b))
+    return rows.pack(lambda c: sum(w for w, _ in _interval_terms(b, c, rows.pad)) - (c - b))
 
 
 def _eta_cocycle(rows, a, b):

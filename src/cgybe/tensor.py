@@ -26,36 +26,38 @@ through one helper that turns a stored value into a LaurentQP.
 
 Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
-first).
-
-All of that arithmetic is one call of :func:`compose_sum`.  Each term is a
-pair (f, g): an operator f adds f∘g, a scalar f (``int``, ``Fraction`` or
-``LaurentQP``) adds f·g.  So ``f + g`` is [(1, f), (1, g)], ``-f`` is
-[(-1, f)], ``s * f`` is [(s, f)] and the Yang-Baxter sum
-c12∘c23∘c12 − c23∘c12∘c23 is [(c12, c23∘c12), (c23, c12∘(−c23))].
+first).  What the sums derive from an operator, its packed factors and its
+translation-lemma result, is kept in its private ``_cache`` on first use
+(:class:`_Sum`, :func:`_witness`), so it lives and dies with the operator.
 
 Every sum, of :func:`compose_sum` and of every check, is a list of flat
-signed words ``(scalar, *factors)``, the factors applied right to left and
-a word with no factor standing for scalar·I, and is evaluated by one
-kernel, :class:`_Sum`, one input column at a time: for an input basis
-vector e_t each word is applied right to left to scalar·e_t, and the
-three-factor words that share a left factor are summed before it is
-applied.  A factor reads its operator's column at the input's digits in
-its place: all of them for an operator applied whole, and (i, j) of
-(i, j, k) for a 2-fold operator placed at 12 in a 3-fold word, (j, k) at
-23.  So no lift, product, identity or scalar multiple is built.
-:func:`compose_sum` keeps the column at every input of a right factor; a
-check keeps only the first nonzero one (:func:`_witness`), walking only
-the inputs with min index 1 when the translation lemma allows.  When
-every operator and scalar of the sum is constant the kernel adds int
-products over one common denominator, with no exponent pairs or
-``Fraction`` arithmetic; otherwise it adds the terms of LaurentQP
-coefficients into one raw dict per output.  An equation is therefore
-checked without building its two sides or their difference.
+signed words ``(scalar, *factors)``: a scalar (``int``, ``Fraction`` or
+``LaurentQP``) and at most three factors applied right to left, a word
+with no factor standing for scalar·I.  A factor is an operator, or a pair
+(operator, 12 or 23) placing a 2-fold operator in a 3-fold word.  So
+``f + g`` is [(1, f), (1, g)], ``-f`` is [(-1, f)], ``s * f`` is [(s, f)]
+and ``f @ g`` is [(1, f, g)].
+
+A sum is evaluated by one kernel, :class:`_Sum`, one input column at a
+time: for an input basis vector e_t each word is applied right to left to
+scalar·e_t, and the three-factor words that share a left factor are summed
+before it is applied.  A factor reads its operator's column at the input's
+digits in its place: all of them for an operator applied whole, and
+(i, j) of (i, j, k) for a 2-fold operator placed at 12 in a 3-fold word,
+(j, k) at 23.  So no lift, product, identity or scalar multiple is built.
+:func:`compose_sum` keeps the column at every input; a check keeps only
+the first nonzero one (:func:`_witness`), walking only the inputs with min
+index 1 when the translation lemma allows.  When every operator and scalar
+of the sum is constant the kernel adds int products over one common
+denominator, with no exponent pairs or ``Fraction`` arithmetic; otherwise
+it adds the terms of LaurentQP coefficients into one raw dict per output.
+An equation is therefore checked without building its two sides or their
+difference.
 
 The public constructor validates its input (user code, JSON): the rank,
-the arity and every index must be an ``int``, and a ``bool`` is not one.
-It groups the entries by input and chooses the form.  Results built from
+the arity and every index must be an ``int``, and a ``bool`` is not one;
+an entry with a zero coefficient is checked before it is dropped.  It
+groups the entries by input and chooses the form.  Results built from
 operators that are already valid (products, sums, differences, negations,
 scalar multiples and the lifts) go through the private
 ``TensorOp._trusted`` instead and are not validated again.
@@ -82,7 +84,7 @@ Columns = dict[tuple[int, ...], dict[tuple[int, ...], int | LaurentQP]]
 class TensorOp:
     """Sparse endomorphism of the arity-fold tensor power of an n-space."""
 
-    __slots__ = ("n", "arity", "_den", "_columns")
+    __slots__ = ("n", "arity", "_den", "_columns", "_cache")
 
     def __init__(
         self,
@@ -99,12 +101,7 @@ class TensorOp:
         columns: dict = {}
         if entries:
             for (out, inp), coeff in entries.items():
-                if not isinstance(coeff, LaurentQP):
-                    coeff = LaurentQP.const(coeff)
-                if coeff.is_zero():
-                    continue
-                out = tuple(out)
-                inp = tuple(inp)
+                out, inp = tuple(out), tuple(inp)
                 if len(out) != arity or len(inp) != arity:
                     raise ValueError(f"entry {out}<-{inp} does not have arity {arity}")
                 for idx in (*out, *inp):
@@ -112,10 +109,14 @@ class TensorOp:
                         raise TypeError(f"index {idx!r} is not an int")
                     if not 1 <= idx <= n:
                         raise ValueError(f"index {idx} out of range 1..{n}")
-                columns.setdefault(inp, {})[out] = coeff
+                if not isinstance(coeff, LaurentQP):
+                    coeff = LaurentQP.const(coeff)
+                if not coeff.is_zero():
+                    columns.setdefault(inp, {})[out] = coeff
         self.n = n
         self.arity = arity
         self._den, self._columns = _stored_form(columns)
+        self._cache = {}
 
     @classmethod
     def _trusted(cls, n: int, arity: int, den: int | None, columns: Columns) -> "TensorOp":
@@ -132,6 +133,7 @@ class TensorOp:
         result.arity = arity
         result._den = den
         result._columns = columns
+        result._cache = {}
         return result
 
     def _entry_items(self):
@@ -240,7 +242,7 @@ class TensorOp:
 
     def compose(self, other: "TensorOp") -> "TensorOp":
         """self ∘ other: apply ``other`` first, then ``self``."""
-        return compose_sum([(self, other)])
+        return compose_sum([(1, self, other)])
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
         if not isinstance(other, TensorOp):
@@ -417,38 +419,28 @@ def _translation_invariant(f: TensorOp) -> bool:
     )
 
 
-def compose_sum(terms) -> TensorOp:
-    """The sum of ``terms``, each a pair (f, g) of an operator g and a left
-    factor f: an operator f adds f∘g, a scalar f (int, Fraction or
-    LaurentQP) adds f·g.
+def compose_sum(words) -> TensorOp:
+    """The sum of the flat signed ``words`` ``(scalar, *factors)`` of the
+    module docstring, as an operator.
 
     No product, scalar multiple or partial sum is built as an operator.  A
-    term of two operators is negated by negating one of them; negate the
-    smaller.  All operators must share one rank and arity.  A term that is
-    not a pair, or whose right factor is not an operator, raises TypeError.
+    word that is not a tuple of a scalar and factors raises TypeError, and
+    operators that do not fit one rank and arity ValueError (:class:`_Sum`).
 
-    Each term is one word of a :class:`_Sum`, (1, f, g) or (f, g), so no
-    f·I is built.  The result holds the sum's column at each input of a
-    right factor, in first-seen order, and keeps the sum's ``den``; a
-    Laurent sum whose values are all constant takes the int form.
+    The result holds the sum's nonzero column at each input, in sorted
+    order, and keeps the sum's ``den``; a Laurent sum whose values are all
+    constant takes the int form.
     """
-    words = []
-    for term in terms:
-        if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], TensorOp)):
-            raise TypeError(f"a compose_sum term must be a pair (f, operator), got {term!r}")
-        f, g = term
-        words.append((1, f, g) if isinstance(f, TensorOp) else term)
     total = _Sum(words)
     columns = {}
-    for inp in dict.fromkeys(inp for *_, g in words for inp in g._columns):
+    for inp in total.basis:
         column = total.column(inp)
         if column:
             columns[inp] = column if total.base is None else {
                 out: total.value(raw) for out, raw in column.items()
             }
-    if total.den is None:
-        return TensorOp._trusted(total.n, total.arity, *_stored_form(columns))
-    return TensorOp._trusted(total.n, total.arity, total.den, columns)
+    form = _stored_form(columns) if total.den is None else (total.den, columns)
+    return TensorOp._trusted(total.n, total.arity, *form)
 
 
 def _inputs(n: int, arity: int, reduced: bool):
@@ -459,7 +451,7 @@ def _inputs(n: int, arity: int, reduced: bool):
             yield t
 
 
-def _witness(words, tables: dict) -> Witness | None:
+def _witness(words) -> Witness | None:
     """The witness of the :class:`_Sum` of the flat ``words``: the first
     input t in sorted order whose column has a nonzero entry gives (t, its
     smallest such output, the coefficient there), and no input after it is
@@ -475,17 +467,15 @@ def _witness(words, tables: dict) -> Witness | None:
     is the translate of one at the input m − 1 steps down, which has min
     index 1 and is smaller: the sum vanishes iff it vanishes there, and its
     witness, with its coefficient, lies there.  When some operator fails
-    the lemma, as a random one does, every input is walked.
-
-    ``tables`` keeps each operator's packed factors and its lemma result,
-    keyed by ``id``, for further sums over the same live operators.
+    the lemma, as a random one does, every input is walked.  Each operator
+    keeps its lemma result, so a later sum over it does not run it again.
     """
-    total = _Sum(words, tables)
+    total = _Sum(words)
 
     def lemma(op: TensorOp) -> bool:
-        if id(op) not in tables:
-            tables[id(op)] = _translation_invariant(op)
-        return tables[id(op)]
+        if "lemma" not in op._cache:
+            op._cache["lemma"] = _translation_invariant(op)
+        return op._cache["lemma"]
 
     reduced = all(lemma(op) for op in total.operands)
     for t in _inputs(total.n, total.arity, reduced):
@@ -510,10 +500,21 @@ class _Factor(NamedTuple):
     table: list
 
 
-def _placed(factor) -> tuple[TensorOp, int | None]:
-    """A factor of a :class:`_Sum` word as (operator, place): 12 or 23 for
-    a 2-fold operator placed in a 3-fold word, None for a bare one."""
-    return (factor, None) if isinstance(factor, TensorOp) else factor
+def _word(word) -> tuple[LaurentQP, list]:
+    """A word of a :class:`_Sum` as (its scalar, its factors as (operator,
+    place)): place 12 or 23 for a 2-fold operator placed in a 3-fold word,
+    None for a bare one.  A word that is not a nonempty tuple, a scalar that
+    is not an int, Fraction or LaurentQP, and a factor that is neither an
+    operator nor a pair (operator, int) raise TypeError."""
+    if not (isinstance(word, tuple) and word and isinstance(word[0], (int, Fraction, LaurentQP))):
+        raise TypeError(f"a word is a tuple (int, Fraction or LaurentQP, *factors), got {word!r}")
+    scalar, *factors = word
+    for f in factors:
+        if not isinstance(f, TensorOp) and not (
+            isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], TensorOp) and type(f[1]) is int
+        ):
+            raise TypeError(f"a factor is an operator or (operator, 12 or 23), got {f!r}")
+    return as_laurent(scalar), [(f, None) if isinstance(f, TensorOp) else f for f in factors]
 
 
 @functools.lru_cache(maxsize=8)
@@ -532,10 +533,12 @@ class _Sum:
     ``words`` is a list of flat signed words ``(scalar, *factors)``, the
     factors applied right to left to scalar·e_t; a word with no factor is
     scalar·I.  A factor is an operator applied whole, or a pair (operator,
-    12 or 23) that places a 2-fold operator in a 3-fold word.  The sum
-    reads its rank, its arity (3 when a factor is placed, else that of its
-    operators) and its ``operands`` off the words, and raises ValueError
-    when an operator does not fit them.
+    12 or 23) that places a 2-fold operator in a 3-fold word; a word of
+    another shape raises TypeError (:func:`_word`).  The sum reads its
+    rank, its arity (3 when a factor is placed, else that of its operators)
+    and its ``operands`` off the words, and raises ValueError when a place
+    is not 12 or 23, a word has more than three factors or an operator
+    does not fit the rank and arity.
 
     The sum alone groups, places and applies the words.  Words of three
     factors that share a left factor are grouped, their chains (middle,
@@ -543,9 +546,11 @@ class _Sum:
     a chain (right) or (middle, right) added straight into the result; a
     word with no factor applies the unit factor, which maps every code to
     itself.  :meth:`column` does all of it into one accumulator; no lift,
-    product, identity or partial sum is built.  Each operator is packed
-    once per place and form into ``tables``, which sums over the same live
-    operators may share.
+    product, identity or partial sum is built.  Each operator keeps the
+    factor it was last packed into at each stride, with the ``base`` it was
+    packed for; a sum that needs another ``base`` packs it again in its
+    place.  So a later sum over the same operator in the same form packs
+    nothing, and an operator holds at most two packed factors.
 
     Every value of the sum takes one form, chosen from its operators and
     scalars:
@@ -567,8 +572,8 @@ class _Sum:
 
     __slots__ = ("n", "arity", "operands", "den", "base", "basis", "codes", "groups")
 
-    def __init__(self, words, tables: dict | None = None):
-        words = [(as_laurent(scalar), [_placed(f) for f in factors]) for scalar, *factors in words]
+    def __init__(self, words):
+        words = [_word(word) for word in words]
         placed = [f for _, factors in words for f in factors]
         if not placed:
             raise ValueError("a sum needs at least one operator")
@@ -583,16 +588,13 @@ class _Sum:
         self.operands = list({id(op): op for op, _ in placed}.values())
         self.basis, self.codes = _basis(n, arity)
         self.den, self.base, starts = _starts(words, self.operands)
-        tables = {} if tables is None else tables
-        interned: dict = {}
 
         def factor(op: TensorOp, place: int | None) -> _Factor:
             stride = n if place == 12 else 1
-            key = (id(op), stride, self.base)
-            packed = tables.get(key)
-            if packed is None:
-                packed = tables[key] = _factor(op, n, stride, self.base, interned)
-            return packed
+            cached = op._cache.get(stride)
+            if cached is None or cached[0] != self.base:
+                cached = op._cache[stride] = (self.base, _factor(op, stride, self.base))
+            return cached[1]
 
         unit = _Factor(1, 1, [[(0, 1 if self.base is None else ((0, 1),))]])
         groups: dict = {}
@@ -662,16 +664,16 @@ def _starts(words, ops) -> tuple[int | None, int | None, list]:
     return None, base, [{a * base + b: x for (a, b), x in s._terms.items()} for s in scalars]
 
 
-def _factor(op: TensorOp, n: int, stride: int, base: int | None, interned: dict) -> _Factor:
+def _factor(op: TensorOp, stride: int, base: int | None) -> _Factor:
     """op at ``stride``, its values as stored in the int form (``base`` is
-    None), else as tuples of (term key, coeff), one per distinct value in
-    ``interned``: keyed by (value, den) for an int-form operator and by
-    its terms for a Laurent one."""
-    den, size = op._den, n**op.arity
-    codes = _basis(n, op.arity)[1]
+    None), else as tuples of (term key, coeff), one per distinct value of
+    op: keyed by the value for an int-form operator and by its terms for a
+    Laurent one."""
+    den, size, interned = op._den, op.n**op.arity, {}
+    codes = _basis(op.n, op.arity)[1]
 
     def pack(value):
-        key = tuple(value._terms.items()) if den is None else (value, den)
+        key = tuple(value._terms.items()) if den is None else value
         packed = interned.get(key)
         if packed is None:
             terms = _coeff(value, den)._terms.items()

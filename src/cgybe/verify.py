@@ -115,28 +115,25 @@ def run_checks(checks, build):
     witness (None when its sum vanishes) is kept for every later check that
     lists it.  ``build(name)`` gives the operand of that name; the run
     calls it when an equation first reads that operand, and keeps the
-    value only while a later check reads it.  All sums share one
-    ``tables`` (see :func:`~cgybe.tensor._witness`), so a kept operator is
-    packed and lemma-checked once.  ``tables`` is emptied whenever an
-    operand is let go: it is keyed by ``id``, so it must hold nothing of a
-    freed operator, and it should hold no more than the checks ahead read.
+    value only while a later check reads it.  Each operator keeps its packed
+    factors and its lemma result (see :func:`~cgybe.tensor._witness`), so a
+    kept operator is packed and lemma-checked once.
     """
     checks = list(checks)
-    tables, witnesses, values = {}, {}, {}
+    witnesses, values = {}, {}
     for i, (name, check) in enumerate(checks):
         started = time.perf_counter()
         for equation in CHECKS[check][1]:
             if equation not in witnesses:
                 reads, words = EQUATIONS[equation]
                 values.update((r, build(r)) for r in reads if r not in values)
-                witnesses[equation] = _witness(words(*map(values.get, reads)), tables)
+                witnesses[equation] = _witness(words(*map(values.get, reads)))
             witness = witnesses[equation]
             if witness is not None:
                 break
         yield CheckReport(name, witness is None, witness, time.perf_counter() - started)
         later = set().union(*(operands_of(c) for _, c in checks[i + 1 :]))
-        if values.keys() - later:
-            values, tables = {r: values[r] for r in values.keys() & later}, {}
+        values = {r: values[r] for r in values.keys() & later}
 
 
 def check_ybe(c: TensorOp, name: str = "ybe") -> CheckReport:

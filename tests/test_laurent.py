@@ -121,9 +121,10 @@ def test_float_coefficient_rejected():
         q * 0.5
 
 
-@pytest.mark.parametrize("exps", [(1.5, 0), (0, 0.7), (1.0, 0), (Fraction(1), 0)])
+@pytest.mark.parametrize("exps", [(1.5, 0), (0, 0.7), (1.0, 0), (Fraction(1), 0), (True, 0)])
 def test_non_int_exponent_rejected(exps):
-    # int(1.5) would silently give q; exponents are exact integers or nothing.
+    # int(1.5) would silently give q, and True would read as q; exponents
+    # are exact integers or nothing.
     with pytest.raises(TypeError):
         LaurentQP({exps: 1})
 
@@ -195,6 +196,9 @@ def test_json_coefficient_rejects_everything_else(coeff, error):
 def test_json_float_exponent_rejected():
     with pytest.raises(TypeError):
         LaurentQP.from_json_obj([{"q": 1.0, "p": 0, "coeff": "1/1"}])
+    # a JSON true is a bool, not the exponent 1
+    with pytest.raises(TypeError):
+        LaurentQP.from_json_obj([{"q": True, "p": 0, "coeff": 1}])
 
 
 def test_str_rendering():

@@ -237,8 +237,8 @@ def test_compat_words_are_the_compat_oracle_sums(n):
     # compatibility check, are the two sides of compat_coeffs
     g12, g23 = lift12(g_op(n)), lift23(g_op(n))
     p12, p23 = lift12(permutation_op(n)), lift23(permutation_op(n))
-    lhs = compose_sum([(g12 @ g23, p12), (g12 @ p23, g12), (p12 @ g23, g12)])
-    rhs = compose_sum([(g23 @ g12, p23), (g23 @ p12, g23), (p23 @ g12, g23)])
+    lhs = compose_sum([(1, g12, g23, p12), (1, g12, p23, g12), (1, p12, g23, g12)])
+    rhs = compose_sum([(1, g23, g12, p23), (1, g23, p12, g23), (1, p23, g12, g23)])
     assert bridge_mismatches(lhs, compat_lhs) == []
     assert bridge_mismatches(rhs, compat_rhs) == []
 
@@ -313,6 +313,27 @@ def test_negative_pad_rejected():
     ):
         with pytest.raises(ValueError, match="pad"):
             helper(*args, pad=-1)
+
+
+HELPER_ARGS = [
+    (zeta, (1, 2, 3, 0, 1)),
+    (ybe_coeff_rhs, (1, 2, 3, 0, 1)),
+    (eta_convolution, (1, 3, 0, 0, 1)),
+    (g_idem_sum, (1, 3, 2)),
+    (eta_interval_sum, (1, 3)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, Fraction(1)])
+@pytest.mark.parametrize("helper, args", HELPER_ARGS)
+def test_helpers_reject_non_int_arguments(helper, args, bad):
+    # zeta(True, 0, 1, 0, 1) read True as 1, and a float coordinate failed
+    # deep in the packing with AttributeError
+    for at in range(len(args)):
+        with pytest.raises(TypeError):
+            helper(*args[:at], bad, *args[at + 1 :])
+    with pytest.raises(TypeError):
+        helper(*args, pad=bad)
 
 
 def test_run_oracles_rejects_oversized_window_before_scanning():

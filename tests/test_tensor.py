@@ -189,17 +189,34 @@ def test_compose_sum_shapes():
     with pytest.raises(ValueError):
         compose_sum([])
     with pytest.raises(ValueError):
-        compose_sum([(permutation_op(2), permutation_op(2)), (1, permutation_op(3))])
+        compose_sum([(1, permutation_op(2), permutation_op(2)), (1, permutation_op(3))])
     with pytest.raises(ValueError):
-        compose_sum([(1, TensorOp.identity(2)), (permutation_op(2), TensorOp.identity(2, 3))])
+        compose_sum([(1, TensorOp.identity(2)), (1, permutation_op(2), TensorOp.identity(2, 3))])
     P = permutation_op(3)
-    # a lone operator, a scalar right factor, a term of one or three, a float
-    for bad in ([P], [(P, q)], [(P, 2)], [(1, P, P)], [(P,)], [(1.5, P)]):
+    # a lone operator, an operator in the scalar slot (the old pair (f, g)),
+    # a scalar or malformed factor, an empty word, a float scalar
+    for bad in (
+        [P],
+        [(P, P)],
+        [(P, q)],
+        [(P, 2)],
+        [(P,)],
+        [(1, P, q)],
+        [(1, (P, 12.0))],
+        [(1, (P,))],
+        [()],
+        [(1.5, P)],
+    ):
         with pytest.raises(TypeError):
             compose_sum(bad)
-    assert compose_sum([(P, P)]) == P @ P
+    # the old pair (f, g) of two operators is refused as a word, by name
+    with pytest.raises(TypeError, match="word is a tuple"):
+        compose_sum([(P, P)])
+    assert compose_sum([(1, P, P)]) == P @ P
     assert compose_sum([(1, P)]) == P
-    assert compose_sum([(P, P), (-1, TensorOp.identity(3))]).is_zero()
+    assert compose_sum([(1, P, P), (-1,)]).is_zero()
+    assert compose_sum([(1, P, P), (-1, TensorOp.identity(3))]).is_zero()
+    assert compose_sum([(2, P), (-1,)]) == P + P - TensorOp.identity(3)
     assert compose_sum([(q, P), (Fraction(1, 2), P)]).apply(1, 2) == {
         (2, 1): q + LaurentQP.const(Fraction(1, 2))
     }
@@ -323,6 +340,14 @@ def test_entry_validation():
         TensorOp(2, 2, {((1, 1, 1), (1, 1, 1)): 1})
     with pytest.raises(ValueError):
         TensorOp(0, 2)
+    # a zero coefficient is dropped only after its key is checked
+    for key in (((5, 5), (1, 1)), ((1, 1, 1), (1, 1, 1))):
+        for zero in (0, LaurentQP.zero()):
+            with pytest.raises(ValueError):
+                TensorOp(2, 2, {key: zero})
+    obj = {"n": 2, "arity": 2, "entries": [{"out": [9, 9], "in": [1, 1], "coeff": []}]}
+    with pytest.raises(ValueError):
+        TensorOp.from_json_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -335,6 +360,8 @@ def test_entry_validation():
         (2, 2, {((True, 2), (2, 1)): 1}),
         (True, 2, {}),
         (2, True, {}),
+        (2, 2, {((1.0, 2), (2, 1)): 0}),
+        (2, 2, {((1, 2), (True, 1)): LaurentQP.zero()}),
     ],
 )
 def test_non_int_index_or_shape_rejected(n, arity, entries):
@@ -347,10 +374,13 @@ def test_non_int_index_or_shape_rejected(n, arity, entries):
 def test_json_float_index_rejected():
     # a JSON true would be written back as "in": [true, ...]
     for index in (1.0, True):
-        obj = permutation_op(2).to_json_obj()
-        obj["entries"][0]["in"][0] = index
-        with pytest.raises(TypeError):
-            TensorOp.from_json_obj(obj)
+        for coeff in (None, []):  # as written, or the zero coefficient
+            obj = permutation_op(2).to_json_obj()
+            obj["entries"][0]["in"][0] = index
+            if coeff is not None:
+                obj["entries"][0]["coeff"] = coeff
+            with pytest.raises(TypeError):
+                TensorOp.from_json_obj(obj)
 
 
 def test_zero_coefficients_dropped():
@@ -451,8 +481,15 @@ def test_kernel_matches_naive_reference(seed, shape, kind, cancel):
         assert dict(result.entries) == expected
 
 
+def _words(terms):
+    """The flat signed words of pairs (f, g): (1, f, g) for an operator f,
+    (f, g) for a scalar f."""
+    return [(1, f, g) if isinstance(f, TensorOp) else (f, g) for f, g in terms]
+
+
 def _naive_compose_sum(terms):
-    """Entries of the same sum, from the naive products, LaurentQP + and *."""
+    """Entries of the sum of the pairs (f, g), f∘g for an operator f and
+    f·g for a scalar f, from the naive products, LaurentQP + and *."""
     acc = {}
     for f, g in terms:
         if isinstance(f, TensorOp):
@@ -491,7 +528,7 @@ def test_compose_sum_matches_naive_sum(seed, shape, kind, kinds, cancel):
         # the negated copy of a term cancels it exactly
         first, second = terms[0]
         terms.append((-first, second))
-    result = compose_sum(terms)
+    result = compose_sum(_words(terms))
     _assert_canonical(result)
     assert (result.n, result.arity) == (n, arity)
     assert dict(result.entries) == _naive_compose_sum(terms)
@@ -580,7 +617,7 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
     read = LaurentQP.constant_value if symbolic is None else as_laurent
     expected = _grouped_compose_sum(terms, read)
     with _recording_sums() as sums:
-        result = compose_sum(terms)
+        result = compose_sum(_words(terms))
     # q or p anywhere in the terms takes the LaurentQP form, else the int form
     assert [s.base is not None for s in sums] == [symbolic is not None]
     assert (result.n, result.arity) == (n, arity)
@@ -621,11 +658,11 @@ def test_chained_constant_sums_match_naive_sum(seed, shape, kind, cancel):
     if cancel and n > 1:
         f, g = _with_cancellation(rng, f, g)
     first_terms = [(f, g), (random_proper_fraction(rng), f)]
-    first = compose_sum(first_terms)
+    first = compose_sum(_words(first_terms))
     # a proper Fraction scalar makes the carried denominator at least 2
     assert first._den > 1
     scalar = LaurentQP.const(_random_prime_fraction(rng))
-    second = compose_sum([(first, g), (f, first), (scalar, first), (-1, g)])
+    second = compose_sum([(1, first, g), (1, f, first), (scalar, first), (-1, g)])
     reference = TensorOp(n, arity, _grouped_compose_sum(first_terms))
     _assert_same_operator(
         second,

@@ -17,6 +17,7 @@ from cgybe import model, tensor, verify
 from cgybe import (
     LaurentQP,
     TensorOp,
+    cg_inverse,
     cg_op,
     cg_twisted_op,
     check_compatibility,
@@ -853,8 +854,12 @@ def test_flat_words_match_two_sided_reference(seed, n, arity, kind):
     lhs = sum((_two_sided_word(w, n, arity) for w in words[:cut]), zero)
     rhs = sum((_two_sided_word((-s, *f), n, arity) for s, *f in words[cut:]), zero)
     equal, expected = endo_eq(lhs, rhs)
-    assert tensor._witness(words, {}) == expected
+    assert tensor._witness(words) == expected
     assert equal == (expected is None)
+    # compose_sum takes the same words, and its sum is the difference
+    total = compose_sum(words)
+    assert total == lhs - rhs
+    assert total.first_entry() == tensor._witness(words)
     if kind == "cancelled":
         assert equal
 
@@ -863,8 +868,8 @@ def test_words_fix_the_rank_and_arity():
     # a placed factor makes the sum 3-fold, where a bare factor must be a
     # 3-fold operator; a sum of scalar words alone has no rank
     perm, g = permutation_op(2), g_op(2)
-    assert tensor._witness([(1, (perm, 12)), (-1, lift12(perm))], {}) is None
-    assert tensor._witness([(1, (g, 23), (perm, 12)), (-1, lift23(g) @ lift12(perm))], {}) is None
+    assert tensor._witness([(1, (perm, 12)), (-1, lift12(perm))]) is None
+    assert tensor._witness([(1, (g, 23), (perm, 12)), (-1, lift23(g) @ lift12(perm))]) is None
     for words in (
         [(1,), (-1,)],
         [(1, perm), (1, (g, 12))],
@@ -874,7 +879,7 @@ def test_words_fix_the_rank_and_arity():
         [(1, perm, perm, perm, perm)],
     ):
         with pytest.raises(ValueError):
-            tensor._witness(words, {})
+            tensor._witness(words)
 
 
 def test_each_check_runs_the_lemma_once_per_operator(monkeypatch):
@@ -890,8 +895,18 @@ def test_each_check_runs_the_lemma_once_per_operator(monkeypatch):
     assert check_gp_relations(n).passed
     assert len(seen) == len({id(op) for op in seen}) == 2
     seen.clear()
+    twisted = cg_twisted_op(n)
+    assert check_ybe(twisted).passed
+    assert [id(op) for op in seen] == [id(twisted)]
+    # a second check over the same operators runs no lemma and packs nothing
+    seen.clear()
+    factor = tensor._factor
+    packed = []
+    monkeypatch.setattr(tensor, "_factor", lambda *args: packed.append(args) or factor(*args))
+    assert check_ybe(twisted).passed
+    assert check_mixed_conditions(perm, g).passed
     assert check_ybe(g).passed
-    assert [id(op) for op in seen] == [id(g)]
+    assert seen == [] and packed == []
 
 
 def test_checks_build_no_identity_operator(monkeypatch):
@@ -910,7 +925,10 @@ def test_checks_build_no_identity_operator(monkeypatch):
     def refuse(cls, *args):
         raise AssertionError("a check built an identity operator")
 
+    inverse = rmat - beta * TensorOp.identity(n)
     monkeypatch.setattr(TensorOp, "identity", classmethod(refuse))
+    # nor does the closed-form inverse: -beta*I is a word with no factor
+    assert cg_inverse(rmat, alpha, beta) == inverse
     assert check_hecke(rmat, alpha).passed
     assert check_gp_relations(n).passed
     assert check_quadratic(n, alpha, beta).passed
