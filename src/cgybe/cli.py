@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 from .laurent import LaurentQP, p, q
 from .model import cg_op, cg_twisted_op, g_op, hecke_parameters, permutation_op
 from .oracles import DEFAULT_HI, DEFAULT_LO, run_oracles
-from .verify import CHECKS, check_ybe, operands_of, run_checks
+from .verify import CHECKS, check_ybe, hecke_scalar, operands_of, run_checks
 
 USAGE_ERROR = 2
 
@@ -402,8 +402,8 @@ def cmd_verify(args) -> int:
         if name not in CHECKS:
             raise ValueError(f"unknown check: {name} (choose from {', '.join(CHECKS)})")
     alpha, beta = _resolve_params(args, names)
-    if "hecke" in names and not alpha.is_unit():
-        raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {alpha}")
+    if "hecke" in names:
+        hecke_scalar(alpha)
     _require_verify_rank(args.n, names)
     operands = {"X": OPERATORS[args.op], **OPERANDS}
     reports = run_checks(zip(names, names), lambda name: operands[name].build(args.n, alpha, beta))

@@ -14,15 +14,20 @@ appears only through division (``unit_inverse`` of a coefficient other
 than ±1), rational ``eval``/``subs_p`` points or rational input, and is
 demoted back to ``int`` whenever a result is integral.
 
-No floating point enters anywhere in this package: a ``float``
-coefficient, exponent or evaluation point is rejected with ``TypeError``,
-because every downstream identity check relies on "this coefficient is
-zero" being an exact statement.  JSON input follows the same rule: a
-coefficient is an integer or a ``"num/den"`` string, never a JSON float.
+No floating point enters anywhere in this package, because every
+downstream identity check relies on "this coefficient is zero" being an
+exact statement.  This module owns the rule: an exact number is an
+``int`` that is not a ``bool``, or a ``Fraction``.  :func:`_exact` is its
+one check, and every door applies it, raising ``TypeError`` otherwise:
+coefficients, the other operand of a ring operation, evaluation points,
+``**`` exponents (``int`` only), and through :func:`as_laurent` the
+scalars of ``cgybe.tensor``.  JSON input takes a coefficient only as an
+integer or a ``"num/den"`` string, and refuses a repeated (q, p) term.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -48,20 +53,14 @@ def rational_to_str(value: Coeff) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _canonical(value) -> Coeff:
-    """The stored form of an exact rational: int if integral, else Fraction."""
-    if isinstance(value, int):
+def _exact(value, what: str = "coefficients") -> Coeff:
+    """An exact number (an int that is not a bool, or a Fraction) in its
+    stored form: int if integral, else Fraction.  Else TypeError."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficients must be int or Fraction, not {type(value).__name__}")
-
-
-def _exact_point(value) -> Fraction:
-    """An evaluation point as a Fraction; a float or any other type raises."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"evaluation points must be int or Fraction, not {type(value).__name__}")
-    return Fraction(value)
+    raise TypeError(f"{what} must be int (not bool) or Fraction, not {type(value).__name__}")
 
 
 def _coeff_from_json(value) -> Coeff:
@@ -75,6 +74,22 @@ def _coeff_from_json(value) -> Coeff:
     return Fraction(value)
 
 
+def _ring_operation(method):
+    """``method`` with its other operand passed through :func:`as_laurent`;
+    an operand that is neither a LaurentQP nor an exact number gives
+    NotImplemented, so that Python tries the operand's own method."""
+
+    @functools.wraps(method)
+    def operation(self, other):
+        try:
+            other = as_laurent(other)
+        except TypeError:
+            return NotImplemented
+        return method(self, other)
+
+    return operation
+
+
 class LaurentQP:
     """Immutable sparse Laurent polynomial in q and p over the rationals."""
 
@@ -86,7 +101,7 @@ class LaurentQP:
             for (a, b), coeff in terms.items():
                 if type(a) is not int or type(b) is not int:
                     raise TypeError(f"exponents must be int, got ({a!r}, {b!r})")
-                coeff = _canonical(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     normalized[(a, b)] = coeff
         self._terms = normalized
@@ -176,18 +191,8 @@ class LaurentQP:
     # ------------------------------------------------------------------
     # ring operations
 
-    @staticmethod
-    def _coerce(value) -> "LaurentQP | None":
-        if isinstance(value, LaurentQP):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return LaurentQP.const(value)
-        return None
-
+    @_ring_operation
     def __add__(self, other) -> "LaurentQP":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         acc = dict(self._terms)
         for exps, coeff in other._terms.items():
             acc[exps] = acc.get(exps, 0) + coeff
@@ -198,25 +203,16 @@ class LaurentQP:
     def __neg__(self) -> "LaurentQP":
         return LaurentQP._trusted({exps: -coeff for exps, coeff in self._terms.items()})
 
+    @_ring_operation
     def __sub__(self, other) -> "LaurentQP":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc[exps] = acc.get(exps, 0) - coeff
-        return LaurentQP._trusted(acc)
+        return self + -other
 
+    @_ring_operation
     def __rsub__(self, other) -> "LaurentQP":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return other + -self
 
+    @_ring_operation
     def __mul__(self, other) -> "LaurentQP":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         acc: dict[ExpPair, Coeff] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -229,6 +225,7 @@ class LaurentQP:
     def __pow__(self, exponent: int) -> "LaurentQP":
         if not isinstance(exponent, int):
             return NotImplemented
+        exponent = _exact(exponent, "exponents")
         if exponent < 0:
             return self.unit_inverse() ** (-exponent)
         result = LaurentQP.one()
@@ -241,10 +238,8 @@ class LaurentQP:
             k >>= 1
         return result
 
+    @_ring_operation
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -258,7 +253,7 @@ class LaurentQP:
 
     def eval(self, qval: Coeff, pval: Coeff) -> Fraction:
         """Exact value at the point (qval, pval); both must be nonzero."""
-        qval, pval = _exact_point(qval), _exact_point(pval)
+        qval, pval = (Fraction(_exact(x, "evaluation points")) for x in (qval, pval))
         if qval == 0 or pval == 0:
             raise ValueError("q and p substitutions must be nonzero")
         total = Fraction(0)
@@ -268,7 +263,7 @@ class LaurentQP:
 
     def subs_p(self, pval: Coeff) -> "LaurentQP":
         """Substitute a nonzero rational for p, leaving q symbolic."""
-        pval = _exact_point(pval)
+        pval = Fraction(_exact(pval, "evaluation points"))
         if pval == 0:
             raise ValueError("p substitution must be nonzero")
         acc: dict[ExpPair, Coeff] = {}
@@ -289,8 +284,12 @@ class LaurentQP:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "LaurentQP":
-        """Inverse of ``to_json_obj``; a float exponent or coefficient raises."""
-        return cls({(term["q"], term["p"]): _coeff_from_json(term["coeff"]) for term in obj})
+        """Inverse of ``to_json_obj``; a float exponent or coefficient, and
+        a repeated (q, p) term, raise."""
+        terms = {(term["q"], term["p"]): _coeff_from_json(term["coeff"]) for term in obj}
+        if len(terms) != len(obj):
+            raise ValueError("repeated (q, p) term in JSON input")
+        return cls(terms)
 
     @staticmethod
     def _monomial_str(a: int, b: int, latex: bool) -> str:
@@ -345,7 +344,8 @@ class LaurentQP:
 
 
 def as_laurent(value: "LaurentQP | Coeff") -> LaurentQP:
-    """Coerce an int or Fraction to a constant polynomial; pass LaurentQP through."""
+    """Pass a LaurentQP through and make an exact number a constant
+    polynomial; anything else raises TypeError (:func:`_exact`)."""
     if isinstance(value, LaurentQP):
         return value
     return LaurentQP.const(value)

@@ -19,13 +19,14 @@ equation at p = 1.  ``cg_twisted_op`` builds the two-parameter family
 with both q and p symbolic.  Substituting p = 1 recovers cg_op(n, q,
 q - q^-1) exactly.
 
-All constructors are pure and return immutable operators.
+All constructors are pure and return immutable operators.  Each checks
+its rank once, in :func:`_indices`, and adopts the columns it fills.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentQP, as_laurent, q
-from .tensor import TensorOp, compose_sum
+from .tensor import TensorOp, _shape, _stored_form, compose_sum
 
 __all__ = [
     "eta",
@@ -60,14 +61,15 @@ def kron_delta(x: int) -> int:
 
 
 def _indices(n: int) -> range:
-    """1..n, once ``n`` passes the public constructor's checks of a rank."""
-    TensorOp(n, 2)
+    """1..n, once ``n`` passes the tensor constructor's check of a rank."""
+    _shape(n, 2)
     return range(1, n + 1)
 
 
-# permutation_op and g_op fill int columns, {input: {output: value}} with no
-# empty column and no zero value, and adopt them in the storage form (every
-# value an int over the denominator 1), with no LaurentQP per entry.
+# Each builder fills columns {input: {output: value}} with no empty column
+# and no zero value, and adopts them through TensorOp._trusted: int columns
+# over the denominator 1 for permutation_op and g_op, LaurentQP ones in
+# the form tensor._stored_form gives for cg_twisted_op.
 
 
 def permutation_op(n: int) -> TensorOp:
@@ -95,8 +97,6 @@ def g_op(n: int) -> TensorOp:
 
 def cg_op(n: int, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:
     """The one-parameter family alpha*P + beta*g on an n-space."""
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
     return compose_sum([(alpha, permutation_op(n)), (beta, g_op(n))])
 
 
@@ -114,17 +114,19 @@ def cg_twisted_op(n: int) -> TensorOp:
     For i > j the k = j term merges with the flip term, turning its
     coefficient into q^-1 p^{i-j}.
     """
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    indices = range(1, n + 1)
-    flip = {((j, i), (i, j)): LaurentQP.monomial(1, 0, i - j) for i in indices for j in indices}
+    indices = _indices(n)
+    flip = {(i, j): {(j, i): LaurentQP._trusted({(0, i - j): 1})} for i in indices for j in indices}
     shift = {
-        ((k, i + j - k), (i, j)): LaurentQP.monomial(eta(i, j, k), 0, i - k)
+        (i, j): {
+            (k, i + j - k): LaurentQP._trusted({(0, i - k): eta(i, j, k)})
+            for k in range(min(i, j), max(i, j))
+        }
         for i in indices
         for j in indices
-        for k in range(min(i, j), max(i, j))
+        if i != j
     }
-    return compose_sum([(q, TensorOp(n, 2, flip)), (q - q**-1, TensorOp(n, 2, shift))])
+    flip, shift = (TensorOp._trusted(n, 2, *_stored_form(c)) for c in (flip, shift))
+    return compose_sum([(q, flip), (q - q**-1, shift)])
 
 
 def cg_inverse(rmat: TensorOp, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:

@@ -54,13 +54,15 @@ it adds the terms of LaurentQP coefficients into one raw dict per output.
 An equation is therefore checked without building its two sides or their
 difference.
 
-The public constructor validates its input (user code, JSON): the rank,
-the arity and every index must be an ``int``, and a ``bool`` is not one;
-an entry with a zero coefficient is checked before it is dropped.  It
-groups the entries by input and chooses the form.  Results built from
-operators that are already valid (products, sums, differences, negations,
-scalar multiples and the lifts) go through the private
-``TensorOp._trusted`` instead and are not validated again.
+Each kind of input is checked once, at its door: a rank and an arity by
+:func:`_shape` (the constructor, ``identity``, ``cgybe.model``); a basis
+label by :func:`_label` (each key of the constructor, even with a zero
+coefficient, and ``apply``); an exact number by
+:func:`~cgybe.laurent.as_laurent` (coefficients, scalars); a word by
+:func:`_word`; a repeated JSON entry by ``from_json_obj``.  A ``bool`` is
+not an ``int`` at any of them.  Inside the doors nothing is checked
+again: an operator built from valid operators, or from columns its
+builder filled, adopts them through the private ``TensorOp._trusted``.
 """
 
 from __future__ import annotations
@@ -92,25 +94,12 @@ class TensorOp:
         arity: int,
         entries: Mapping[Key, LaurentQP | Fraction | int] | None = None,
     ):
-        if type(n) is not int or type(arity) is not int:
-            raise TypeError(f"rank and arity must be int, got {n!r} and {arity!r}")
-        if n < 1:
-            raise ValueError(f"rank must be positive, got {n}")
-        if arity not in (2, 3):
-            raise ValueError(f"arity must be 2 or 3, got {arity}")
+        _shape(n, arity)
         columns: dict = {}
         if entries:
             for (out, inp), coeff in entries.items():
-                out, inp = tuple(out), tuple(inp)
-                if len(out) != arity or len(inp) != arity:
-                    raise ValueError(f"entry {out}<-{inp} does not have arity {arity}")
-                for idx in (*out, *inp):
-                    if type(idx) is not int:
-                        raise TypeError(f"index {idx!r} is not an int")
-                    if not 1 <= idx <= n:
-                        raise ValueError(f"index {idx} out of range 1..{n}")
-                if not isinstance(coeff, LaurentQP):
-                    coeff = LaurentQP.const(coeff)
+                out, inp = _label(out, n, arity), _label(inp, n, arity)
+                coeff = as_laurent(coeff)
                 if not coeff.is_zero():
                     columns.setdefault(inp, {})[out] = coeff
         self.n = n
@@ -154,11 +143,9 @@ class TensorOp:
 
     @classmethod
     def identity(cls, n: int, arity: int = 2) -> "TensorOp":
-        entries = {
-            (tpl, tpl): LaurentQP.one()
-            for tpl in itertools.product(range(1, n + 1), repeat=arity)
-        }
-        return cls(n, arity, entries)
+        _shape(n, arity)
+        tuples = itertools.product(range(1, n + 1), repeat=arity)
+        return cls._trusted(n, arity, 1, {t: {t: 1} for t in tuples})
 
     # ------------------------------------------------------------------
     # structure
@@ -195,14 +182,7 @@ class TensorOp:
 
     def apply(self, *indices: int) -> dict[tuple[int, ...], LaurentQP]:
         """Image of the basis vector e_{i1}⊗...⊗e_{ik} as output tuple -> coefficient."""
-        if len(indices) != self.arity:
-            raise ValueError(f"expected {self.arity} indices, got {len(indices)}")
-        for idx in indices:
-            if type(idx) is not int:
-                raise TypeError(f"index {idx!r} is not an int")
-            if not 1 <= idx <= self.n:
-                raise ValueError(f"index {idx} out of range 1..{self.n}")
-        column = self._columns.get(indices, {})
+        column = self._columns.get(_label(indices, self.n, self.arity), {})
         return {out: _coeff(value, self._den) for out, value in column.items()}
 
     def __eq__(self, other) -> bool:
@@ -236,9 +216,11 @@ class TensorOp:
         return compose_sum([(scalar, self)])
 
     def __rmul__(self, scalar) -> "TensorOp":
-        if isinstance(scalar, (LaurentQP, Fraction, int)):
-            return self.scale(scalar)
-        return NotImplemented
+        try:
+            scalar = as_laurent(scalar)
+        except TypeError:
+            return NotImplemented
+        return self.scale(scalar)
 
     def compose(self, other: "TensorOp") -> "TensorOp":
         """self ∘ other: apply ``other`` first, then ``self``."""
@@ -250,16 +232,19 @@ class TensorOp:
         return self.compose(other)
 
     def map_coeffs(self, fn) -> "TensorOp":
-        """Apply fn to every coefficient, dropping entries that become zero."""
-        return TensorOp(
-            self.n,
-            self.arity,
-            {key: fn(coeff) for key, coeff in self._entry_items()},
-        )
+        """Apply fn to every coefficient, dropping entries that become zero.
+        Only the values of fn are checked; the keys are this operator's."""
+        columns: dict = {}
+        for (out, inp), coeff in self._entry_items():
+            coeff = as_laurent(fn(coeff))
+            if coeff:
+                columns.setdefault(inp, {})[out] = coeff
+        return TensorOp._trusted(self.n, self.arity, *_stored_form(columns))
 
     def eval_at(self, qval: Fraction | int, pval: Fraction | int) -> "TensorOp":
-        """Numeric specialization: every coefficient evaluated at (qval, pval)."""
-        return self.map_coeffs(lambda c: LaurentQP.const(c.eval(qval, pval)))
+        """Numeric specialization: every coefficient evaluated at (qval, pval),
+        the entries that vanish there dropped, in the int form."""
+        return self.map_coeffs(lambda c: c.eval(qval, pval))
 
     # ------------------------------------------------------------------
     # export
@@ -276,10 +261,14 @@ class TensorOp:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TensorOp":
+        """Inverse of ``to_json_obj``; a repeated (out, in) entry raises
+        ValueError, and the constructor checks the rest."""
         entries = {
             (tuple(e["out"]), tuple(e["in"])): LaurentQP.from_json_obj(e["coeff"])
             for e in obj["entries"]
         }
+        if len(entries) != len(obj["entries"]):
+            raise ValueError("repeated (out, in) entry in JSON input")
         return cls(obj["n"], obj["arity"], entries)
 
     def basis_tuples(self) -> list[tuple[int, ...]]:
@@ -322,6 +311,32 @@ class TensorOp:
         """Dense pmatrix; rows flatten input tuples, columns output tuples."""
         body = " \\\\\n".join(" & ".join(row) for row in self._dense_rows(LaurentQP.to_latex))
         return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
+
+
+def _shape(n: int, arity: int) -> None:
+    """The one check of a rank and an arity: both an int and not a bool
+    (TypeError), the rank positive and the arity 2 or 3 (ValueError)."""
+    if type(n) is not int or type(arity) is not int:
+        raise TypeError(f"rank and arity must be int, got {n!r} and {arity!r}")
+    if n < 1:
+        raise ValueError(f"rank must be positive, got {n}")
+    if arity not in (2, 3):
+        raise ValueError(f"arity must be 2 or 3, got {arity}")
+
+
+def _label(label, n: int, arity: int) -> tuple[int, ...]:
+    """The one check of a basis label, as a tuple: ``arity`` indices
+    (ValueError otherwise), each an int and not a bool (TypeError) in 1..n
+    (ValueError)."""
+    label = tuple(label)
+    if len(label) != arity:
+        raise ValueError(f"basis label {label} does not have arity {arity}")
+    for idx in label:
+        if type(idx) is not int:
+            raise TypeError(f"index {idx!r} is not an int")
+        if not 1 <= idx <= n:
+            raise ValueError(f"index {idx} out of range 1..{n}")
+    return label
 
 
 def _coeff(value, den: int | None) -> LaurentQP:
@@ -503,18 +518,25 @@ class _Factor(NamedTuple):
 def _word(word) -> tuple[LaurentQP, list]:
     """A word of a :class:`_Sum` as (its scalar, its factors as (operator,
     place)): place 12 or 23 for a 2-fold operator placed in a 3-fold word,
-    None for a bare one.  A word that is not a nonempty tuple, a scalar that
-    is not an int, Fraction or LaurentQP, and a factor that is neither an
-    operator nor a pair (operator, int) raise TypeError."""
-    if not (isinstance(word, tuple) and word and isinstance(word[0], (int, Fraction, LaurentQP))):
-        raise TypeError(f"a word is a tuple (int, Fraction or LaurentQP, *factors), got {word!r}")
-    scalar, *factors = word
+    None for a bare one.  The one check of a word's shape: a word that is
+    not a nonempty tuple, a scalar that :func:`~cgybe.laurent.as_laurent`
+    refuses (a float or a bool included), and a factor that is neither an
+    operator nor a pair (operator, int) raise TypeError; more than three
+    factors raise ValueError."""
+    try:
+        scalar = as_laurent(word[0] if isinstance(word, tuple) and word else None)
+    except TypeError:
+        message = f"a word is a tuple (int, Fraction or LaurentQP, *factors), got {word!r}"
+        raise TypeError(message) from None
+    factors = word[1:]
+    if len(factors) > 3:
+        raise ValueError(f"a word has at most three factors, got {len(factors)}")
     for f in factors:
         if not isinstance(f, TensorOp) and not (
             isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], TensorOp) and type(f[1]) is int
         ):
             raise TypeError(f"a factor is an operator or (operator, 12 or 23), got {f!r}")
-    return as_laurent(scalar), [(f, None) if isinstance(f, TensorOp) else f for f in factors]
+    return scalar, [(f, None) if isinstance(f, TensorOp) else f for f in factors]
 
 
 @functools.lru_cache(maxsize=8)
@@ -534,11 +556,10 @@ class _Sum:
     factors applied right to left to scalar·e_t; a word with no factor is
     scalar·I.  A factor is an operator applied whole, or a pair (operator,
     12 or 23) that places a 2-fold operator in a 3-fold word; a word of
-    another shape raises TypeError (:func:`_word`).  The sum reads its
-    rank, its arity (3 when a factor is placed, else that of its operators)
-    and its ``operands`` off the words, and raises ValueError when a place
-    is not 12 or 23, a word has more than three factors or an operator
-    does not fit the rank and arity.
+    another shape raises (:func:`_word`).  The sum reads its rank, its
+    arity (3 when a factor is placed, else that of its operators) and its
+    ``operands`` off the words, and raises ValueError when a place is not
+    12 or 23 or an operator does not fit the rank and arity.
 
     The sum alone groups, places and applies the words.  Words of three
     factors that share a left factor are grouped, their chains (middle,
@@ -599,8 +620,6 @@ class _Sum:
         unit = _Factor(1, 1, [[(0, 1 if self.base is None else ((0, 1),))]])
         groups: dict = {}
         for (_, factors), start in zip(words, starts):
-            if len(factors) > 3:
-                raise ValueError(f"a word has at most three factors, got {len(factors)}")
             chain = [factor(*f) for f in factors] or [unit]
             left = chain.pop(0) if len(chain) == 3 else None
             group = groups.setdefault(id(left), (left, []))

@@ -166,15 +166,21 @@ def check_mixed_conditions(f: TensorOp, g: TensorOp, name: str = "mixed") -> Che
     return next(run_checks([(name, "mixed")], {"P": f, "X": g}.get))
 
 
+def hecke_scalar(value: LaurentQP) -> LaurentQP:
+    """s as a LaurentQP, once it passes the one check of a Hecke scalar:
+    exact (TypeError) and a unit of the Laurent ring (ValueError)."""
+    value = as_laurent(value)
+    if not value.is_unit():
+        raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {value}")
+    return value
+
+
 def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> CheckReport:
     """(R - s*I)(R + s^-1*I) = 0 for the given unit scalar s.
 
     Checked expanded: R∘R + (s^-1 - s)*R - I = 0.
     """
-    qscalar = as_laurent(qscalar)
-    if not qscalar.is_unit():
-        raise ValueError(f"Hecke scalar must be a unit of the Laurent ring: {qscalar}")
-    return next(run_checks([(name, "hecke")], {"X": rmat, "alpha": qscalar}.get))
+    return next(run_checks([(name, "hecke")], {"X": rmat, "alpha": hecke_scalar(qscalar)}.get))
 
 
 def check_gp_relations(n: int, name: str = "gp") -> CheckReport:

@@ -267,6 +267,18 @@ def test_verify_non_unit_hecke_alpha_rejected_before_any_check(capsys, alpha):
     assert err.startswith("error: Hecke scalar must be a unit")
 
 
+def test_verify_checks_the_hecke_scalar_with_the_verify_rule(capsys, monkeypatch):
+    # cgybe verify applies verify.hecke_scalar, the rule of check_hecke, once
+    # and only when hecke is selected
+    seen = []
+    monkeypatch.setattr("cgybe.cli.hecke_scalar", lambda value: seen.append(value))
+    assert run_cli(capsys, "verify", "--op", "cg", "--alpha", "q", "--n", "2")[0] == 0
+    assert seen == [q]
+    seen.clear()
+    assert run_cli(capsys, "verify", "--op", "cg", "--n", "2", "--checks", "ybe,gp")[0] == 0
+    assert seen == []
+
+
 @pytest.mark.parametrize(
     "n, checks, allowed",
     [

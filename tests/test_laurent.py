@@ -121,6 +121,37 @@ def test_float_coefficient_rejected():
         q * 0.5
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentQP({(0, 0): True}),
+        lambda: LaurentQP({(1, 0): False}),
+        lambda: LaurentQP.const(True),
+        lambda: LaurentQP.monomial(True, 1, 0),
+        lambda: q**True,
+        lambda: q**False,
+        lambda: q.eval(True, 1),
+        lambda: q.eval(1, True),
+        lambda: q.subs_p(True),
+        lambda: q + True,
+        lambda: True - q,
+        lambda: q * True,
+    ],
+)
+def test_bool_is_not_an_exact_number(build):
+    # one rule for every door a number comes in by: a bool is not read as 1
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_exact_numbers_still_accepted():
+    assert LaurentQP({(0, 0): Fraction(4, 2)}).terms() == {(0, 0): 2}
+    assert type(LaurentQP.const(Fraction(4, 2)).constant_value()) is int
+    assert q**0 == one and q ** Fraction(2) == q * q
+    assert (q + 1 == 1 + q) and (q == "q") is False and q != None  # noqa: E711
+    assert q.eval(Fraction(1, 2), 3) == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("exps", [(1.5, 0), (0, 0.7), (1.0, 0), (Fraction(1), 0), (True, 0)])
 def test_non_int_exponent_rejected(exps):
     # int(1.5) would silently give q, and True would read as q; exponents
@@ -191,6 +222,17 @@ def test_json_coefficient_int_or_num_den_string():
 def test_json_coefficient_rejects_everything_else(coeff, error):
     with pytest.raises(error):
         LaurentQP.from_json_obj([{"q": 0, "p": 0, "coeff": coeff}])
+
+
+def test_json_repeated_term_rejected():
+    # the last of two (0, 0) terms used to win, reading 1/2 instead of 1
+    half = {"q": 0, "p": 0, "coeff": "1/2"}
+    with pytest.raises(ValueError, match="repeated"):
+        LaurentQP.from_json_obj([half, half])
+    with pytest.raises(ValueError, match="repeated"):
+        LaurentQP.from_json_obj([{"q": 1, "p": -1, "coeff": 3}, half, {"q": 1, "p": -1, "coeff": 3}])
+    both = LaurentQP.from_json_obj([half, {"q": 0, "p": 1, "coeff": "1/2"}])
+    assert both == LaurentQP({(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
 
 
 def test_json_float_exponent_rejected():

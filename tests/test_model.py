@@ -4,6 +4,7 @@ The structurally built matrices are cross-validated entry by entry against
 independent case-by-case constructions in helpers.py.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,27 @@ def test_constructor_rank_validation():
             build(True)
 
 
+def test_every_constructor_checks_its_rank_the_same_way():
+    # one rank rule: each constructor raises the error of g_op
+    builders = (
+        permutation_op,
+        g_op,
+        cg_twisted_op,
+        lambda n: cg_op(n, *hecke_parameters()),
+        TensorOp.identity,
+        lambda n: TensorOp(n, 2),
+    )
+    for bad, error in ((2.0, TypeError), (True, TypeError), ("2", TypeError), (0, ValueError)):
+        with pytest.raises(error) as expected:
+            g_op(bad)
+        for build in builders:
+            with pytest.raises(error) as raised:
+                build(bad)
+            assert str(raised.value) == str(expected.value), (bad, build)
+    with pytest.raises(ValueError, match="arity"):
+        TensorOp.identity(2, 4)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_int_built_operators_match_entry_built(n):
     # permutation_op and g_op fill int columns directly; the validating
@@ -217,3 +239,41 @@ def test_int_built_operators_match_entry_built(n):
         assert built._den == reference._den == 1
         assert built._columns == reference._columns
         assert list(built._columns) == list(reference._columns)
+    # cg_twisted_op adopts its flip and shift columns, and identity its int
+    # columns, without the constructor's checks: same storage form too
+    pairs = [(cg_twisted_op(n), cg_twisted_case_display(n))]
+    for arity in (2, 3):
+        tuples = itertools.product(range(1, n + 1), repeat=arity)
+        reference = TensorOp(n, arity, {(t, t): LaurentQP.one() for t in tuples})
+        pairs.append((TensorOp.identity(n, arity), reference))
+    for built, reference in pairs:
+        assert built._den == reference._den
+        assert built._columns == reference._columns
+        assert list(built._columns) == list(reference._columns)
+    assert cg_twisted_op(n)._den is None and TensorOp.identity(n)._den == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eval_at_drops_vanishing_entries(n):
+    # at q = 1 (and q = -1) q - q^-1 vanishes, so every shift entry of both
+    # matrices vanishes; eval_at must match the entry-by-entry reference,
+    # hold no zero value and keep the int form
+    beta = hecke_parameters()[1]
+    cases = [
+        (cg_twisted_op(n), (1, 1)),
+        (cg_op(n, q, beta), (1, 2)),
+        (cg_twisted_op(n), (-1, Fraction(1, 3))),
+    ]
+    for op, point in cases:
+        evaluated = op.eval_at(*point)
+        # the validating constructor, entry by entry
+        entries = {key: LaurentQP.const(c.eval(*point)) for key, c in op.entries.items()}
+        reference = TensorOp(n, 2, entries)
+        assert evaluated == reference
+        assert op.map_coeffs(lambda c: LaurentQP.const(c.eval(*point)))._columns == reference._columns
+        assert evaluated._den == reference._den
+        assert evaluated._columns == reference._columns
+        assert list(evaluated._columns) == list(reference._columns)
+        assert all(v for column in evaluated._columns.values() for v in column.values())
+        assert all(type(v) is int for column in evaluated._columns.values() for v in column.values())
+        assert sum(map(len, evaluated._columns.values())) == n * n

@@ -222,6 +222,34 @@ def test_compose_sum_shapes():
     }
 
 
+def test_bool_scalar_refused():
+    # a bool is not the scalar 1, in a word or in a scalar multiple
+    P = permutation_op(2)
+    for bad in ([(True, P)], [(1, P), (False,)]):
+        with pytest.raises(TypeError, match="word is a tuple"):
+            compose_sum(bad)
+    with pytest.raises(TypeError):
+        True * P
+    with pytest.raises(TypeError):
+        P.scale(True)
+    with pytest.raises(TypeError):
+        TensorOp(2, 2, {((1, 2), (2, 1)): True})
+    assert 2 * P == P + P and Fraction(1, 2) * P == P.scale(Fraction(1, 2))
+    assert q * P == compose_sum([(q, P)])
+
+
+def test_four_factor_word_refused_before_any_packing():
+    # the word's shape is checked with the word, before the sum multiplies
+    # denominators or packs a factor of any earlier word
+    P = permutation_op(2)
+    with mock.patch.object(tensor, "_factor", side_effect=AssertionError("packed")):
+        for words in ([(1, P, P, P, P)], [(1, P), (1, P, P, P, P)]):
+            with pytest.raises(ValueError, match="at most three factors"):
+                compose_sum(words)
+            with pytest.raises(ValueError, match="at most three factors"):
+                tensor._witness(words)
+
+
 def test_endo_eq_g_idempotent():
     assert endo_eq(g_op(4) @ g_op(4), g_op(4)) == (True, None)
 
@@ -369,6 +397,21 @@ def test_non_int_index_or_shape_rejected(n, arity, entries):
     # bool one as true.
     with pytest.raises(TypeError):
         TensorOp(n, arity, entries)
+
+
+def test_json_repeated_entry_rejected():
+    # the last of two entries at (1,2) <- (2,1) used to win, reading 5
+    def entry(coeff):
+        return {"out": [1, 2], "in": [2, 1], "coeff": [{"q": 0, "p": 0, "coeff": coeff}]}
+
+    obj = {"n": 2, "arity": 2, "entries": [entry(1), entry(5)]}
+    with pytest.raises(ValueError, match="repeated"):
+        TensorOp.from_json_obj(obj)
+    obj["entries"] = [entry(1), {"out": [2, 1], "in": [1, 2], "coeff": []}, entry(1)]
+    with pytest.raises(ValueError, match="repeated"):
+        TensorOp.from_json_obj(obj)
+    obj["entries"] = [entry(5)]
+    assert TensorOp.from_json_obj(obj).apply(2, 1) == {(1, 2): LaurentQP.const(5)}
 
 
 def test_json_float_index_rejected():

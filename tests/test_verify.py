@@ -139,6 +139,26 @@ def test_hecke_rejects_non_unit_scalar():
         check_hecke(permutation_op(2), q + q**-1)
 
 
+@pytest.mark.parametrize("scalar, error", [(True, TypeError), (1.0, TypeError), (0, ValueError)])
+def test_hecke_scalar_rule(scalar, error):
+    # one rule, shared by check_hecke and cgybe verify
+    with pytest.raises(error):
+        verify.hecke_scalar(scalar)
+    with pytest.raises(error):
+        check_hecke(permutation_op(2), scalar)
+    assert verify.hecke_scalar(Fraction(2)) == LaurentQP.const(2)
+
+
+def test_bool_parameters_refused():
+    # a bool is not the parameter 1
+    for alpha, beta in ((True, 1), (1, False), (q, True)):
+        with pytest.raises(TypeError):
+            check_quadratic(2, alpha, beta)
+        with pytest.raises(TypeError):
+            cg_op(2, alpha, beta)
+    assert check_quadratic(2, 1, 1).passed
+
+
 def test_gp_relations_small():
     for n in (1, 2, 3, 4):
         assert check_gp_relations(n).passed, n
