@@ -41,7 +41,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .laurent import LaurentQP, p, q
+from .laurent import LaurentQP, _power, p, q
 from .model import cg_op, cg_twisted_op, g_op, hecke_parameters, permutation_op
 from .oracles import DEFAULT_HI, DEFAULT_LO, run_oracles
 from .verify import CHECKS, check_ybe, hecke_scalar, operands_of, run_checks
@@ -139,7 +139,8 @@ OPERANDS = {
 
 # Work budget of one parse, in term operations: a sum, difference or
 # negation charges the terms of its operands, a product len(a) * len(b),
-# and '^' runs as repeated squaring through the same charged product.
+# and '^' runs as the repeated squaring of ``**`` (laurent._power) through
+# the same charged product.
 # Before each product, bounds on the l1 norms of the two factors, which
 # bound its coefficients, may hold MAX_PARSE_COEFF_BITS bits together.  Without them
 # (q+1)^100000 runs for hours; (q+1)^500 uses about a tenth of the budget.
@@ -214,18 +215,6 @@ def parse_laurent_expr(text: str) -> LaurentQP:
             )
         return a * b
 
-    def power(base: LaurentQP, exponent: int) -> LaurentQP:
-        if exponent < 0:
-            base, exponent = base.unit_inverse(), -exponent
-        result = LaurentQP.one()
-        while True:
-            if exponent & 1:
-                result = multiply(result, base)
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = multiply(base, base)
-
     def parse_expr() -> LaurentQP:
         value = parse_term()
         while peek() in ("+", "-"):
@@ -258,7 +247,7 @@ def parse_laurent_expr(text: str) -> LaurentQP:
             if peek() == "-":
                 take()
                 sign = -1
-            return power(base, sign * take("int")[1])
+            return _power(base, sign * take("int")[1], multiply)
         return base
 
     def parse_atom() -> LaurentQP:

@@ -16,13 +16,15 @@ demoted back to ``int`` whenever a result is integral.
 
 No floating point enters anywhere in this package, because every
 downstream identity check relies on "this coefficient is zero" being an
-exact statement.  This module owns the rule: an exact number is an
-``int`` that is not a ``bool``, or a ``Fraction``.  :func:`_exact` is its
-one check, and every door applies it, raising ``TypeError`` otherwise:
-coefficients, the other operand of a ring operation, evaluation points,
-``**`` exponents (``int`` only), and through :func:`as_laurent` the
-scalars of ``cgybe.tensor``.  JSON input takes a coefficient only as an
-integer or a ``"num/den"`` string, and refuses a repeated (q, p) term.
+exact statement.  This module owns the rule: an exact number is exactly
+an ``int`` or a ``Fraction``, so a ``bool`` or any other ``int`` subclass
+is not one.  :func:`_exact` is its one check, and every door applies it,
+raising ``TypeError`` otherwise: coefficients, the other operand of a
+ring operation, evaluation points (:func:`_point`), and through
+:func:`as_laurent` the scalars of ``cgybe.tensor``; a ``**`` exponent is
+exactly an ``int``.  JSON input takes a coefficient only as an integer
+or a ``"num/den"`` string, and refuses a repeated (q, p) term.  One
+repeated squaring, :func:`_power`, serves ``**`` and the CLI grammar.
 """
 
 from __future__ import annotations
@@ -54,13 +56,36 @@ def rational_to_str(value: Coeff) -> str:
 
 
 def _exact(value, what: str = "coefficients") -> Coeff:
-    """An exact number (an int that is not a bool, or a Fraction) in its
-    stored form: int if integral, else Fraction.  Else TypeError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
+    """An exact number (exactly an int, or a Fraction) in its stored form:
+    int if integral, else Fraction.  Else TypeError."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"{what} must be int (not bool) or Fraction, not {type(value).__name__}")
+    raise TypeError(f"{what} must be int or Fraction, not {type(value).__name__}")
+
+
+def _point(value) -> Fraction:
+    """A nonzero exact evaluation point, as a Fraction."""
+    value = Fraction(_exact(value, "evaluation points"))
+    if not value:
+        raise ValueError("evaluation points must be nonzero")
+    return value
+
+
+def _power(base, exponent: int, multiply):
+    """base ** exponent by repeated squaring, each product made by
+    ``multiply``; a negative exponent inverts the unit base first."""
+    if exponent < 0:
+        base, exponent = base.unit_inverse(), -exponent
+    result = LaurentQP.one()
+    while True:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = multiply(base, base)
 
 
 def _coeff_from_json(value) -> Coeff:
@@ -110,9 +135,9 @@ class LaurentQP:
     def _trusted(cls, acc: dict[ExpPair, Coeff]) -> "LaurentQP":
         """Value from an accumulator of int/Fraction sums, skipping ``__init__``.
 
-        Ring operations, and the operator sums of ``cgybe.tensor``, produce
-        only int or Fraction values under int exponent keys, so only zeros
-        and integral Fractions need fixing.
+        Ring operations and ``cgybe.tensor`` produce only int or Fraction
+        values under int exponent keys, so only zeros and integral
+        Fractions need fixing.
         """
         terms = {}
         for key, coeff in acc.items():
@@ -223,20 +248,9 @@ class LaurentQP:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentQP":
-        if not isinstance(exponent, int):
+        if type(exponent) is not int:
             return NotImplemented
-        exponent = _exact(exponent, "exponents")
-        if exponent < 0:
-            return self.unit_inverse() ** (-exponent)
-        result = LaurentQP.one()
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, exponent, LaurentQP.__mul__)
 
     @_ring_operation
     def __eq__(self, other) -> bool:
@@ -253,9 +267,7 @@ class LaurentQP:
 
     def eval(self, qval: Coeff, pval: Coeff) -> Fraction:
         """Exact value at the point (qval, pval); both must be nonzero."""
-        qval, pval = (Fraction(_exact(x, "evaluation points")) for x in (qval, pval))
-        if qval == 0 or pval == 0:
-            raise ValueError("q and p substitutions must be nonzero")
+        qval, pval = _point(qval), _point(pval)
         total = Fraction(0)
         for (a, b), coeff in self._terms.items():
             total += coeff * qval**a * pval**b
@@ -263,9 +275,7 @@ class LaurentQP:
 
     def subs_p(self, pval: Coeff) -> "LaurentQP":
         """Substitute a nonzero rational for p, leaving q symbolic."""
-        pval = Fraction(_exact(pval, "evaluation points"))
-        if pval == 0:
-            raise ValueError("p substitution must be nonzero")
+        pval = _point(pval)
         acc: dict[ExpPair, Coeff] = {}
         for (a, b), coeff in self._terms.items():
             key = (a, 0)

@@ -59,8 +59,8 @@ Each kind of input is checked once, at its door: a rank and an arity by
 label by :func:`_label` (each key of the constructor, even with a zero
 coefficient, and ``apply``); an exact number by
 :func:`~cgybe.laurent.as_laurent` (coefficients, scalars); a word by
-:func:`_word`; a repeated JSON entry by ``from_json_obj``.  A ``bool`` is
-not an ``int`` at any of them.  Inside the doors nothing is checked
+:func:`_word`; a repeated JSON entry by ``from_json_obj``.  A ``bool``,
+or any other ``int`` subclass, is not an ``int`` at any of them.  Inside the doors nothing is checked
 again: an operator built from valid operators, or from columns its
 builder filled, adopts them through the private ``TensorOp._trusted``.
 """
@@ -341,17 +341,10 @@ def _label(label, n: int, arity: int) -> tuple[int, ...]:
 
 def _coeff(value, den: int | None) -> LaurentQP:
     """The coefficient a stored value stands for: the value itself when
-    ``den`` is None, else the LaurentQP of the nonzero value/den in
-    canonical form, built without ``__init__``."""
+    ``den`` is None, else the constant value/den (``LaurentQP._trusted``)."""
     if den is None:
         return value
-    if den != 1:
-        value = Fraction(value, den)
-        if value.denominator == 1:
-            value = value.numerator
-    coeff = object.__new__(LaurentQP)
-    coeff._terms = {(0, 0): value}
-    return coeff
+    return LaurentQP._trusted({(0, 0): value if den == 1 else Fraction(value, den)})
 
 
 def _stored_form(columns: Columns) -> tuple[int | None, Columns]:

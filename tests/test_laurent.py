@@ -1,11 +1,24 @@
 """Exact Laurent-ring arithmetic: worked values, ring axioms, serialization."""
 
+import ast
+import pathlib
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cgybe import LaurentQP, one, p, q, zero
+import cgybe
+from cgybe import LaurentQP, IntWindow, TensorOp, check_quadratic, compose_sum, g_op
+from cgybe import one, p, permutation_op, q, zero
+
+
+class K(IntEnum):
+    """int subclass members: equal to ints, but not exactly ints."""
+
+    ONE = 1
+    TWO = 2
+    TWELVE = 12
 
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -136,10 +149,43 @@ def test_float_coefficient_rejected():
         lambda: q + True,
         lambda: True - q,
         lambda: q * True,
+        # an int subclass is refused as a bool is: an exact number is
+        # exactly an int or a Fraction
+        lambda: LaurentQP({(0, 0): K.TWO}),
+        lambda: LaurentQP.const(K.TWO),
+        lambda: LaurentQP.monomial(K.TWO, 1, 0),
+        lambda: q**K.TWO,
+        lambda: q.eval(K.TWO, 1),
+        lambda: q.eval(1, K.TWO),
+        lambda: q.subs_p(K.TWO),
+        lambda: q + K.TWO,
+        lambda: K.TWO - q,
+        lambda: q * K.TWO,
+        lambda: compose_sum([(K.TWO, permutation_op(2))]),
+        lambda: K.TWO * permutation_op(2),
+        lambda: check_quadratic(2, K.ONE, 1),
     ],
 )
 def test_bool_is_not_an_exact_number(build):
     # one rule for every door a number comes in by: a bool is not read as 1
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentQP({(K.ONE, 0): 1}),
+        lambda: TensorOp(K.TWO, 2),
+        lambda: TensorOp(2, 2, {((K.ONE, 2), (2, 1)): 1}),
+        lambda: g_op(3).apply(K.ONE, 2),
+        lambda: compose_sum([(1, (permutation_op(2), K.TWELVE))]),
+        lambda: IntWindow(K.ONE, 2, 2),
+    ],
+)
+def test_int_subclass_is_not_an_int_at_any_integer_door(build):
+    # the integer doors (exponent key, rank, index, word place, oracle
+    # bound) read an int as the exact-number rule does: exactly an int
     with pytest.raises(TypeError):
         build()
 
@@ -165,6 +211,26 @@ def test_non_int_monomial_exponent_rejected():
         LaurentQP.monomial(1, 0.7)
     with pytest.raises(TypeError):
         LaurentQP.monomial(1, 0, 2.0)
+
+
+def test_power_squares_no_further_than_the_top_bit(monkeypatch):
+    # x ** k makes one product per set bit and one squaring per bit below
+    # the top one, the first product being 1 * x
+    x = q + 1
+    expected = [one]
+    for _ in range(64):
+        expected.append(expected[-1] * x)
+    multiply, calls = LaurentQP.__mul__, []
+
+    def counting(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentQP, "__mul__", counting)
+    for k in range(1, 65):
+        calls.clear()
+        assert x**k == expected[k]
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1
 
 
 def test_negative_powers_of_non_units_rejected():
@@ -316,3 +382,51 @@ def test_mixed_coefficients_canonical_and_match_fraction_reference(raw_x, raw_y,
     for value, expected in cases:
         _assert_canonical(value)
         assert value.terms() == expected
+
+
+def _float_sources(tree: ast.AST):
+    """(enclosing qualified name, what) for each float-producing node:
+    a float or complex literal, true division, a call of float or complex,
+    a call through the time module or of round, and a math import."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((scope, f"literal {node.value!r}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((scope, "/"))
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if func in ("float", "complex", "round") or func.startswith(("time.", "math.")):
+                found.append((scope, f"call {func}"))
+        elif isinstance(node, ast.Import):
+            found.extend((scope, f"import {a.name}") for a in node.names if a.name in ("math", "time"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "time"):
+            found.extend((scope, f"from {node.module} import {a.name}") for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_float_anywhere_in_the_package():
+    # the exact-number rule enforced on the source: the only float a
+    # module makes is the timing metadata of a check report
+    found = set()
+    for path in sorted(pathlib.Path(cgybe.__file__).parent.glob("*.py")):
+        found |= {(path.stem, *item) for item in _float_sources(ast.parse(path.read_text()))}
+    assert found == {
+        ("tensor", "", "from math import lcm"),
+        ("verify", "", "import time"),
+        ("verify", "run_checks", "call time.perf_counter"),
+        ("verify", "CheckReport.to_json_obj", "call round"),
+    }
+    # and the scan sees what it looks for
+    bad = "import math\nfrom math import sqrt\nx = 0.5 + 1j\nx /= 2 / 3\nfloat(x)\ncomplex(x)\nmath.e(1)"
+    assert sorted(what for _, what in _float_sources(ast.parse(bad))) == [
+        "/", "/", "call complex", "call float", "call math.e",
+        "from math import sqrt", "import math", "literal 0.5", "literal 1j",
+    ]
