@@ -13,21 +13,22 @@ deeply, over the parse budget (``MAX_PARSE_WORK`` term operations,
 ``MAX_PARSE_COEFF_BITS`` coefficient bits), over the parameter bounds
 (``MAX_PARAM_TERMS`` terms, ``MAX_PARAM_EXPONENT`` for |exponent|,
 ``MAX_PARAM_COEFF_BITS`` bits per coefficient), or read by neither the
-operator nor an operand of the equations of a selected check (see the
-``reads`` of ``OPERATORS`` and ``OPERANDS``, and ``verify.CHECKS``); an
---alpha that is not a unit of the Laurent ring with the hecke check; an
-unknown or empty --checks or --only selection (``--checks ,``); a rank
-above the cap of the selected checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with
-a 3-fold one, eval --check-ybe included, else ``MAX_VERIFY_RANK_2FOLD`` =
-64, which also caps gen --format json) or of dense output
-(``MAX_DENSE_RANK`` = 56, eval and gen --format latex); an eval --q/--p
-with an exponent or over ``MAX_RATIONAL_DIGITS`` characters; an --out
-path that cannot be opened; an empty window (--lo above --hi), or windows
-holding more than ``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports
-stream as JSON lines in sorted check order.  verify runs the selected
-checks as one ``verify.run_checks``: it builds each operand on first
-read, and an equation that two checks list (compat is the first sum of
-mixed) is walked once and reported under both.
+operator nor an operand of the equations of a selected check (see
+``OPERANDS`` and ``verify.CHECKS``); an --alpha that is not a unit of
+the Laurent ring with the hecke check; an unknown or empty --checks or
+--only selection (``--checks ,``); a rank above the cap of the selected
+checks (``MAX_VERIFY_RANK_3FOLD`` = 16 with a 3-fold one, eval
+--check-ybe included, else ``MAX_VERIFY_RANK_2FOLD`` = 64, which also
+caps gen --format json) or of dense output (``MAX_DENSE_RANK`` = 56, eval
+and gen --format latex); an eval --q/--p with an exponent or over
+``MAX_RATIONAL_DIGITS`` characters; an --out path that cannot be opened;
+an empty window (--lo above --hi), or windows holding more than
+``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream as JSON
+lines in sorted check order.  verify runs the selected checks as one
+``verify.run_checks`` whose X is the operand --op names (R for cg): it
+builds each operand on first read, and an equation that two checks list
+(compat is the first sum of mixed) is walked once and reported under
+both.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .laurent import LaurentQP, _power, p, q
 from .model import cg_op, cg_twisted_op, g_op, hecke_parameters, permutation_op
@@ -57,8 +57,9 @@ USAGE_ERROR = 2
 # 0.7-0.9 s at either rank with --op cg, and 0.22-0.27 s with --op g,
 # whole processes that peak at 18-19 MB of RSS, on a 2-core x86-64 VM with
 # Python 3.11.  The 2-fold checks (hecke, gp, quadratic) walk the same way,
-# on the 2n - 1 inputs with min index 1, and take 1.7-2.1 s and 75 MB
-# together at n = 64.
+# on the 2n - 1 inputs with min index 1: all three with --op cg take
+# 0.9-1.6 s of CPU at n = 64, whole processes that peak at 75 MB, on the
+# same VM.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
@@ -101,31 +102,22 @@ MAX_PARAM_EXPONENT = 10
 MAX_PARAM_COEFF_BITS = 64
 
 
-class Operator(NamedTuple):
-    reads: tuple[str, ...]  # the parameters (alpha, beta) it is built from
-    build: Callable  # (n, alpha, beta) -> the operator, or the scalar itself
-
-
-# The rows call constructors through this module's globals at call time,
-# never through a stored function object, so that a wrapper installed over
-# a global (bench/tracing.py does this) sees every call.
-OPERATORS = {
-    "perm": Operator((), lambda n, alpha, beta: permutation_op(n)),
-    "g": Operator((), lambda n, alpha, beta: g_op(n)),
-    "cg": Operator(("alpha", "beta"), lambda n, alpha, beta: cg_op(n, alpha, beta)),
-    "cg2": Operator((), lambda n, alpha, beta: cg_twisted_op(n)),
-}
-
-# The operands of verify.EQUATIONS but X, the --op operator: the flip, g,
-# R = alpha*P + beta*g and the two scalars.  verify builds each one it
-# reads once, when it first reads it.
+# Every operand of verify.EQUATIONS: the parameters it reads and its
+# builder (n, alpha, beta) -> the operand; cg2, the two-parameter matrix,
+# is read only as X.  The builders call constructors through this module's
+# globals at call time, so that a wrapper installed over a global
+# (bench/tracing.py does this) sees every call.
 OPERANDS = {
-    "P": OPERATORS["perm"],
-    "g": OPERATORS["g"],
-    "R": OPERATORS["cg"],
-    "alpha": Operator(("alpha",), lambda n, alpha, beta: alpha),
-    "beta": Operator(("beta",), lambda n, alpha, beta: beta),
+    "P": ((), lambda n, alpha, beta: permutation_op(n)),
+    "g": ((), lambda n, alpha, beta: g_op(n)),
+    "R": (("alpha", "beta"), lambda n, alpha, beta: cg_op(n, alpha, beta)),
+    "cg2": ((), lambda n, alpha, beta: cg_twisted_op(n)),
+    "alpha": (("alpha",), lambda n, alpha, beta: alpha),
+    "beta": (("beta",), lambda n, alpha, beta: beta),
 }
+
+# Each --op and the operand it builds, which verify checks as X.
+OPERATORS = {"perm": "P", "g": "g", "cg": "R", "cg2": "cg2"}
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +279,15 @@ def _parse_rational(flag: str, text: str) -> Fraction:
 # shared plumbing
 
 
-def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
-    """alpha and beta from the flags; rejects a flag that would be ignored,
-    one that neither the operator nor any of ``checks`` reads, and a value
-    over the parameter bounds (``MAX_PARAM_TERMS`` and the two after it)."""
+def _resolve_params(args, checks=()):
+    """The builder of each operand by its name, at --n and the --alpha and
+    --beta values; rejects a flag that would be ignored, one that neither
+    the operator nor any of ``checks`` reads, and a value over the
+    parameter bounds (``MAX_PARAM_TERMS`` and the two after it)."""
     given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
-    operands = {"X": OPERATORS[args.op], **OPERANDS}
-    reads = set().union(*(operands[name].reads for name in {"X"}.union(*map(operands_of, checks))))
+    x = OPERATORS[args.op]
+    names = {x}.union(*(operands_of(check, x) for check in checks))
+    reads = set().union(*(OPERANDS[name][0] for name in names))
     unread = [flag for flag in given if flag[2:] not in reads]
     if unread:
         selected = f" with --checks {','.join(checks)}" if checks else ""
@@ -315,7 +309,7 @@ def _resolve_params(args, checks=()) -> tuple[LaurentQP, LaurentQP]:
                 f"{MAX_PARAM_EXPONENT}), {bits} coefficient bits (at most {MAX_PARAM_COEFF_BITS})"
             )
         values[flag[2:]] = value
-    return values["alpha"], values["beta"]
+    return lambda name: OPERANDS[name][1](args.n, values["alpha"], values["beta"])
 
 
 def _write_json(payload, handle) -> None:
@@ -373,9 +367,9 @@ def cmd_gen(args) -> int:
         _require_rank(args.n, MAX_VERIFY_RANK_2FOLD, "sparse output")
     else:
         _require_rank(args.n, MAX_DENSE_RANK)
-    alpha, beta = _resolve_params(args)
+    build = _resolve_params(args)
     with _open_output(args.out) as handle:
-        operator = OPERATORS[args.op].build(args.n, alpha, beta)
+        operator = build(OPERATORS[args.op])
         if args.format == "json":
             _write_json(operator.to_json_obj(), handle)
         else:
@@ -390,13 +384,11 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check: {name} (choose from {', '.join(CHECKS)})")
-    alpha, beta = _resolve_params(args, names)
+    build = _resolve_params(args, names)
     if "hecke" in names:
-        hecke_scalar(alpha)
+        hecke_scalar(build("alpha"))
     _require_verify_rank(args.n, names)
-    operands = {"X": OPERATORS[args.op], **OPERANDS}
-    reports = run_checks(zip(names, names), lambda name: operands[name].build(args.n, alpha, beta))
-    return _report(reports, sys.stdout)
+    return _report(run_checks(zip(names, names), build, OPERATORS[args.op]), sys.stdout)
 
 
 def cmd_identities(args) -> int:
@@ -412,13 +404,13 @@ def cmd_eval(args) -> int:
     _require_rank(args.n, MAX_DENSE_RANK)
     if args.check_ybe:
         _require_verify_rank(args.n, ["ybe"])
-    alpha, beta = _resolve_params(args)
+    build = _resolve_params(args)
     qval = _parse_rational("--q", args.q)
     pval = _parse_rational("--p", args.p)
     if qval == 0 or pval == 0:
         raise ValueError("q and p must be nonzero")
     with _open_output(args.out) as handle:
-        operator = OPERATORS[args.op].build(args.n, alpha, beta)
+        operator = build(OPERATORS[args.op])
         numeric = operator.eval_at(qval, pval)
         if args.format == "csv":
             handle.write(numeric.to_numeric_csv())

@@ -137,8 +137,9 @@ class OracleReport:
 
     name: str
     window: IntWindow
-    passed: bool
     counterexample: tuple[int, ...] | None
+
+    passed = property(lambda self: self.counterexample is None)
 
     def to_json_obj(self) -> dict:
         return {
@@ -386,8 +387,8 @@ def _scan(
             for _ in range(packed):
                 field, k = divmod(field, rows.side)
                 last.append(lo + k)
-            return OracleReport(name, window, False, (*prefix, *reversed(last)))
-    return OracleReport(name, window, True, None)
+            return OracleReport(name, window, (*prefix, *reversed(last)))
+    return OracleReport(name, window, None)
 
 
 def _support(x: int, y: int, pad: int) -> range:

@@ -47,9 +47,10 @@ class CheckReport:
     """Outcome of one operator-level check; passed is True iff witness is None."""
 
     name: str
-    passed: bool
     witness: Witness | None
     elapsed: float
+
+    passed = property(lambda self: self.witness is None)
 
     def to_json_obj(self) -> dict:
         witness = None
@@ -103,21 +104,27 @@ CHECKS = {
 }
 
 
-def operands_of(check: str) -> set[str]:
-    """The names of the operands the equations of ``check`` read."""
-    return {name for equation in CHECKS[check][1] for name in EQUATIONS[equation][0]}
+def _reads(equation: str, x: str) -> list[str]:
+    """The operands ``equation`` reads, X named ``x``."""
+    return [x if name == "X" else name for name in EQUATIONS[equation][0]]
 
 
-def run_checks(checks, build):
+def operands_of(check: str, x: str = "X") -> set[str]:
+    """The operands the equations of ``check`` read, X named ``x``."""
+    return {name for equation in CHECKS[check][1] for name in _reads(equation, x)}
+
+
+def run_checks(checks, build, x="X"):
     """One report per (report name, check) pair of ``checks``, each as it
     is made.  A check walks its equations in order and stops at the first
     whose sum is nonzero.  An equation is walked at most once per run: its
     witness (None when its sum vanishes) is kept for every later check that
-    lists it.  ``build(name)`` gives the operand of that name; the run
-    calls it when an equation first reads that operand, and keeps the
-    value only while a later check reads it.  Each operator keeps its packed
-    factors and its lemma result (see :func:`~cgybe.tensor._witness`), so a
-    kept operator is packed and lemma-checked once.
+    lists it.  ``build(name)`` gives the operand of that name, and X under
+    the name ``x``; the run calls it when an equation first reads that
+    name, and keeps the value only while a later check reads it.  Each
+    operator keeps its packed factors and its lemma result (see
+    :func:`~cgybe.tensor._witness`), so a kept operator is packed and
+    lemma-checked once.
     """
     checks = list(checks)
     witnesses, values = {}, {}
@@ -125,14 +132,14 @@ def run_checks(checks, build):
         started = time.perf_counter()
         for equation in CHECKS[check][1]:
             if equation not in witnesses:
-                reads, words = EQUATIONS[equation]
+                reads = _reads(equation, x)
                 values.update((r, build(r)) for r in reads if r not in values)
-                witnesses[equation] = _witness(words(*map(values.get, reads)))
+                witnesses[equation] = _witness(EQUATIONS[equation][1](*map(values.get, reads)))
             witness = witnesses[equation]
             if witness is not None:
                 break
-        yield CheckReport(name, witness is None, witness, time.perf_counter() - started)
-        later = set().union(*(operands_of(c) for _, c in checks[i + 1 :]))
+        yield CheckReport(name, witness, time.perf_counter() - started)
+        later = set().union(*(operands_of(c, x) for _, c in checks[i + 1 :]))
         values = {r: values[r] for r in values.keys() & later}
 
 

@@ -20,6 +20,7 @@ from cgybe import (
     check_mixed_conditions,
     check_quadratic,
     check_ybe,
+    cli,
     g_op,
     hecke_parameters,
     permutation_op,
@@ -404,22 +405,31 @@ def test_negative_param_is_attached_with_equals(capsys):
 
 
 @pytest.mark.parametrize(
-    "checks, builds", [("gp,quadratic", 0), ("ybe,hecke,compat", 1)], ids=["unread", "shared"]
+    "op, checks, builds",
+    [
+        ("cg2", ("--checks", "gp,quadratic"), 0),
+        ("cg2", ("--checks", "ybe,hecke,compat"), 1),
+        ("cg2", (), 1),
+        ("cg", (), 1),
+        ("cg", ("--checks", "hecke,quadratic"), 1),
+        ("cg", ("--checks", "gp,hecke,quadratic"), 1),
+        ("perm", ("--checks", "compat,gp"), 1),
+        ("g", ("--checks", "gp,mixed"), 1),
+    ],
+    ids=["unread", "shared", "cg2", "cg", "cg-hecke-quadratic", "cg-gp-hecke-quadratic", "perm", "g"],
 )
-def test_verify_builds_operator_only_if_read(capsys, monkeypatch, checks, builds):
-    # gp and quadratic build their own operators; the checks that read
-    # --op share one build
+def test_verify_builds_operator_only_if_read(capsys, monkeypatch, op, checks, builds):
+    # gp and quadratic do not read cg2; the checks that read --op share one
+    # build, whether they read it as X or by its operand's name (quadratic
+    # reads R, compat and gp read P, gp and mixed read g)
     calls = []
-
-    def counting(n):
-        calls.append(n)
-        return cg_twisted_op(n)
-
-    monkeypatch.setattr("cgybe.cli.cg_twisted_op", counting)
-    code, out, _ = run_cli(capsys, "verify", "--op", "cg2", "--n", "2", "--checks", checks)
+    builder = {"perm": "permutation_op", "g": "g_op", "cg": "cg_op", "cg2": "cg_twisted_op"}[op]
+    build = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda n, *args: calls.append(n) or build(n, *args))
+    code, out, _ = run_cli(capsys, "verify", "--op", op, "--n", "4", *checks)
     assert code in (0, 1)
-    assert len(out.splitlines()) == len(checks.split(","))
-    assert calls == [2] * builds
+    assert len(out.splitlines()) == (len(checks[1].split(",")) if checks else len(verify.CHECKS))
+    assert calls == [4] * builds
 
 
 def _stable(report: dict) -> dict:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cgybe import TensorOp, compose_sum, g_op, lift12, lift23, oracles, permutation_op
 from cgybe.oracles import (
     IntWindow,
+    OracleReport,
     _scan,
     eta_convolution,
     eta_interval_sum,
@@ -664,3 +665,18 @@ def test_oversized_pad_rejected_before_scanning():
     with pytest.raises(ValueError, match="cap"):
         run_oracles(-4, 5, pad=10**5)
     assert time.perf_counter() - started < 1.0
+
+
+def test_report_verdict_is_its_counterexample():
+    # a report holds no verdict of its own, so none can disagree with it
+    window = IntWindow(0, 1, 2)
+    passing, failing = OracleReport("x", window, None), OracleReport("x", window, (1, 0))
+    assert passing.passed and not failing.passed
+    assert list(failing.to_json_obj().items()) == [
+        ("name", "x"),
+        ("window", {"lo": 0, "hi": 1, "arity": 2}),
+        ("passed", False),
+        ("counterexample", [1, 0]),
+    ]
+    with pytest.raises(AttributeError):
+        passing.passed = False

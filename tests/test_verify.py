@@ -266,6 +266,18 @@ def test_report_invariant_and_json_schema():
             assert set(obj["witness"]) == {"input", "output", "diff"}
 
 
+def test_report_verdict_is_its_witness():
+    # a report holds no verdict of its own, so none can disagree with its witness
+    passing = verify.CheckReport("x", None, 0.0)
+    failing = verify.CheckReport("x", ((1, 2), (1, 2), LaurentQP.one()), 0.0)
+    for report, passed in ((passing, True), (failing, False)):
+        obj = report.to_json_obj()
+        assert report.passed is passed and obj["passed"] is passed
+        assert list(obj) == ["name", "passed", "witness", "elapsed_ms"]
+    with pytest.raises(AttributeError):
+        failing.passed = True
+
+
 def test_twisted_ybe_small():
     for n in (1, 2, 3):
         assert check_ybe(cg_twisted_op(n)).passed, n
