@@ -23,7 +23,9 @@ caps gen --format json) or of dense output (``MAX_DENSE_RANK`` = 56, eval
 and gen --format latex); an eval --q/--p with an exponent or over
 ``MAX_RATIONAL_DIGITS`` characters; an --out path that cannot be opened;
 an empty window (--lo above --hi), or windows holding more than
-``oracles.MAX_WINDOW_TUPLES`` tuples in total.  Reports stream as JSON
+``oracles.MAX_WINDOW_TUPLES`` tuples in total.  An output that cannot be
+written (a closed pipe, a full disk) also exits 2, with one ``error:``
+line and no traceback, once the command has run.  Reports stream as JSON
 lines in sorted check order.  verify runs the selected checks as one
 ``verify.run_checks`` whose X is the operand --op names (R for cg): it
 builds each operand on first read, and an equation that two checks list
@@ -492,9 +494,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except OSError as exc:
+        # a closed pipe or a full disk: drop what stdout still holds, so that
+        # its flush at exit does not fail again
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        sys.stderr.write(f"error: cannot write the output: {exc.strerror or exc}\n")
         return USAGE_ERROR
 
 

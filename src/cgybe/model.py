@@ -16,8 +16,10 @@ equation at p = 1.  ``cg_twisted_op`` builds the two-parameter family
     c(e_i⊗e_j) = q p^{i-j} e_j⊗e_i
                  + sum_k (q - q^-1) p^{i-k} eta(i,j,k) e_k ⊗ e_{i+j-k}
 
-with both q and p symbolic.  Substituting p = 1 recovers cg_op(n, q,
-q - q^-1) exactly.
+with both q and p symbolic, as alpha*G(P) + beta*G(g) at the same
+(alpha, beta).  The diagonal gauge G multiplies each entry
+(a, b) <- (i, j) by p^{i-a}.  G is linear, so c = G(cg_op(n, q, q - q^-1)).
+Substituting p = 1 recovers cg_op(n, q, q - q^-1) exactly.
 
 All constructors are pure and return immutable operators.  Each checks
 its rank once, in :func:`_indices`, and adopts the columns it fills.
@@ -69,7 +71,7 @@ def _indices(n: int) -> range:
 # Each builder fills columns {input: {output: value}} with no empty column
 # and no zero value, and adopts them through TensorOp._trusted: int columns
 # over the denominator 1 for permutation_op and g_op, LaurentQP ones in
-# the form tensor._stored_form gives for cg_twisted_op.
+# the form tensor._stored_form gives for _gauged.
 
 
 def permutation_op(n: int) -> TensorOp:
@@ -105,8 +107,22 @@ def hecke_parameters() -> tuple[LaurentQP, LaurentQP]:
     return q, q - q**-1
 
 
+def _gauged(op: TensorOp) -> TensorOp:
+    """op with each entry (a, b) <- (i, j) multiplied by p^{i-a}.
+
+    This is the diagonal gauge (an abelian twist) that turns the
+    one-parameter matrix at the Hecke pair into the two-parameter one.
+    """
+    columns: dict = {}
+    for (out, inp), coeff in op._entry_items():
+        terms = {(e, f + inp[0] - out[0]): c for (e, f), c in coeff._terms.items()}
+        columns.setdefault(inp, {})[out] = LaurentQP._trusted(terms)
+    return TensorOp._trusted(op.n, op.arity, *_stored_form(columns))
+
+
 def cg_twisted_op(n: int) -> TensorOp:
-    """The two-parameter Cremmer-Gervais matrix with symbolic q and p.
+    """The two-parameter Cremmer-Gervais matrix with symbolic q and p:
+    alpha*G(P) + beta*G(g) at the Hecke pair, G the gauge of :func:`_gauged`.
 
     c(e_i⊗e_j) = q p^{i-j} e_j⊗e_i
                  + sum_k (q - q^-1) p^{i-k} eta(i,j,k) e_k⊗e_{i+j-k}
@@ -114,19 +130,8 @@ def cg_twisted_op(n: int) -> TensorOp:
     For i > j the k = j term merges with the flip term, turning its
     coefficient into q^-1 p^{i-j}.
     """
-    indices = _indices(n)
-    flip = {(i, j): {(j, i): LaurentQP._trusted({(0, i - j): 1})} for i in indices for j in indices}
-    shift = {
-        (i, j): {
-            (k, i + j - k): LaurentQP._trusted({(0, i - k): eta(i, j, k)})
-            for k in range(min(i, j), max(i, j))
-        }
-        for i in indices
-        for j in indices
-        if i != j
-    }
-    flip, shift = (TensorOp._trusted(n, 2, *_stored_form(c)) for c in (flip, shift))
-    return compose_sum([(q, flip), (q - q**-1, shift)])
+    alpha, beta = hecke_parameters()
+    return compose_sum([(alpha, _gauged(permutation_op(n))), (beta, _gauged(g_op(n)))])
 
 
 def cg_inverse(rmat: TensorOp, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:

@@ -77,6 +77,12 @@ def _cubic_words(a, b):
     return [(1, *word) for word in lhs] + [(-1, *word) for word in rhs]
 
 
+def _quadratic_words(r, a, b):
+    """The quadratic sum R^2 - beta*R - alpha*(alpha-beta)*I.  The Hecke sum
+    R^2 + (s^-1 - s)*R - I is this sum at (alpha, beta) = (s, s - s^-1)."""
+    return [(1, r, r), (-b, r), (-(a * (a - b)),)]
+
+
 # Every equation a check may read, once: its name, the operands it reads
 # and the builder of its words from them, in that order.  An operand is X,
 # the checked operator; P, the flip; g; R = alpha*P + beta*g; or one of
@@ -85,8 +91,8 @@ EQUATIONS = {
     "ybe": (("X",), lambda c: [(1, (c, 12), (c, 23), (c, 12)), (-1, (c, 23), (c, 12), (c, 23))]),
     "cubic(P,X)": (("P", "X"), _cubic_words),
     "cubic(X,P)": (("X", "P"), _cubic_words),
-    "hecke": (("X", "alpha"), lambda r, s: [(1, r, r), (s.unit_inverse() - s, r), (-1,)]),
-    "quadratic": (("R", "alpha", "beta"), lambda r, a, b: [(1, r, r), (-b, r), (-(a * (a - b)),)]),
+    "hecke": (("X", "alpha"), lambda r, s: _quadratic_words(r, s, s - s.unit_inverse())),
+    "quadratic": (("R", "alpha", "beta"), _quadratic_words),
     "g^2=g": (("g",), lambda g: [(1, g, g), (-1, g)]),
     "gP=-g": (("g", "P"), lambda g, perm: [(1, g, perm), (1, g)]),
     "Pg=g+P-I": (("P", "g"), lambda perm, g: [(1, perm, g), (-1, g), (-1, perm), (1,)]),
@@ -185,7 +191,8 @@ def hecke_scalar(value: LaurentQP) -> LaurentQP:
 def check_hecke(rmat: TensorOp, qscalar: LaurentQP, name: str = "hecke") -> CheckReport:
     """(R - s*I)(R + s^-1*I) = 0 for the given unit scalar s.
 
-    Checked expanded: R∘R + (s^-1 - s)*R - I = 0.
+    Checked expanded, as the quadratic sum at (alpha, beta) = (s, s - s^-1):
+    R∘R + (s^-1 - s)*R - I = 0, since s*s^-1 is exactly 1.
     """
     return next(run_checks([(name, "hecke")], {"X": rmat, "alpha": hecke_scalar(qscalar)}.get))
 

@@ -1,5 +1,6 @@
 """Command-line contract: flag parsing, formats, exit codes, streaming."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -541,6 +542,52 @@ def test_identities_oversized_window_fails_fast():
         assert result.stdout == ""
         assert result.stderr.startswith("error:") and "cap" in result.stderr
         assert time.perf_counter() - started < 10
+
+
+OUTPUT_ERROR_CASES = [
+    (["gen", "--op", "cg2", "--n", "16"], "pipe"),
+    (["identities", "--lo", "-3", "--hi", "4"], "pipe"),
+    (["verify", "--op", "cg", "--n", "3"], "full"),
+    (["gen", "--op", "cg2", "--n", "8", "--out", "/dev/full"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", OUTPUT_ERROR_CASES, ids=["gen-pipe", "identities-pipe", "verify-full", "gen-out-full"]
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_unwritable_output_is_a_usage_error(argv, stdout, unbuffered):
+    # A closed pipe (a reader such as `head -c 1` that has exited) or a full
+    # disk ends the command with exit 2 and one error line, not a traceback
+    # and exit 1, which would read as a failed check, with stdout buffered
+    # or not.  The pipe's read end is closed before the command starts, so
+    # every write to it fails.
+    if (stdout == "full" or "/dev/full" in argv) and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    with contextlib.ExitStack() as stack:
+        if stdout == "pipe":
+            read_end, sink = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, sink)
+        elif stdout == "full":
+            sink = stack.enter_context(open("/dev/full", "w"))
+        else:
+            sink = subprocess.DEVNULL
+        result = subprocess.run(
+            [sys.executable, "-m", "cgybe", *argv],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the output:"), lines
 
 
 def test_eval_collapses_to_flip_at_one(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cgybe import model
 from cgybe import (
     LaurentQP,
     TensorOp,
@@ -21,6 +22,7 @@ from cgybe import (
     kron_delta,
     permutation_op,
     step_u,
+    p,
     q,
 )
 
@@ -121,8 +123,37 @@ def test_cg_display_examples():
 
 
 def test_twisted_matches_case_display():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 9):
         assert cg_twisted_op(n) == cg_twisted_case_display(n), n
+
+
+def test_twisted_is_the_gauge_of_the_hecke_point():
+    # the gauge lemma, entry by entry: entry (a, b) <- (i, j) of the
+    # two-parameter matrix is p^(i-a) times that of cg_op at the Hecke pair,
+    # and every entry keeps a + b = i + j
+    alpha, beta = hecke_parameters()
+    for n in range(1, 9):
+        twisted, untwisted = cg_twisted_op(n), cg_op(n, alpha, beta)
+        assert twisted == model._gauged(untwisted), n
+        assert set(twisted.entries) == set(untwisted.entries), n
+        for ((a, b), (i, j)), coeff in twisted.entries.items():
+            assert a + b == i + j
+            assert coeff == untwisted.entries[(a, b), (i, j)] * p**(i - a)
+
+
+def test_gauge_comparison_sees_one_changed_exponent():
+    # negative control: a copy of the two-parameter matrix with one p
+    # exponent moved by one, at any entry, fails the gauge comparison
+    alpha, beta = hecke_parameters()
+    for n in (1, 2, 3, 4):
+        gauged = model._gauged(cg_op(n, alpha, beta))
+        entries = cg_twisted_op(n).entries
+        assert TensorOp(n, 2, entries) == gauged
+        for key, coeff in entries.items():
+            for shift in (p, p**-1):
+                changed = dict(entries)
+                changed[key] = coeff * shift
+                assert TensorOp(n, 2, changed) != gauged, (n, key)
 
 
 def test_twisted_display_examples():
@@ -239,8 +270,8 @@ def test_int_built_operators_match_entry_built(n):
         assert built._den == reference._den == 1
         assert built._columns == reference._columns
         assert list(built._columns) == list(reference._columns)
-    # cg_twisted_op adopts its flip and shift columns, and identity its int
-    # columns, without the constructor's checks: same storage form too
+    # cg_twisted_op, a sum of gauged P and g, and identity, which adopts its
+    # int columns without the constructor's checks: same storage form too
     pairs = [(cg_twisted_op(n), cg_twisted_case_display(n))]
     for arity in (2, 3):
         tuples = itertools.product(range(1, n + 1), repeat=arity)

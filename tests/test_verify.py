@@ -159,6 +159,18 @@ def test_bool_parameters_refused():
     assert check_quadratic(2, 1, 1).passed
 
 
+@pytest.mark.parametrize(
+    "s", [q, -q, 2 * q**2 * p**-1, LaurentQP.const(Fraction(3, 2)), LaurentQP.const(-1)]
+)
+def test_hecke_words_are_the_expanded_hecke_sum(s):
+    # the hecke row reads the quadratic words at (s, s - s^-1); word by word
+    # they equal R^2 + (s^-1 - s)R - I, since s*s^-1 is exactly 1
+    rmat = cg_op(2, q, 1)
+    words = verify.EQUATIONS["hecke"][1](rmat, s)
+    assert words == verify.EQUATIONS["quadratic"][1](rmat, s, s - s.unit_inverse())
+    assert words == [(1, rmat, rmat), (s.unit_inverse() - s, rmat), (-1,)]
+
+
 def test_gp_relations_small():
     for n in (1, 2, 3, 4):
         assert check_gp_relations(n).passed, n
@@ -970,3 +982,55 @@ def test_checks_build_no_identity_operator(monkeypatch):
     monkeypatch.setattr(verify, "cg_op", lambda n, a, b: not_hecke)
     failing["quadratic"] = check_quadratic(n, alpha, beta)
     assert {name: (r.passed, r.witness) for name, r in failing.items()} == expected
+
+
+def _weight_mutants(n: int):
+    """Every change of one weight-preserving entry (a, b) <- (i, j) of g,
+    a + b = i + j, by +1 or -1: an entry of g that becomes zero is dropped,
+    and a zero entry of g becomes ±1."""
+    entries = g_op(n).entries
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    for inp in pairs:
+        for out in pairs:
+            if sum(out) != sum(inp):
+                continue
+            for step in (1, -1):
+                changed = dict(entries)
+                changed[out, inp] = changed.get((out, inp), LaurentQP.zero()) + step
+                yield (out, inp, step), TensorOp(n, 2, changed)
+
+
+@pytest.mark.parametrize("n, count", [(3, 38), (4, 88), (5, 170)])
+def test_integer_rows_decide_ybe_and_hecke_on_every_mutant_of_g(n, count):
+    # For R' = qP + (q - q^-1)g' and any integer operator g', YBE of R' is
+    # q^3 Y(P) + (q^3 - q) cubic(P,g') + (q^3 - 2q + q^-1) cubic(g',P)
+    # + (q^3 - 3q + 3q^-1 - q^-3) Y(g'), a triangle in (q^3, q, q^-1, q^-3),
+    # and its Hecke sum at s = q is q^2 (P^2 - I) + (q^2 - 1)(Pg' + g'P - P + I)
+    # + (q - q^-1)^2 (g'^2 - g').  Y(P) and P^2 - I vanish, so the direct
+    # check fails exactly when one of the other integer rows is nonzero.
+    alpha, beta = hecke_parameters()
+    perm = permutation_op(n)
+    ybe_rows = {
+        "Y(g')": verify.EQUATIONS["ybe"][1],
+        "cubic(P,g')": lambda x: verify._cubic_words(perm, x),
+        "cubic(g',P)": lambda x: verify._cubic_words(x, perm),
+    }
+    hecke_rows = {
+        "Pg'+g'P-P+I": lambda x: [(1, perm, x), (1, x, perm), (-1, perm), (1,)],
+        "g'^2-g'": verify.EQUATIONS["g^2=g"][1],
+    }
+    assert tensor._witness(verify.EQUATIONS["ybe"][1](perm)) is None
+    assert tensor._witness([(1, perm, perm), (-1,)]) is None
+    first_rows = Counter()
+    mutants = list(_weight_mutants(n))
+    assert len(mutants) == count
+    for change, mutant in mutants:
+        rmat = compose_sum([(alpha, perm), (beta, mutant)])
+        ybe = [name for name, words in ybe_rows.items() if tensor._witness(words(mutant))]
+        hecke = [name for name, words in hecke_rows.items() if tensor._witness(words(mutant))]
+        assert check_ybe(rmat).passed == (not ybe), change
+        assert check_hecke(rmat, alpha).passed == (not hecke), change
+        assert ybe or hecke, f"{change} passes every row"
+        first_rows[(ybe + hecke)[0]] += 1
+    # every mutant breaks the Yang-Baxter equation of g' itself
+    assert first_rows == {"Y(g')": count}
