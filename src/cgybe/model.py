@@ -16,10 +16,9 @@ equation at p = 1.  ``cg_twisted_op`` builds the two-parameter family
     c(e_i⊗e_j) = q p^{i-j} e_j⊗e_i
                  + sum_k (q - q^-1) p^{i-k} eta(i,j,k) e_k ⊗ e_{i+j-k}
 
-with both q and p symbolic, as alpha*G(P) + beta*G(g) at the same
-(alpha, beta).  The diagonal gauge G multiplies each entry
-(a, b) <- (i, j) by p^{i-a}.  G is linear, so c = G(cg_op(n, q, q - q^-1)).
-Substituting p = 1 recovers cg_op(n, q, q - q^-1) exactly.
+with both q and p symbolic, as G(cg_op(n, q, q - q^-1)).  The diagonal
+gauge G multiplies each entry (a, b) <- (i, j) by p^{i-a}.  Substituting
+p = 1 recovers cg_op(n, q, q - q^-1) exactly.
 
 All constructors are pure and return immutable operators.  Each checks
 its rank once, in :func:`_indices`, and adopts the columns it fills.
@@ -122,7 +121,7 @@ def _gauged(op: TensorOp) -> TensorOp:
 
 def cg_twisted_op(n: int) -> TensorOp:
     """The two-parameter Cremmer-Gervais matrix with symbolic q and p:
-    alpha*G(P) + beta*G(g) at the Hecke pair, G the gauge of :func:`_gauged`.
+    G(cg_op(n, q, q - q^-1)), G the gauge of :func:`_gauged`.
 
     c(e_i⊗e_j) = q p^{i-j} e_j⊗e_i
                  + sum_k (q - q^-1) p^{i-k} eta(i,j,k) e_k⊗e_{i+j-k}
@@ -130,8 +129,7 @@ def cg_twisted_op(n: int) -> TensorOp:
     For i > j the k = j term merges with the flip term, turning its
     coefficient into q^-1 p^{i-j}.
     """
-    alpha, beta = hecke_parameters()
-    return compose_sum([(alpha, _gauged(permutation_op(n))), (beta, _gauged(g_op(n)))])
+    return _gauged(cg_op(n, *hecke_parameters()))
 
 
 def cg_inverse(rmat: TensorOp, alpha: LaurentQP, beta: LaurentQP) -> TensorOp:

@@ -144,8 +144,7 @@ class TensorOp:
     @classmethod
     def identity(cls, n: int, arity: int = 2) -> "TensorOp":
         _shape(n, arity)
-        tuples = itertools.product(range(1, n + 1), repeat=arity)
-        return cls._trusted(n, arity, 1, {t: {t: 1} for t in tuples})
+        return cls._trusted(n, arity, 1, {t: {t: 1} for t in _basis(n, arity)[0]})
 
     # ------------------------------------------------------------------
     # structure
@@ -273,7 +272,7 @@ class TensorOp:
 
     def basis_tuples(self) -> list[tuple[int, ...]]:
         """All basis labels in row-major order: (1,..,1), (1,..,2), ..."""
-        return list(itertools.product(range(1, self.n + 1), repeat=self.arity))
+        return list(_basis(self.n, self.arity)[0])
 
     def _dense_rows(self, cell) -> list[list]:
         """Dense matrix of ``cell(coefficient)``, a missing entry read as zero.
@@ -454,7 +453,7 @@ def compose_sum(words) -> TensorOp:
 def _inputs(n: int, arity: int, reduced: bool):
     """The inputs :func:`_witness` walks, in sorted order: those with min
     index 1 when ``reduced``, else all n^arity."""
-    for t in itertools.product(range(1, n + 1), repeat=arity):
+    for t in _basis(n, arity)[0]:
         if not reduced or 1 in t:
             yield t
 
@@ -535,8 +534,10 @@ def _word(word) -> tuple[LaurentQP, list]:
 @functools.lru_cache(maxsize=8)
 def _basis(n: int, arity: int) -> tuple[list, dict]:
     """(the index tuples in code order, their codes) of the arity-fold basis
-    of an n-space; see :class:`_Factor`.  Cached, so every caller shares
-    them and none may write to them."""
+    of an n-space; see :class:`_Factor`.  The one enumeration of a basis:
+    ``TensorOp.identity``, ``TensorOp.basis_tuples``, :func:`_inputs`,
+    :class:`_Sum` and :func:`_factor` read it.  Cached, so every caller
+    shares them and none may write to them."""
     tuples = list(itertools.product(range(1, n + 1), repeat=arity))
     return tuples, {t: code for code, t in enumerate(tuples)}
 

@@ -1,9 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes results by a different route than the package:
-dense object-dtype matrix products, naive nested-loop applications of
-lifted operators, piecewise case-by-case constructions of the R-matrices,
-and wide-range integer sums.  Tests compare the sparse production paths
+dense matrix products over lists of LaurentQP, naive nested-loop
+applications of lifted operators, piecewise case-by-case constructions of
+the R-matrices, and wide-range integer sums.  Tests compare the sparse production paths
 against these.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-
-import numpy as np
 
 from cgybe import LaurentQP, TensorOp, q
 from cgybe.laurent import p as p_sym
@@ -31,29 +29,34 @@ def flat_index(tpl: tuple[int, ...], n: int) -> int:
     return idx
 
 
-def to_dense(op: TensorOp) -> np.ndarray:
-    """Dense object array M[out, in] of LaurentQP coefficients."""
+def to_dense(op: TensorOp) -> list[list[LaurentQP]]:
+    """Dense matrix M[out][in] of LaurentQP coefficients, as a list of rows."""
     size = op.n**op.arity
-    mat = np.full((size, size), LaurentQP.zero(), dtype=object)
+    mat = [[LaurentQP.zero()] * size for _ in range(size)]
     for (out, inp), coeff in op.entries.items():
-        mat[flat_index(out, op.n), flat_index(inp, op.n)] = coeff
+        mat[flat_index(out, op.n)][flat_index(inp, op.n)] = coeff
     return mat
 
 
-def from_dense(mat: np.ndarray, n: int, arity: int) -> TensorOp:
+def from_dense(mat: list[list[LaurentQP]], n: int, arity: int) -> TensorOp:
     basis = list(itertools.product(range(1, n + 1), repeat=arity))
     entries = {}
     for r, out in enumerate(basis):
         for c, inp in enumerate(basis):
-            coeff = mat[r, c]
+            coeff = mat[r][c]
             if not coeff.is_zero():
                 entries[(out, inp)] = coeff
     return TensorOp(n, arity, entries)
 
 
 def dense_compose(f: TensorOp, g: TensorOp) -> TensorOp:
-    """f∘g computed by dense matrix multiplication."""
-    return from_dense(np.dot(to_dense(f), to_dense(g)), f.n, f.arity)
+    """f∘g computed by dense matrix multiplication, row by column."""
+    a, b = to_dense(f), to_dense(g)
+    product = [
+        [sum((x * y for x, y in zip(row, column)), LaurentQP.zero()) for column in zip(*b)]
+        for row in a
+    ]
+    return from_dense(product, f.n, f.arity)
 
 
 # ----------------------------------------------------------------------

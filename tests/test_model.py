@@ -16,6 +16,7 @@ from cgybe import (
     cg_inverse,
     cg_op,
     cg_twisted_op,
+    compose_sum,
     eta,
     g_op,
     hecke_parameters,
@@ -139,6 +140,35 @@ def test_twisted_is_the_gauge_of_the_hecke_point():
         for ((a, b), (i, j)), coeff in twisted.entries.items():
             assert a + b == i + j
             assert coeff == untwisted.entries[(a, b), (i, j)] * p**(i - a)
+
+
+def test_gauge_is_linear():
+    # G applied to P and to g separately, then summed at the Hecke pair,
+    # is G of their sum: once on int-form input, and once on an operator
+    # that neither production builder makes
+    alpha, beta = hecke_parameters()
+    for n in range(1, 9):
+        parts = [(alpha, model._gauged(permutation_op(n))), (beta, model._gauged(g_op(n)))]
+        assert compose_sum(parts) == cg_twisted_op(n), n
+        assert model._gauged(cg_case_display(n)) == cg_twisted_case_display(n), n
+
+
+def _trace(op):
+    return sum((c for (out, inp), c in op.entries.items() if out == inp), LaurentQP.zero())
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_trace_of_both_matrices(n):
+    # tr R = q n(n+1)/2 - q^-1 n(n-1)/2 from tr P = n and tr g = #{i < j},
+    # at the Hecke pair and under the gauge, which leaves the diagonal alone
+    expected = q * (n * (n + 1) // 2) - q**-1 * (n * (n - 1) // 2)
+    assert _trace(permutation_op(n)) == LaurentQP.const(n)
+    assert _trace(g_op(n)) == LaurentQP.const(n * (n - 1) // 2)
+    assert _trace(cg_op(n, *hecke_parameters())) == expected
+    assert _trace(cg_twisted_op(n)) == expected
+    # negative control: beta = 1 is not the Hecke pair
+    if n >= 2:
+        assert _trace(cg_op(n, q, 1)) != expected
 
 
 def test_gauge_comparison_sees_one_changed_exponent():
@@ -270,7 +300,7 @@ def test_int_built_operators_match_entry_built(n):
         assert built._den == reference._den == 1
         assert built._columns == reference._columns
         assert list(built._columns) == list(reference._columns)
-    # cg_twisted_op, a sum of gauged P and g, and identity, which adopts its
+    # cg_twisted_op, G(cg_op(n, q, q - q^-1)), and identity, which adopts its
     # int columns without the constructor's checks: same storage form too
     pairs = [(cg_twisted_op(n), cg_twisted_case_display(n))]
     for arity in (2, 3):
