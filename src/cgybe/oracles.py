@@ -33,15 +33,17 @@ are kept in bounded caches that live as long as the scan.  A product of two
 factors is an AND of their +1/-1 masks, and a weight affine in g and h is
 one multiply plus masked copies of packed ramps of g and h.  A sum becomes
 a list of ``(weight, index)`` terms of its prefix-only first factor over the
-padded support, cached per scan by (x, y); terms of weight 0 are dropped,
-which leaves an integer sum unchanged exactly.  ``_scan`` walks the
-prefixes in lexicographic order and reports the lowest nonzero field of the
-first nonzero residual, which is the lexicographically first failing tuple;
-each field sums over exactly its own tuple's padded support, so reports,
-counterexamples and padding semantics are those of a per-tuple check.  The
-public summation helpers run the same row code on a one-field window, so
-each sum has one implementation, and every factor goes through
-``cgybe.model``.
+padded support; terms of weight 0 are dropped, which leaves an integer sum
+unchanged exactly.  The 5-ary sums reuse their lists across prefixes, so a
+scan keeps them by (x, y), at most side**2 of them; g_idempotent's pair
+(i, j) is its whole prefix, so it builds each list once and keeps none.
+``_scan`` walks the prefixes in lexicographic order and reports the lowest
+nonzero field of the first nonzero residual, which is the lexicographically
+first failing tuple; each field sums over exactly its own tuple's padded
+support, so reports, counterexamples and padding semantics are those of a
+per-tuple check.  The public summation helpers run the same row code on a
+one-field window, so each sum has one implementation, and every factor goes
+through ``cgybe.model``.
 
 ``run_oracles`` refuses a selection whose windows, padding included, cost
 more than ``MAX_WINDOW_TUPLES`` before it scans anything.
@@ -80,8 +82,10 @@ DEFAULT_HI = 4
 # _cost).  The benchmark costs about 1e6 per pass.  All sixteen identities on
 # [-8, 7] (7.6e6 tuples) take 0.9 s of CPU on a 2-core x86-64 VM with
 # Python 3.11.  One identity near the cap can take far longer: g_idempotent
-# on [-107, 107] (9.9e6 tuples), whose rows do not repeat, takes about
-# 2 min.  --lo -50 --hi 50 would ask for about 7e10.
+# on [-107, 107] (9.9e6 tuples) takes about 2.5 min, because its rows, which
+# repeat across i, overflow the two _FIELDS_KEPT generations of the row
+# cache and are rebuilt one call per field.  --lo -50 --hi 50 would ask for
+# about 7e10.
 MAX_WINDOW_TUPLES = 10**7
 
 # what _scan calls once per prefix: stage(rows, *prefix) -> residual row
@@ -99,10 +103,6 @@ Stage = Callable[..., int]
 # [-107, 107] one call per field each, ybe_coeffs on [-12, 12] (rows of 625
 # fields) one cached slice per g each.
 _FIELDS_KEPT = 1 << 20
-
-# Interval terms a scan caches.  The 5-ary sums reuse the lists of at most
-# 625 window pairs; the lists of g_idempotent are used once each.
-_TERMS_KEPT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,11 @@ class _Rows:
         self._room = self._generation = max(_FIELDS_KEPT // self.width, 1)
         # rows with equal masks share one tuple: a window has few mask shapes
         self._shapes: dict[tuple[int, int], tuple[int, int]] = {}
-        # interval term lists by (x, y), emptied when they pass _TERMS_KEPT
-        # terms
+        # interval term lists by (x, y), kept for the whole scan.  A scan
+        # asks only for pairs of window coordinates, so it holds at most
+        # side**2 lists, each of fewer than side + 2*pad terms; a summation
+        # helper asks for one
         self._intervals: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._terms_room = _TERMS_KEPT
 
     def pack(self, f: Callable[..., int]) -> int:
         """The row of f at each point (h) or (g, h), one call per field."""
@@ -354,15 +355,9 @@ class _Rows:
 
     def interval(self, x: int, y: int) -> list[tuple[int, int]]:
         """``_interval_terms(x, y, pad)``, cached."""
-        key = (x, y)
-        terms = self._intervals.get(key)
+        terms = self._intervals.get((x, y))
         if terms is None:
-            terms = _interval_terms(x, y, self.pad)
-            self._terms_room -= len(terms) + 1
-            if self._terms_room < 0:
-                self._intervals.clear()
-                self._terms_room = _TERMS_KEPT - len(terms) - 1
-            self._intervals[key] = terms
+            terms = self._intervals[x, y] = _interval_terms(x, y, self.pad)
         return terms
 
 
@@ -391,16 +386,6 @@ def _scan(
     return OracleReport(name, window, None)
 
 
-def _support(x: int, y: int, pad: int) -> range:
-    """Summation range covering the support of eta(x, y, .), padded both sides.
-
-    A negative pad would cut terms off the support, so it raises ValueError.
-    """
-    if pad < 0:
-        raise ValueError(f"pad must not be negative, got {pad}")
-    return range(min(x, y) - pad, max(x, y) + pad)
-
-
 # ----------------------------------------------------------------------
 # sums as rows: every sum is built here, for the scans and the helpers
 # alike.  Arguments after rows are coordinates; c and h may be affine in
@@ -408,8 +393,15 @@ def _support(x: int, y: int, pad: int) -> range:
 
 
 def _interval_terms(x: int, y: int, pad: int) -> list[tuple[int, int]]:
-    """(eta(x, y, a), a) for every a of the padded support with a nonzero weight."""
-    return [(w, a) for a in _support(x, y, pad) if (w := _factor(eta, x, y, a))]
+    """(eta(x, y, a), a) for every a of [min(x, y), max(x, y)), the support
+    of eta(x, y, .), padded by pad on both sides, with a nonzero weight.
+
+    A negative pad would cut terms off the support, so it raises ValueError.
+    """
+    if pad < 0:
+        raise ValueError(f"pad must not be negative, got {pad}")
+    support = range(min(x, y) - pad, max(x, y) + pad)
+    return [(w, a) for a in support if (w := _factor(eta, x, y, a))]
 
 
 def _zeta_row(rows: _Rows, i: int, j: int, k: int, c: int, h: int) -> int:
@@ -437,8 +429,9 @@ def _convolution_row(rows: _Rows, t: int, s: int, b: int, d: int, h: int) -> int
 
 def _g_idem_row(rows: _Rows, i: int, j: int, l: int) -> int:
     """sum_k eta(i,j,k) * eta(k, i+j-k, l)."""
+    # the pair (i, j) is the whole prefix, so each list is read once: no memo
     ij = i + j
-    return sum(w * rows.eta(k, ij - k, l) for w, k in rows.interval(i, j))
+    return sum(w * rows.eta(k, ij - k, l) for w, k in _interval_terms(i, j, rows.pad))
 
 
 def _point(pad: int, *coords: int) -> _Rows:

@@ -73,6 +73,23 @@ def test_mul_exponent_cancellation():
     assert (q * p**-1) * (q**-1 * p) == one
 
 
+def test_hash_agrees_with_equality():
+    # a constant hashes like the int or Fraction it equals
+    assert hash(LaurentQP.const(3)) == hash(3)
+    assert hash(LaurentQP.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(LaurentQP()) == hash(0)
+    # equal values built two ways share a hash and one dict key
+    built = LaurentQP({(1, 0): 1, (-1, 0): -1})
+    assert built == q - q**-1
+    assert hash(built) == hash(q - q**-1)
+    assert {q - q**-1: "key"}[built] == "key"
+
+
+def test_reflected_subtraction():
+    assert 3 - q == LaurentQP({(0, 0): 3, (1, 0): -1})
+    assert Fraction(1, 2) - q**-1 == LaurentQP({(0, 0): Fraction(1, 2), (-1, 0): -1})
+
+
 def test_eval_basic():
     assert (q - q**-1).eval(2, 1) == Fraction(3, 2)
     assert zero.eval(Fraction(7, 3), -5) == 0

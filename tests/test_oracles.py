@@ -643,6 +643,30 @@ def test_wide_window_matches_per_tuple_reference(eta):
     assert_scans_match_reference(eta, -3, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "eta",
+    [naive_eta, closed_interval_eta, one_point_mutant((0, 1, 0), 0)],
+    ids=["real", "closed", "one_point_0_1_0"],
+)
+@pytest.mark.parametrize("pad", [0, 1])
+def test_row_cache_generations_turn_without_changing_a_report(eta, pad):
+    # with a bound of 64 fields a generation holds one row of (g, h) and ten
+    # of h, so both caches turn over and rows move between generations, as
+    # on the widest windows the tuple cap admits
+    turned = []
+    build = oracles._Rows._build
+
+    def spy(rows, fn, args):
+        if not rows._room:
+            turned.append(rows.packed)
+        return build(rows, fn, args)
+
+    with mock.patch.object(oracles, "_FIELDS_KEPT", 64):
+        with mock.patch.object(oracles._Rows, "_build", spy):
+            assert_scans_match_reference(eta, -3, 2, pad)
+    assert set(turned) == {1, 2}
+
+
 def test_factor_outside_unit_range_rejected():
     doubled = lambda i, j, k: 2 * naive_eta(i, j, k)
     with mock.patch.object(oracles, "eta", doubled):

@@ -98,6 +98,10 @@ def test_compose_g_after_flip():
 def test_compose_rank_mismatch():
     with pytest.raises(ValueError):
         permutation_op(2).compose(permutation_op(3))
+    # a number is no operator: not equal to one, and not composable with one
+    assert (permutation_op(2) == 3) is False
+    with pytest.raises(TypeError):
+        permutation_op(2) @ 3
 
 
 def test_linear_combination_matches_display():
@@ -117,11 +121,15 @@ def test_linear_combination_degenerate():
 def test_lift12_flip():
     L = lift12(permutation_op(3))
     assert L.apply(1, 2, 3) == {(2, 1, 3): LaurentQP.one()}
+    with pytest.raises(ValueError, match="arity-2"):
+        lift12(L)
 
 
 def test_lift23_flip():
     L = lift23(permutation_op(3))
     assert L.apply(1, 2, 3) == {(1, 3, 2): LaurentQP.one()}
+    with pytest.raises(ValueError, match="arity-2"):
+        lift23(L)
 
 
 def test_lift_identity_is_identity():
