@@ -24,6 +24,7 @@ from cgybe import (
     cli,
     g_op,
     hecke_parameters,
+    oracles,
     permutation_op,
     verify,
 )
@@ -45,6 +46,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def run_child(*argv, timeout):
+    """``python -m cgybe argv`` in a child process, killed after timeout
+    seconds, so a command that runs away cannot hang the suite."""
+    return subprocess.run(
+        [sys.executable, "-m", "cgybe", *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=timeout,
+    )
 
 
 def test_parse_expr_symbols_and_powers():
@@ -115,16 +131,9 @@ def test_parse_expr_long_flat_sum():
 
 
 def test_parse_over_budget_fails_fast():
-    # In a child process with a timeout, so a parse that runs away cannot hang the suite.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     started = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "cgybe", "verify", "--n", "2", "--checks", "hecke"]
-        + ["--alpha", "(q+1)^100000"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
+    result = run_child(
+        "verify", "--n", "2", "--checks", "hecke", "--alpha", "(q+1)^100000", timeout=30
     )
     assert result.returncode == 2
     assert result.stdout == ""
@@ -293,6 +302,7 @@ def test_verify_checks_the_hecke_scalar_with_the_verify_rule(capsys, monkeypatch
         (MAX_DENSE_RANK + 1, "gen-latex", False),
         (MAX_DENSE_RANK + 1, "gen-json", True),
         (MAX_VERIFY_RANK_2FOLD + 1, "gen-json", False),
+        (MAX_VERIFY_RANK_2FOLD + 1, "gen-cg2", False),
     ],
 )
 def test_verify_rank_cap_follows_selected_checks(capsys, n, checks, allowed):
@@ -303,6 +313,7 @@ def test_verify_rank_cap_follows_selected_checks(capsys, n, checks, allowed):
         "eval-ybe": ["eval", "--op", "cg", "--q", "2", "--p", "1", "--check-ybe"],
         "gen-latex": ["gen", "--op", "cg", "--format", "latex"],
         "gen-json": ["gen", "--op", "perm"],
+        "gen-cg2": ["gen", "--op", "cg2"],
     }.get(checks, ["verify", "--op", "g", "--checks", checks])
     code, out, err = run_cli(capsys, *command, "--n", str(n))
     if allowed:
@@ -314,16 +325,8 @@ def test_verify_rank_cap_follows_selected_checks(capsys, n, checks, allowed):
 
 
 def test_verify_oversized_rank_fails_fast():
-    # In a child process with a timeout, so a check that starts cannot hang the suite.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     started = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "cgybe", "verify", "--n", "100000"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    result = run_child("verify", "--n", "100000", timeout=30)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error:") and "cap" in result.stderr
@@ -348,7 +351,7 @@ def test_verify_reports_in_sorted_check_order(capsys):
         ("eval", "--op", "g", "--n", "2", "--q", "2", "--p", "3", "--alpha", "q"),
         ("eval", "--op", "cg2", "--n", "2", "--q", "2", "--p", "3", "--alpha", "q"),
         # verify: a flag must be read by the operator or by a selected check
-        ("verify", "--op", "g", "--n", "2", "--checks", "ybe", "--alpha", "q"),
+        ("verify", "--op", "g", "--n", "3", "--checks", "ybe", "--alpha", "q"),
         ("verify", "--op", "cg2", "--n", "2", "--checks", "gp,mixed", "--beta", "1"),
         ("verify", "--op", "perm", "--n", "2", "--checks", "hecke", "--beta", "1"),
         # what a check reads is derived from the equations it lists
@@ -491,6 +494,140 @@ def test_verify_lines_are_the_public_checks(capsys, op, flags, n):
     assert code == (0 if all(report.passed for report in reports) else 1)
 
 
+# Whole verify commands in a child process, up to the rank caps, each with
+# the timeout it must finish within.
+PASSING_RUNS = [
+    ("--op cg2 --n 6 --checks ybe", 20),
+    # the symbolic path on the inputs with min index 1
+    ("--op cg2 --n 10 --checks ybe", 20),
+    ("--op cg2 --n 16 --checks ybe", 60),
+    ("--op g --n 6 --checks compat,mixed,ybe", 20),
+    # the int form of the 3-fold checks and of gp at the 3-fold cap
+    ("--op g --n 16 --checks ybe,compat,mixed,gp", 20),
+    # all six checks of alpha*P + beta*g
+    ("--op cg --n 6", 20),
+    ("--op cg --n 16 --checks compat,mixed", 60),
+]
+
+
+@pytest.mark.parametrize("flags, timeout", PASSING_RUNS, ids=[flags for flags, _ in PASSING_RUNS])
+def test_verify_passes_up_to_the_rank_caps(flags, timeout):
+    result = run_child("verify", *flags.split(), timeout=timeout)
+    assert result.returncode == 0, result.stderr
+    reports = [json.loads(line) for line in result.stdout.splitlines()]
+    checks = flags.split("--checks ")[1].split(",") if "--checks" in flags else verify.CHECKS
+    assert [report["name"] for report in reports] == sorted(checks)
+    assert all(report["passed"] for report in reports)
+
+
+# (R - q)(R + q^-1) at (1,2) <- (1,2) for alpha = q, beta = 1: q^2 - 2q + q^-1
+NOT_HECKE_AT_Q_1 = [
+    {"q": -1, "p": 0, "coeff": "1/1"},
+    {"q": 1, "p": 0, "coeff": "-2/1"},
+    {"q": 2, "p": 0, "coeff": "1/1"},
+]
+
+
+FAILING_RUNS = [
+    # the constant path: 2P + g and 3P + 7g are not Hecke
+    ("--op cg --alpha 2 --beta 1 --n 4 --checks hecke", 20, [1, 2], "1/2"),
+    ("--op cg --alpha 3 --beta 7 --n 5 --checks hecke", 20, [1, 2], "52/3"),
+    ("--op cg --alpha q --beta 1 --n 4 --checks hecke", 20, [1, 2], NOT_HECKE_AT_Q_1),
+    # a failing 2-fold check at its cap stops at its witness input
+    ("--op cg --alpha q --beta 1 --n 64 --checks hecke", 120, [1, 2], NOT_HECKE_AT_Q_1),
+    # the twisted matrix fails the compatibility condition and the first
+    # mixed condition with the flip, run alone or together, at n = 5 and
+    # at the 3-fold cap; together the shared sum gives both lines
+    ("--op cg2 --n 5 --checks compat", 20, [1, 1, 2], None),
+    ("--op cg2 --n 5 --checks mixed", 20, [1, 1, 2], None),
+    ("--op cg2 --n 16 --checks compat", 20, [1, 1, 2], None),
+    ("--op cg2 --n 16 --checks compat,mixed", 20, [1, 1, 2], None),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, timeout, witness, diff", FAILING_RUNS, ids=[run[0] for run in FAILING_RUNS]
+)
+def test_verify_fails_at_its_witness(flags, timeout, witness, diff):
+    # the witness entry is (witness) <- (witness); a str diff is a constant
+    result = run_child("verify", *flags.split(), timeout=timeout)
+    assert result.returncode == 1, result.stderr
+    reports = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [report["name"] for report in reports] == flags.split("--checks ")[1].split(",")
+    if isinstance(diff, str):
+        diff = [{"q": 0, "p": 0, "coeff": diff}]
+    for report in reports:
+        assert not report["passed"]
+        assert report["witness"]["input"] == report["witness"]["output"] == witness
+        if diff is not None:
+            assert report["witness"]["diff"] == diff
+
+
+# Runs the command given after its timeout, kills it at that timeout, exits
+# with its exit code and prints its peak RSS in kB, from os.wait4, as the
+# last line of stderr.  A process's ru_maxrss also counts the peak of the
+# process it was started from, so a small python starts the command, not
+# the test process, which may have grown past the bound.
+PEAK_RSS_STARTER = """
+import os, signal, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+signal.signal(signal.SIGALRM, lambda *_: child.kill())
+signal.alarm(int(sys.argv[1]))
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(child.returncode)
+"""
+
+
+def test_verify_2fold_checks_at_the_cap_within_100_mb():
+    # each sum is walked one input column at a time on the 2n - 1 inputs
+    # with min index 1, and R is built once for hecke and quadratic
+    argv = ["verify", "--op", "cg", "--n", "64", "--checks", "hecke,gp,quadratic"]
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_STARTER, "120", sys.executable, "-m", "cgybe", *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=150,
+    )
+    assert result.returncode == 0, result.stderr
+    assert [json.loads(line)["passed"] for line in result.stdout.splitlines()] == [True] * 3
+    peak = int(result.stderr.splitlines()[-1]) / 1024  # kB on Linux
+    assert peak <= 100, f"peak RSS {peak:.1f} MB is over 100 MB"
+
+
+def test_alpha_nested_past_the_recursion_limit_is_a_usage_error(capsys):
+    deep = "(" * 1200 + "q" + ")" * 1200
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--checks", "hecke", f"--alpha={deep}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_gen_json_reads_back_at_n8(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--op", "cg2", "--n", "8")
+    assert code == 0
+    assert TensorOp.from_json_obj(json.loads(out)) == cg_twisted_op(8)
+
+
+IDENTITY_RUNS = [
+    ("--lo -3 --hi 4", None),
+    ("--only ids5,uid --lo 0 --hi 3", ["eta_interval_sum", "step_identity"]),
+    # the window of the acceptance tests
+    ("--lo -4 --hi 5", None),
+]
+
+
+@pytest.mark.parametrize("flags, names", IDENTITY_RUNS, ids=[run[0] for run in IDENTITY_RUNS])
+def test_identities_pass_on_the_acceptance_windows(capsys, flags, names):
+    code, out, _ = run_cli(capsys, "identities", *flags.split())
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [report["name"] for report in reports] == (names or oracles.oracle_names())
+    assert all(report["passed"] for report in reports)
+
+
 def test_identities_default_window(capsys):
     code, out, _ = run_cli(capsys, "identities", "--lo", "-2", "--hi", "2")
     assert code == 0
@@ -517,7 +654,7 @@ def test_identities_empty_window(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("only", [",", ""])
+@pytest.mark.parametrize("only", [",", "", "nope"])  # empty, or an unknown name
 def test_identities_empty_selection_rejected(capsys, only):
     code, out, err = run_cli(capsys, "identities", "--only", only)
     assert code == 2
@@ -526,18 +663,10 @@ def test_identities_empty_selection_rejected(capsys, only):
 
 
 def test_identities_oversized_window_fails_fast():
-    # In a child process with a timeout, so a scan that starts cannot hang the suite.
     # ids5 alone on [0, 399] is charged its eta calls, about 2e7.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for flags in (["--lo", "-50", "--hi", "50"], ["--only", "ids5", "--lo", "0", "--hi", "399"]):
         started = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "cgybe", "identities", *flags],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=30,
-        )
+        result = run_child("identities", *flags, timeout=30)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error:") and "cap" in result.stderr
@@ -564,8 +693,7 @@ def test_unwritable_output_is_a_usage_error(argv, stdout, unbuffered):
     # every write to it fails.
     if (stdout == "full" or "/dev/full" in argv) and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env["PYTHONUNBUFFERED"] = unbuffered
+    env = dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered)
     with contextlib.ExitStack() as stack:
         if stdout == "pipe":
             read_end, sink = os.pipe()

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -643,6 +644,38 @@ def test_wide_window_matches_per_tuple_reference(eta):
     assert_scans_match_reference(eta, -3, 2, 1)
 
 
+def residual_fields(row, rows):
+    """The rows.width signed fields of a residual row, lowest first."""
+    mask, half = (1 << rows.bits) - 1, 1 << rows.bits - 1
+    fields = []
+    for _ in range(rows.width):
+        field = ((row + half) & mask) - half
+        fields.append(field)
+        row = (row - field) >> rows.bits
+    assert row == 0
+    return fields
+
+
+def test_zeta_closed_form_fields_where_j_equals_k_match_reference():
+    # With j = k, eta(j, k, .) vanishes unless the mutant point is hit, and
+    # zeta's sum is empty, so a stage that skipped its eta(i, j, c) terms
+    # whenever the eta(j, k, c) row is zero keeps every first counterexample
+    # the scans above compare.  Each field of the residual row must be zero
+    # exactly where the identity holds, under every one-point mutant that
+    # makes eta(x, x, h0) = 1.
+    lo, hi = -3, 2
+    last = list(itertools.product(range(lo, hi + 1), repeat=2))  # (c, h), in field order
+    for x, h0 in itertools.product(range(-5, 5), repeat=2):
+        eta = one_point_mutant((x, x, h0), 1)
+        holds = reference_checks(eta, 0)["zeta_closed_form"]
+        with mock.patch.object(oracles, "eta", eta):
+            rows = oracles._Rows(lo, hi, 0, max(abs(lo), abs(hi)), packed=2)
+            for i, j in itertools.product(range(lo, hi + 1), repeat=2):
+                fields = residual_fields(oracles._zeta_closed_form(rows, i, j, j), rows)
+                expected = [not holds(i, j, j, c, h) for c, h in last]
+                assert [field != 0 for field in fields] == expected, (x, h0, i, j)
+
+
 @pytest.mark.parametrize(
     "eta",
     [naive_eta, closed_interval_eta, one_point_mutant((0, 1, 0), 0)],
@@ -689,6 +722,18 @@ def test_oversized_pad_rejected_before_scanning():
     with pytest.raises(ValueError, match="cap"):
         run_oracles(-4, 5, pad=10**5)
     assert time.perf_counter() - started < 1.0
+
+
+def test_g_idempotent_wide_window_within_7_mb():
+    # its interval lists are read once each and never kept
+    tracemalloc.start()
+    try:
+        [report] = run_oracles(-50, 49, only=["g_idempotent"])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.to_json_obj()
+    assert peak <= 7, f"tracemalloc peak {peak:.1f} MB is over 7 MB"
 
 
 def test_report_verdict_is_its_counterexample():
