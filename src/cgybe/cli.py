@@ -394,8 +394,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    if args.lo > args.hi:
-        raise ValueError(f"--lo must not exceed --hi ({args.lo} > {args.hi})")
     only = None
     if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]

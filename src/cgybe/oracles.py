@@ -28,8 +28,9 @@ at (g, h) = (lo + k // side, lo + k % side); g_idempotent and
 eta_interval_sum pack h alone, because the range of their sum depends on
 the coordinate before it.  A factor (eta, the unit step or the delta) whose
 arguments are affine in h becomes a row of one coordinate by one call per
-field; a row in g and h is assembled from those, one per value of g.  Both
-are kept in bounded caches that live as long as the scan.  A product of two
+field; a row in g and h is assembled from those, one per value of g.  Each
+kind is kept in one cache that lives as long as the scan and is cleared
+when full, at ``_FIELDS_KEPT`` fields.  A product of two
 factors is an AND of their +1/-1 masks, and a weight affine in g and h is
 one multiply plus masked copies of packed ramps of g and h.  A sum becomes
 a list of ``(weight, index)`` terms of its prefix-only first factor over the
@@ -82,10 +83,10 @@ DEFAULT_HI = 4
 # _cost).  The benchmark costs about 1e6 per pass.  All sixteen identities on
 # [-8, 7] (7.6e6 tuples) take 0.9 s of CPU on a 2-core x86-64 VM with
 # Python 3.11.  One identity near the cap can take far longer: g_idempotent
-# on [-107, 107] (9.9e6 tuples) takes about 2.5 min, because its rows, which
-# repeat across i, overflow the two _FIELDS_KEPT generations of the row
-# cache and are rebuilt one call per field.  --lo -50 --hi 50 would ask for
-# about 7e10.
+# on [-107, 107] (9.9e6 tuples) takes about 2 min, because its scan reads
+# about 2*side**2 distinct rows (39 340 on [-70, 69]), more than the row
+# cache holds (_FIELDS_KEPT // side), so after each clear they are rebuilt
+# one call per field.  --lo -50 --hi 50 would ask for about 7e10.
 MAX_WINDOW_TUPLES = 10**7
 
 # what _scan calls once per prefix: stage(rows, *prefix) -> residual row
@@ -93,16 +94,17 @@ MAX_WINDOW_TUPLES = 10**7
 # last coordinates.
 Stage = Callable[..., int]
 
-# Fields of factor rows a scan caches in one generation, in each of its two
-# caches: the rows of two coordinates and the rows of one they are assembled
-# from (see _Rows).  One generation holds every row of the benchmark windows
-# (at most 2080 rows of 100 fields and 6360 of 10, compat_coeffs on
-# [-4, 5]).  On the widest windows the tuple cap admits, the process peaks up
-# to about 11 MB higher than with no cache (compat_coeffs on [-11, 10]).  A
-# scan whose rows in use overflow it rebuilds them: g_idempotent on
-# [-107, 107] one call per field each, ybe_coeffs on [-12, 12] (rows of 625
-# fields) one cached slice per g each.
-_FIELDS_KEPT = 1 << 20
+# Fields of factor rows a scan caches in each of its two caches: the rows of
+# two coordinates and the rows of one they are assembled from (see _Rows).
+# A full cache is cleared, and the rows in use are built again.  It holds
+# every row of the benchmark windows (at most 2080 rows of 100 fields and
+# 6360 of 10, compat_coeffs on [-4, 5]), so they never clear it.  On the
+# widest windows the tuple cap admits, the process peaks up to about 11 MB
+# higher than with a cache of one row (eta_antisymmetry on [-100, 99]).  A
+# scan whose rows in use overflow it rebuilds them after each clear:
+# g_idempotent on [-107, 107] one call per field each, ybe_coeffs on
+# [-12, 12] (rows of 625 fields) one cached slice per g each.
+_FIELDS_KEPT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,11 @@ class _Rows:
         self._full = (1 << bits) - 1
         # the binary digits of one field holding value + 1, by value
         self._digits = {v: format(v + 1, f"0{bits}b") for v in (-1, 0, 1)}
-        # factor rows by function and arguments, in two generations of at
-        # most _FIELDS_KEPT fields: a row found in the old generation moves to
-        # the young one, and a full young generation becomes the old one, so
-        # the rows in use stay while memory stays bounded
-        self._young: defaultdict[Callable, dict[tuple, tuple[int, int]]] = defaultdict(dict)
-        self._old: defaultdict[Callable, dict[tuple, tuple[int, int]]] = defaultdict(dict)
-        self._room = self._generation = max(_FIELDS_KEPT // self.width, 1)
+        # factor rows by function and arguments, at most _FIELDS_KEPT fields
+        # in all: a full cache is cleared, so memory stays bounded, and the
+        # rows in use are built again as the scan asks for them
+        self._cache: defaultdict[Callable, dict[tuple, tuple[int, int]]] = defaultdict(dict)
+        self._room = self._kept = max(_FIELDS_KEPT // self.width, 1)
         # rows with equal masks share one tuple: a window has few mask shapes
         self._shapes: dict[tuple[int, int], tuple[int, int]] = {}
         # interval term lists by (x, y), kept for the whole scan.  A scan
@@ -252,19 +252,20 @@ class _Rows:
 
     def masks(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
         """(plus, minus) of fn at the affine forms args, cached."""
-        return self._young[fn].get(args) or self._build(fn, args)
+        return self._cache[fn].get(args) or self._build(fn, args)
 
     def _build(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
-        """Cache and return (plus, minus) of fn at the affine forms args."""
-        signs = self._old[fn].pop(args, None)
-        if signs is None:
-            signs = self._signs(fn, args) if self._line is None else self._assemble(fn, args)
-            signs = self._shapes.setdefault(signs, signs)
+        """Cache and return (plus, minus) of fn at the affine forms args,
+        clearing the cache first when it is full."""
         if not self._room:
-            self._old, self._young, self._shapes = self._young, defaultdict(dict), {}
-            self._room = self._generation
+            # in place, so the inner cache that _assemble holds stays current
+            for cache in self._cache.values():
+                cache.clear()
+            self._shapes.clear()
+            self._room = self._kept
         self._room -= 1
-        self._young[fn][args] = signs
+        signs = self._signs(fn, args) if self._line is None else self._assemble(fn, args)
+        signs = self._cache[fn][args] = self._shapes.setdefault(signs, signs)
         return signs
 
     def _signs(self, fn: Callable[..., int], args: tuple) -> tuple[int, int]:
@@ -308,7 +309,7 @@ class _Rows:
             range(rest + b * lo, rest + b * hi, b) if b else itertools.repeat(rest, self.side)
             for rest, b in split
         ]
-        cache, plus, minus = line._young[fn], 0, 0
+        cache, plus, minus = line._cache[fn], 0, 0
         for shift, key in zip(range(0, stride * self.side, stride), zip(*columns)):
             p, m = cache.get(key) or line._build(fn, key)
             plus |= p << shift

@@ -682,16 +682,21 @@ def test_zeta_closed_form_fields_where_j_equals_k_match_reference():
     ids=["real", "closed", "one_point_0_1_0"],
 )
 @pytest.mark.parametrize("pad", [0, 1])
-def test_row_cache_generations_turn_without_changing_a_report(eta, pad):
-    # with a bound of 64 fields a generation holds one row of (g, h) and ten
-    # of h, so both caches turn over and rows move between generations, as
-    # on the widest windows the tuple cap admits
+def test_row_cache_clears_without_changing_a_report(eta, pad):
+    # with a bound of 64 fields a cache holds one row of (g, h) and ten of
+    # h, so both caches clear, as on the widest windows the tuple cap admits;
+    # between two clears of a cache no row is built twice
     turned = []
+    built = {}  # (fn, args) built since the last clear, by cache
     build = oracles._Rows._build
 
     def spy(rows, fn, args):
         if not rows._room:
             turned.append(rows.packed)
+            built[rows] = set()
+        seen = built.setdefault(rows, set())
+        assert (fn, args) not in seen, f"{fn.__name__}{args} built twice"
+        seen.add((fn, args))
         return build(rows, fn, args)
 
     with mock.patch.object(oracles, "_FIELDS_KEPT", 64):
