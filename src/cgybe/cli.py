@@ -54,14 +54,17 @@ USAGE_ERROR = 2
 # --op passes the translation lemma, so the 3-fold checks (ybe, compat,
 # mixed) walk only the inputs with min index 1, one input column at a time,
 # and hold no 3-fold operator (see verify.py); compat and mixed walk their
-# shared first sum once.  All three take 0.5 s at n = 14 and 0.5-0.8 s at
-# n = 16 with --op cg2, whose compat and mixed fail at their first input,
-# 0.7-0.9 s at either rank with --op cg, and 0.22-0.27 s with --op g,
-# whole processes that peak at 18-19 MB of RSS, on a 2-core x86-64 VM with
-# Python 3.11.  The 2-fold checks (hecke, gp, quadratic) walk the same way,
-# on the 2n - 1 inputs with min index 1: all three with --op cg take
-# 0.9-1.6 s of CPU at n = 64, whole processes that peak at 75 MB, on the
-# same VM.
+# shared first sum once.  The sums of --op cg, and ybe and hecke of --op
+# cg2 through its gauge, run on ints (the q form of tensor.py).  All three
+# take 0.24-0.25 s at n = 16 and 0.7-0.9 s at n = 24 with --op cg2, whose
+# compat and mixed fail at their first input, 0.3-0.4 s and 1.1-1.2 s with
+# --op cg, and 0.22-0.25 s and 0.63-0.64 s with --op g, whole processes
+# (n = 24 with this cap raised) that peak at 18-19 MB of RSS at n = 16 and
+# 20-23 MB at n = 24, on a 2-core x86-64 VM with Python 3.11.  The 2-fold
+# checks (hecke, gp, quadratic) walk the same way, on the 2n - 1 inputs
+# with min index 1: all three take 0.8 s of CPU at n = 64 with --op cg and
+# 1.6-1.7 s with --op cg2, whole processes that peak at 75 and 94 MB, on
+# the same VM.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
@@ -81,12 +84,16 @@ MAX_RATIONAL_DIGITS = 64
 
 # Bounds on each --alpha/--beta value, checked right after it is parsed:
 # its terms, the largest |exponent| of q or p, and the bits of its widest
-# coefficient (numerator plus denominator).  Terms set the cost.  ybe,
-# compat, mixed, gp and quadratic of --op cg at n = 16 take 1.3-1.7 s with
-# the default or 2-term parameters, 2.0-2.4 s with 3-term ones and 3.8 s
-# at all three bounds, whole processes on the VM above; with 4-term ones of
-# degree 3, past the bound, the same checks take 3.0-3.9 s in process.
-# Exponents and bits set the digits printed.
+# coefficient (numerator plus denominator).  Terms and fractions set the
+# cost.  ybe, compat, mixed, gp and quadratic of --op cg at n = 16 take
+# 0.3-0.6 s with the default parameters and 0.45-0.55 s with 3-term ones
+# in q alone, both on ints; with parameters that carry p, on the term
+# dicts, 0.7-1.3 s with 2-term ones and 1.1-2.3 s with 3-term ones.  At
+# all three bounds they take 2.2-2.5 s in q alone and 3.1 s with p when
+# the coefficients are ints, 15-21 s in q alone and 51-55 s with p when
+# they are fractions (32-bit numerator and denominator), whole processes
+# on the VM above; with 4-term parameters of degree 3 in q and p, past the
+# bound, 2.9-3.6 s.  Exponents and bits set the digits printed.
 # An entry of cg is alpha, beta, -beta or alpha - beta: at most 6 terms
 # (u/v)·q^a·p^b with |a|, |b| <= 10 and |u|, v < 2^64.  eval evaluates it
 # at q = r/s and p = r'/s' with |r|, s, |r'|, s' < 10^63 (64-character

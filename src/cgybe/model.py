@@ -109,8 +109,16 @@ def hecke_parameters() -> tuple[LaurentQP, LaurentQP]:
 def _gauged(op: TensorOp) -> TensorOp:
     """op with each entry (a, b) <- (i, j) multiplied by p^{i-a}.
 
-    This is the diagonal gauge (an abelian twist) that turns the
-    one-parameter matrix at the Hecke pair into the two-parameter one.
+    This is the diagonal gauge (an abelian twist, N. Reshetikhin, LMP 20
+    (1990)) that turns the one-parameter matrix at the Hecke pair into the
+    two-parameter one.  It is conjugation by diag(p^{-a}) on e_a⊗e_b; on
+    an operator that keeps i+j, as every operator here does, a factor
+    placed at 12 or 23 of the 3-fold power is conjugated by
+    diag(p^{-(2a+b)}) on e_a⊗e_b⊗e_c.  So every sum of products of G(op),
+    as the ybe and hecke checks are, is the same sum of op conjugated: the
+    same support, each coefficient times a power of p.  The checks read
+    this off the operators they are given (the gauge lemma of
+    ``tensor._gauge_stripped``), not off a record of how one was built.
     """
     columns: dict = {}
     for (out, inp), coeff in op._entry_items():
@@ -127,7 +135,10 @@ def cg_twisted_op(n: int) -> TensorOp:
                  + sum_k (q - q^-1) p^{i-k} eta(i,j,k) e_k⊗e_{i+j-k}
 
     For i > j the k = j term merges with the flip term, turning its
-    coefficient into q^-1 p^{i-j}.
+    coefficient into q^-1 p^{i-j}.  Every entry (a, b) <- (i, j) keeps
+    i + j and has p exponent i - a in each term, so the result passes the
+    gauge lemma, and its ybe and hecke checks run on the p-free
+    cg_op(n, q, q - q^-1) in q alone (see ``tensor._witness``).
     """
     return _gauged(cg_op(n, *hecke_parameters()))
 

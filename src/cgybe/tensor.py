@@ -26,9 +26,10 @@ through one helper that turns a stored value into a LaurentQP.
 
 Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
-first).  What the sums derive from an operator, its packed factors and its
-translation-lemma result, is kept in its private ``_cache`` on first use
-(:class:`_Sum`, :func:`_witness`), so it lives and dies with the operator.
+first).  What the sums derive from an operator, its packed factors, its
+q-form scale and its translation- and gauge-lemma results, is kept in its
+private ``_cache`` on first use (:class:`_Sum`, :func:`_witness`), so it
+lives and dies with the operator.
 
 Every sum, of :func:`compose_sum` and of every check, is a list of flat
 signed words ``(scalar, *factors)``: a scalar (``int``, ``Fraction`` or
@@ -47,12 +48,18 @@ digits in its place: all of them for an operator applied whole, and
 (j, k) at 23.  So no lift, product, identity or scalar multiple is built.
 :func:`compose_sum` keeps the column at every input; a check keeps only
 the first nonzero one (:func:`_witness`), walking only the inputs with min
-index 1 when the translation lemma allows.  When every operator and scalar
-of the sum is constant the kernel adds int products over one common
-denominator, with no exponent pairs or ``Fraction`` arithmetic; otherwise
-it adds the terms of LaurentQP coefficients into one raw dict per output.
-An equation is therefore checked without building its two sides or their
-difference.
+index 1 when the translation lemma allows.  The values of a sum take one
+of three forms.  When every operator and scalar of the sum is constant
+the kernel adds int products over one common denominator, with no
+exponent pairs or ``Fraction`` arithmetic.  When none carries p, it adds
+int products too: each value is a Laurent polynomial in q, scaled to a
+polynomial with int coefficients and substituted at q = 2^k for a k that
+keeps every coefficient one digit (:mod:`cgybe.kronecker`).  Otherwise it
+adds the terms of LaurentQP coefficients into one raw dict per output.  A
+check over operators that pass the gauge lemma, as the two-parameter
+matrix does, runs over them with p stripped, and puts p back into its
+witness (:func:`_witness`).  An equation is therefore checked without
+building its two sides or their difference.
 
 Each kind of input is checked once, at its door: a rank and an arity by
 :func:`_shape` (the constructor, ``identity``, ``cgybe.model``); a basis
@@ -74,6 +81,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from . import kronecker
 from .laurent import LaurentQP, as_laurent, rational_to_str
 
 __all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
@@ -438,12 +446,12 @@ def compose_sum(words) -> TensorOp:
     order, and keeps the sum's ``den``; a Laurent sum whose values are all
     constant takes the int form.
     """
-    total = _Sum(words)
+    total = _Sum([_word(word) for word in words])
     columns = {}
     for inp in total.basis:
         column = total.column(inp)
         if column:
-            columns[inp] = column if total.base is None else {
+            columns[inp] = column if total.den is not None else {
                 out: total.value(raw) for out, raw in column.items()
             }
     form = _stored_form(columns) if total.den is None else (total.den, columns)
@@ -474,23 +482,68 @@ def _witness(words) -> Witness | None:
     is the translate of one at the input m − 1 steps down, which has min
     index 1 and is smaller: the sum vanishes iff it vanishes there, and its
     witness, with its coefficient, lies there.  When some operator fails
-    the lemma, as a random one does, every input is walked.  Each operator
-    keeps its lemma result, so a later sum over it does not run it again.
+    the lemma, as a random one does, every input is walked.
+
+    When some operator carries q or p and every operator passes the gauge
+    lemma (:func:`_gauge_stripped`), the sum is walked over the operators
+    with p stripped, which the q form of :class:`_Sum` runs on ints when no
+    scalar carries p.  The gauge G multiplies entry (a, b) <- (i, j) by
+    p^(i−a); it is conjugation by diag(p^−a) on e_a⊗e_b, and, because
+    every entry keeps a+b = i+j, a factor placed at 12 or 23 is conjugation
+    by diag(p^−(2a+b)) on e_a⊗e_b⊗e_c.  Scalars and words with no factor
+    commute with it, so the sum over G(X) is the conjugated sum over X: the
+    same support, and the coefficient at (a, b) <- (i, j) times p^(i−a),
+    at (a, b, c) <- (i, j, k) times p^((2i+j)−(2a+b)).  Each operator keeps
+    its lemma results, so a later sum over it does not run them again.
     """
+    words = [_word(word) for word in words]
+    ops = {id(op): op for _, factors in words for op, _ in factors}
+    reduced = all(_cached(op, "lemma", _translation_invariant) for op in ops.values())
+    gauged = any(op._den is None for op in ops.values())
+    if gauged:
+        stripped = {key: _cached(op, "gauge", _gauge_stripped) for key, op in ops.items()}
+        gauged = None not in stripped.values()
+    if gauged:
+        words = [(s, [(stripped[id(op)], place) for op, place in fs]) for s, fs in words]
     total = _Sum(words)
-
-    def lemma(op: TensorOp) -> bool:
-        if "lemma" not in op._cache:
-            op._cache["lemma"] = _translation_invariant(op)
-        return op._cache["lemma"]
-
-    reduced = all(lemma(op) for op in total.operands)
     for t in _inputs(total.n, total.arity, reduced):
         column = total.column(t)
         if column:
             out = min(column)
-            return t, out, _coeff(total.value(column[out]), total.den)
+            coeff = _coeff(total.value(column[out]), total.den)
+            if gauged:
+                shift = t[0] - out[0] if total.arity == 2 else 2 * (t[0] - out[0]) + t[1] - out[1]
+                coeff = LaurentQP._trusted({(a, b + shift): x for (a, b), x in coeff._terms.items()})
+            return t, out, coeff
     return None
+
+
+def _cached(op: TensorOp, key: str, lemma):
+    """``lemma(op)``, kept in ``op._cache[key]`` on first use."""
+    if key not in op._cache:
+        op._cache[key] = lemma(op)
+    return op._cache[key]
+
+
+def _gauge_stripped(op: TensorOp) -> TensorOp | None:
+    """op with p stripped, when op passes the gauge lemma: a 2-fold
+    operator each of whose entries (a, b) <- (i, j) keeps i+j and has p
+    exponent i−a in every term.  Then op = G(result) for the gauge G of
+    :func:`_witness`, and the result has no p.  None when op fails the
+    lemma.  O(nnz), read off the entries as the translation lemma is;
+    equal stripped values share one LaurentQP."""
+    if op.arity != 2:
+        return None
+    columns: dict = {}
+    interned: dict = {}
+    for (out, inp), coeff in op._entry_items():
+        if out[0] + out[1] != inp[0] + inp[1] or any(b != inp[0] - out[0] for _, b in coeff._terms):
+            return None
+        terms = tuple((a, x) for (a, _), x in coeff._terms.items())
+        if terms not in interned:
+            interned[terms] = LaurentQP._trusted({(a, 0): x for a, x in terms})
+        columns.setdefault(inp, {})[out] = interned[terms]
+    return TensorOp._trusted(op.n, 2, *_stored_form(columns))
 
 
 class _Factor(NamedTuple):
@@ -546,14 +599,14 @@ class _Sum:
     """A signed sum of operator products, packed to be evaluated one input
     column at a time; every check and every :func:`compose_sum` is one.
 
-    ``words`` is a list of flat signed words ``(scalar, *factors)``, the
-    factors applied right to left to scalar·e_t; a word with no factor is
-    scalar·I.  A factor is an operator applied whole, or a pair (operator,
-    12 or 23) that places a 2-fold operator in a 3-fold word; a word of
-    another shape raises (:func:`_word`).  The sum reads its rank, its
-    arity (3 when a factor is placed, else that of its operators) and its
-    ``operands`` off the words, and raises ValueError when a place is not
-    12 or 23 or an operator does not fit the rank and arity.
+    ``words`` is a list of signed words as :func:`_word` gives them,
+    (scalar, [(operator, place), ...]), the factors applied right to left
+    to scalar·e_t; a word with no factor is scalar·I.  A factor is an
+    operator applied whole (place None), or a 2-fold operator placed at 12
+    or 23 in a 3-fold word.  The sum reads its rank and its arity (3 when
+    a factor is placed, else that of its operators) off the words, and
+    raises ValueError when a place is not 12 or 23 or an operator does not
+    fit the rank and arity.
 
     The sum alone groups, places and applies the words.  Words of three
     factors that share a left factor are grouped, their chains (middle,
@@ -562,33 +615,38 @@ class _Sum:
     word with no factor applies the unit factor, which maps every code to
     itself.  :meth:`column` does all of it into one accumulator; no lift,
     product, identity or partial sum is built.  Each operator keeps the
-    factor it was last packed into at each stride, with the ``base`` it was
-    packed for; a sum that needs another ``base`` packs it again in its
-    place.  So a later sum over the same operator in the same form packs
-    nothing, and an operator holds at most two packed factors.
+    factor it was last packed into at each stride, with the packing it was
+    packed for, (``base``, k) of the forms below; a sum that needs another
+    packing packs it again in its place.  So a later sum over the same
+    operator in the same form packs nothing, and an operator holds at most
+    two packed factors.
 
-    Every value of the sum takes one form, chosen from its operators and
-    scalars:
+    Every value of the sum takes one of three forms, chosen from its
+    operators and scalars by :func:`~cgybe.kronecker.form`:
 
     * when all are constant, ints over ``den``, the lcm of the words'
-      denominators, each the product of its scalar's and its operators'
-      dens.  A word starts at its scalar's numerator times ``den`` over its
-      own, so no ``Fraction`` is built.  ``den`` is not reduced by the gcd
-      of the values: 1/3 + 2/3 is held as 15 over 15 when another word has
-      denominator 5, and a result used as a factor of a further sum carries
-      its den into that sum's;
+      denominators.  A word starts at its scalar's numerator times ``den``
+      over its own, so no ``Fraction`` is built.  ``den`` is not reduced by
+      the gcd of the values: 1/3 + 2/3 is held as 15 over 15 when another
+      word has denominator 5, and a result used as a factor of a further
+      sum carries its den into that sum's;
+    * when none carries p, ints too (the q form, ``den`` None), each the
+      value at q = 2^k of a Laurent polynomial in q scaled to int
+      coefficients, with ``digits`` = (k, least q exponent, denominator)
+      to read it back.  Each operator keeps its scale (:func:`_q_scale`);
+      an int-form operator is its stored ints.  Int coefficients whose
+      values would be wider than ``kronecker.WIDEST_INT_VALUE`` bits take
+      the term form instead, where the products are cheaper;
     * otherwise raw term dicts ``{a·base + b: coeff}`` for the terms
-      q^a·p^b, and ``den`` is None.  A word multiplies at most k values,
-      its scalar and its operators, so base = 2·(kB + 1) for the largest
-      |b| = B of any term lets the exponents of a product add as one int
-      and read back (:meth:`value`).  Equal operator values share one
-      packed tuple of terms.
+      q^a·p^b, and ``den`` is None.  Equal operator values share one packed
+      tuple of terms.
+
+    :meth:`value` reads a raw value back.
     """
 
-    __slots__ = ("n", "arity", "operands", "den", "base", "basis", "codes", "groups")
+    __slots__ = ("n", "arity", "den", "base", "digits", "basis", "codes", "groups")
 
     def __init__(self, words):
-        words = [_word(word) for word in words]
         placed = [f for _, factors in words for f in factors]
         if not placed:
             raise ValueError("a sum needs at least one operator")
@@ -600,15 +658,17 @@ class _Sum:
                     f"operator mismatch: n={op.n},arity={op.arity} at place {place} "
                     f"in a sum of rank {n} and arity {arity}"
                 )
-        self.operands = list({id(op): op for op, _ in placed}.values())
         self.basis, self.codes = _basis(n, arity)
-        self.den, self.base, starts = _starts(words, self.operands)
+        operands = list({id(op): op for op, _ in placed}.values())
+        self.den, self.base, self.digits, starts = kronecker.form(words, operands, _q_scale)
+        k = self.digits and self.digits[0]
 
         def factor(op: TensorOp, place: int | None) -> _Factor:
             stride = n if place == 12 else 1
+            key = (self.base, None if op._den is not None else k)
             cached = op._cache.get(stride)
-            if cached is None or cached[0] != self.base:
-                cached = op._cache[stride] = (self.base, _factor(op, stride, self.base))
+            if cached is None or cached[0] != key:
+                cached = op._cache[stride] = (key, _factor(op, stride, key))
             return cached[1]
 
         unit = _Factor(1, 1, [[(0, 1 if self.base is None else ((0, 1),))]])
@@ -641,63 +701,52 @@ class _Sum:
         return {basis[out]: v for out, v in acc.items() if (any(v.values()) if laurent else v)}
 
     def value(self, raw):
-        """The stored value of a nonzero raw value: the int itself, or the
-        LaurentQP of its terms, each key a·base + b read back as (a, b) for
-        |b| < base/2."""
-        base = self.base
-        if base is None:
+        """The stored value of a nonzero raw value: the int itself in the
+        int form, else a LaurentQP: the digits of the int in the q form,
+        the terms of the dict in the term form (:mod:`cgybe.kronecker`)."""
+        if self.den is not None:
             return raw
-        half = base // 2
-        terms = {}
-        for key, x in raw.items():
-            a, b = divmod(key + half, base)
-            terms[a, b - half] = x
-        return LaurentQP._trusted(terms)
+        if self.base is None:
+            return kronecker.decode(raw, *self.digits)
+        return kronecker.decode_terms(raw, self.base)
 
 
-def _starts(words, ops) -> tuple[int | None, int | None, list]:
-    """(den, base, the start value of each word) of a :class:`_Sum` whose
-    words are given as (scalar, [(operator, place), ...]) over the distinct
-    operators ``ops``, in the form its class docstring describes: the int
-    form when every operator and scalar is constant, else the Laurent
-    form."""
-    scalars = [scalar for scalar, _ in words]
-    if all(op._den is not None for op in ops) and all(s.is_constant() for s in scalars):
-        ratios = []
-        for scalar, word in words:
-            num, den = scalar.constant_value().as_integer_ratio()
-            for op, _ in word:
-                den *= op._den
-            ratios.append((num, den))
-        den = lcm(*(den for _, den in ratios))
-        return den, None, [num * (den // word_den) for num, word_den in ratios]
-    values = (v for op in ops if op._den is None for c in op._columns.values() for v in c.values())
-    bound = max((abs(b) for v in itertools.chain(values, scalars) for _, b in v._terms), default=0)
-    base = 2 * (max(len(word) + 1 for _, word in words) * bound + 1)
-    return None, base, [{a * base + b: x for (a, b), x in s._terms.items()} for s in scalars]
+def _q_scale(op: TensorOp) -> tuple[int, int, int, int] | None:
+    """op's (low, d, ‖op‖, span) of the q form of :class:`_Sum`, kept in
+    ``op._cache``; None when some value carries p."""
+    return _cached(op, "q", lambda op: kronecker.scale(op._columns.values(), op._den))
 
 
-def _factor(op: TensorOp, stride: int, base: int | None) -> _Factor:
-    """op at ``stride``, its values as stored in the int form (``base`` is
-    None), else as tuples of (term key, coeff), one per distinct value of
-    op: keyed by the value for an int-form operator and by its terms for a
-    Laurent one."""
+def _factor(op: TensorOp, stride: int, packing: tuple) -> _Factor:
+    """op at ``stride``, its values packed as a :class:`_Sum` reads them,
+    for ``packing`` = (base, k): as tuples of (term key, coeff) in the term
+    form (base), as the ints of :func:`~cgybe.kronecker.encode` for a
+    Laurent operator in the q form (k), else as stored.  A packed value is
+    made once per distinct value of op: keyed by the value for an int-form
+    operator and by its terms for a Laurent one."""
     den, size, interned = op._den, op.n**op.arity, {}
     codes = _basis(op.n, op.arity)[1]
+    base, k = packing
+    if k is not None:
+        low, d, _, _ = _q_scale(op)
+        encode = functools.partial(kronecker.encode, low=low, den=d, k=k)
+    elif base is not None:
+
+        def encode(terms):
+            return tuple((a * base + b, x) for (a, b), x in terms.items())
 
     def pack(value):
         key = tuple(value._terms.items()) if den is None else value
         packed = interned.get(key)
         if packed is None:
-            terms = _coeff(value, den)._terms.items()
-            packed = interned[key] = tuple((a * base + b, x) for (a, b), x in terms)
+            packed = interned[key] = encode(_coeff(value, den)._terms)
         return packed
 
     table = [[] for _ in range(size)]
     for inp, column in op._columns.items():
         entries = table[codes[inp]]
         for out, value in column.items():
-            entries.append((codes[out] * stride, value if base is None else pack(value)))
+            entries.append((codes[out] * stride, value if packing == (None, None) else pack(value)))
     return _Factor(stride, size, table)
 
 

@@ -1,0 +1,260 @@
+"""Which kernel a sum runs on, and the same witness on every one of them.
+
+A sum in q alone runs on ints at q = 2^k (the q form of ``tensor._Sum``),
+and a sum over operators that pass the gauge lemma runs over them with p
+stripped.  Each test here compares those paths with the term kernel
+(``tensor._apply_terms``), which the reference forces on fresh copies of
+the operators: no operator or scalar has a q form and none passes the
+gauge lemma.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import itertools
+import json
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+from cgybe import LaurentQP, TensorOp, cg_op, cg_twisted_op, check_hecke, check_quadratic
+from cgybe import check_ybe, kronecker, q, tensor, verify
+from cgybe.cli import MAX_PARAM_COEFF_BITS, MAX_PARAM_EXPONENT, main
+from cgybe.cli import parse_laurent_expr
+from cgybe.laurent import p
+from cgybe.model import _gauged
+
+HALF = Fraction(1, 2)
+
+# (alpha, beta): the Hecke pair, a fractional alpha, a pair whose
+# quadratic relation fails, and a constant pair
+PAIRS = {
+    "hecke": (q, q - q**-1),
+    "half": (HALF * q, q - q**-1),
+    "q2": (q**2, q + 3),
+    "const": (LaurentQP.const(2), LaurentQP.const(1)),
+}
+
+DELTAS = (q, -q, q**-1, LaurentQP.const(1), LaurentQP.const(-1))
+
+
+def _words(check, op, alpha, beta):
+    """The words of ybe, hecke (at s = alpha) or quadratic of op."""
+    if check == "ybe":
+        return verify.EQUATIONS["ybe"][1](op)
+    if check == "hecke":
+        return verify.EQUATIONS["hecke"][1](op, alpha)
+    return verify.EQUATIONS["quadratic"][1](op, alpha, beta)
+
+
+def _fresh(op: TensorOp) -> TensorOp:
+    """op with an empty cache: the same columns, nothing packed or read."""
+    return TensorOp._trusted(op.n, op.arity, op._den, op._columns)
+
+
+@contextlib.contextmanager
+def _counting(name):
+    """The calls to ``tensor.<name>`` inside the block, by their arguments."""
+    calls = []
+    kernel = getattr(tensor, name)
+    with mock.patch.object(tensor, name, side_effect=lambda *a: calls.append(a) or kernel(*a)):
+        yield calls
+
+
+@contextlib.contextmanager
+def _term_path():
+    """Every sum inside the block on the term kernel, or on the int kernel
+    when it is constant: no q form and no gauge."""
+    with mock.patch.object(kronecker, "scale", return_value=None), mock.patch.object(
+        tensor, "_gauge_stripped", return_value=None
+    ):
+        yield
+
+
+def _reference(check, op, alpha, beta):
+    """The witness of ``check`` of op on the term path."""
+    with _term_path():
+        return tensor._witness(_words(check, _fresh(op), alpha, beta))
+
+
+def _mutants(n, alpha, beta):
+    """cg_op(n, alpha, beta) with delta added to one weight-preserving
+    entry (a, b) <- (i, j), a + b = i + j, for every such entry and delta."""
+    base = cg_op(n, alpha, beta)
+    entries = dict(base.entries)
+    for i, j, a in itertools.product(range(1, n + 1), repeat=3):
+        if 1 <= i + j - a <= n:
+            key = ((a, i + j - a), (i, j))
+            for delta in DELTAS:
+                yield TensorOp(n, 2, {**entries, key: entries.get(key, 0) + delta})
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_q_form_and_gauge_give_the_term_path_witness(n, pair):
+    # every single-entry mutant of alpha*P + beta*g, and its gauge, where
+    # the q form and the gauge run on ints only
+    alpha, beta = PAIRS[pair]
+    cases = [
+        (check, op)
+        for mutant in _mutants(n, alpha, beta)
+        for op in (mutant, _gauged(mutant))
+        for check in ("ybe", "hecke", "quadratic")
+    ]
+    with _counting("_apply_terms") as calls:
+        fast = [tensor._witness(_words(check, op, alpha, beta)) for check, op in cases]
+    assert calls == []
+    with _term_path():
+        for (check, op), witness in zip(cases, fast):
+            reference = tensor._witness(_words(check, _fresh(op), alpha, beta))
+            assert witness == reference, (check, op.sorted_entries())
+    assert any(fast)
+
+
+def _verify_lines(*argv):
+    """The report lines of ``cgybe verify argv``, without ``elapsed_ms``,
+    and its exit code."""
+    out = []
+    with mock.patch("sys.stdout.write", side_effect=out.append):
+        code = main(["verify", *argv])
+    reports = [json.loads(line) for line in "".join(out).splitlines()]
+    for report in reports:
+        del report["elapsed_ms"]
+    return code, reports
+
+
+def test_params_at_the_bounds_decode_the_term_path_witness():
+    # three terms in q alone, |exponent| and coefficient bits at their
+    # bounds, and a fraction in each: the q form's digits and denominator
+    # are widest here
+    e = MAX_PARAM_EXPONENT
+    c = 2 ** (MAX_PARAM_COEFF_BITS - 1) - 1
+    f = "4294967291*2147483649^-1"
+    text = {
+        "alpha": f"{c}*q^{e} + {f}*q^-{e} + {c}*q^{e - 1}",
+        "beta": f"{f}*q^-{e} + {c}*q^{e} + {f}",
+        "unit": f"{f}*q^{e}",
+    }
+    alpha, beta = (parse_laurent_expr(text[name]) for name in ("alpha", "beta"))
+    assert max(len(alpha), len(beta)) == 3
+    for mutant in itertools.islice(_mutants(3, alpha, beta), 3, None, 7):
+        for check in ("ybe", "quadratic"):
+            with _counting("_apply_terms") as calls:
+                witness = tensor._witness(_words(check, mutant, alpha, beta))
+            assert calls == [] and witness is not None
+            assert witness == _reference(check, mutant, alpha, beta)
+    # the CLI prints the same reports on both paths, a failing hecke among them
+    runs = {}
+    for checks, x in (("ybe,compat,mixed,gp,quadratic", "alpha"), ("hecke,quadratic", "unit")):
+        argv = ["--n", "4", "--checks", checks, f"--alpha={text[x]}", f"--beta={text['beta']}"]
+        with _counting("_apply_terms") as calls:
+            runs[x] = _verify_lines(*argv)
+        assert calls == []
+        with _term_path():
+            assert runs[x] == _verify_lines(*argv)
+    assert runs["alpha"][0] == 0
+    assert runs["unit"][0] == 1 and [r["passed"] for r in runs["unit"][1]] == [False, True]
+
+
+def test_one_changed_p_exponent_fails_the_gauge_lemma():
+    # cg2 with q^-1·p at (1, 2) <- (2, 1) read as q^-1·p^2: the gauge lemma
+    # fails, so the sums take the term kernel, with the term path's witness
+    n = 4
+    entries = dict(cg_twisted_op(n).entries)
+    key = ((1, 2), (2, 1))
+    assert entries[key] == q**-1 * p
+    entries[key] = q**-1 * p**2
+    changed = TensorOp(n, 2, entries)
+    assert tensor._gauge_stripped(changed) is None
+    assert tensor._gauge_stripped(cg_twisted_op(n)) is not None
+    # the gauge of an operator that breaks i + j at one entry fails it too
+    c1 = cg_op(n, *PAIRS["hecke"])
+    broken = _gauged(TensorOp(n, 2, {**c1.entries, ((1, 1), (1, 2)): q}))
+    assert tensor._gauge_stripped(broken) is None
+    alpha, beta = PAIRS["hecke"]
+    for op, check in itertools.product((changed, broken), ("ybe", "hecke", "quadratic")):
+        with _counting("_apply_terms") as calls:
+            witness = tensor._witness(_words(check, op, alpha, beta))
+        assert calls and witness is not None
+        assert witness == _reference(check, op, alpha, beta)
+
+
+def test_cg2_read_back_from_json_takes_the_gauge_path():
+    n = 5
+    twisted = cg_twisted_op(n)
+    read_back = TensorOp.from_json_obj(twisted.to_json_obj())
+    assert read_back._cache == {}
+    alpha, beta = PAIRS["hecke"]
+    with _counting("_apply_terms") as calls, _counting("_gauge_stripped") as lemmas:
+        for check in ("ybe", "hecke", "quadratic"):
+            assert tensor._witness(_words(check, read_back, alpha, beta)) is None
+    assert calls == [] and len(lemmas) == 1
+    stripped = read_back._cache["gauge"]
+    assert stripped == cg_op(n, alpha, beta) and _gauged(stripped) == twisted
+
+
+def test_q_only_and_gauged_checks_never_reach_the_term_kernel():
+    n = 4
+    pairs = [PAIRS["hecke"], PAIRS["q2"], PAIRS["half"]]
+    with _counting("_apply_terms") as calls:
+        for alpha, beta in pairs:
+            r = cg_op(n, alpha, beta)
+            check_ybe(r)
+            check_hecke(r, alpha)
+            check_quadratic(n, alpha, beta)
+        twisted = cg_twisted_op(n)
+        assert check_ybe(twisted).passed
+        assert check_hecke(twisted, q).passed
+        assert tensor._witness(_words("quadratic", twisted, *PAIRS["hecke"])) is None
+    assert calls == []
+    # a second check of the same operator packs nothing
+    for op in (twisted, cg_op(n, *PAIRS["half"])):
+        check_ybe(op)
+        with _counting("_factor") as packed:
+            assert check_ybe(op).passed
+        assert packed == []
+
+
+def test_wide_int_values_take_the_term_kernel(monkeypatch):
+    # int coefficients whose q-form ints would be wider than the limit run
+    # on the term dicts, where their products are cheaper; a Fraction
+    # keeps the q form at any width
+    e, c = MAX_PARAM_EXPONENT, 2 ** (MAX_PARAM_COEFF_BITS - 1) - 1
+    alpha = c * q**e + c * q**-e + c * q ** (e - 1)
+    beta = c * q**-e + c * q**e + c
+    wide = cg_op(3, alpha, beta)
+    words = _words("ybe", wide, alpha, beta)
+    monkeypatch.setattr(kronecker, "WIDEST_INT_VALUE", 10**9)
+    ((k, _, den), _) = kronecker.q_starts(*_q_form_args(words))
+    monkeypatch.undo()
+    assert den == 1 and k * 2 * e > kronecker.WIDEST_INT_VALUE
+    with _counting("_apply_terms") as calls:
+        assert check_ybe(wide).passed
+    assert calls
+    fractional = cg_op(3, alpha, beta + Fraction(1, 3))
+    with _counting("_apply_terms") as calls:
+        assert check_ybe(fractional).passed
+    assert calls == []
+    # the limit is inclusive
+    monkeypatch.setattr(kronecker, "WIDEST_INT_VALUE", k * 2 * e)
+    assert kronecker.q_starts(*_q_form_args(words)) is not None
+    monkeypatch.setattr(kronecker, "WIDEST_INT_VALUE", k * 2 * e - 1)
+    assert kronecker.q_starts(*_q_form_args(words)) is None
+
+
+def _q_form_args(words):
+    """The arguments ``kronecker.form`` passes to ``kronecker.q_starts``."""
+    words = [tensor._word(word) for word in words]
+    scales = [kronecker.scale([{None: scalar}], None) for scalar, _ in words]
+    return words, scales, tensor._q_scale
+
+
+def test_scale_of_columns():
+    # low, lcm denominator, largest column l1 norm times it, and span
+    x, y = q**-1 + HALF * q, Fraction(1, 3) * q**2 - 2 + q**3
+    assert kronecker.scale([{1: x}, {1: x, 2: y}], None) == (-1, 6, 6 + 3 + 2 + 12 + 6, 4)
+    assert kronecker.scale([{1: x}, {2: p * q}], None) is None
+    assert kronecker.scale([{1: q + q**2}], None) == (1, 1, 2, 1)
+    assert kronecker.scale([{1: 3, 2: -4}, {1: 5}], 7) == (0, 7, 7, 0)
+    assert kronecker.scale([{None: LaurentQP.zero()}], None) == (0, 1, 0, 0)

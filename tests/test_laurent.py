@@ -436,6 +436,7 @@ def test_no_float_anywhere_in_the_package():
     for path in sorted(pathlib.Path(cgybe.__file__).parent.glob("*.py")):
         found |= {(path.stem, *item) for item in _float_sources(ast.parse(path.read_text()))}
     assert found == {
+        ("kronecker", "", "from math import lcm"),
         ("tensor", "", "from math import lcm"),
         ("verify", "", "import time"),
         ("verify", "run_checks", "call time.perf_counter"),

@@ -669,8 +669,11 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
     expected = _grouped_compose_sum(terms, read)
     with _recording_sums() as sums:
         result = compose_sum(_words(terms))
-    # q or p anywhere in the terms takes the LaurentQP form, else the int form
-    assert [s.base is not None for s in sums] == [symbolic is not None]
+    # q or p anywhere in the terms takes a LaurentQP form, else the int form;
+    # a scalar in q alone over constant operators takes the q form
+    assert [s.den is None for s in sums] == [symbolic is not None]
+    if symbolic == "scalar":
+        assert sums[0].digits is not None
     assert (result.n, result.arity) == (n, arity)
     _assert_same_operator(result, expected)
     if cancel and symbolic is None:
@@ -779,18 +782,18 @@ def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
 
 
 def test_laurent_sum_with_constant_values_takes_the_int_form():
-    # q·P − q·P + g carries q in its terms, so it is summed in the Laurent
-    # form; every value of the result is constant, so it is stored as ints
-    # and a check on it takes the int form
+    # q·P − q·P + g carries q in its terms, so it is summed in a Laurent
+    # form, the q form; every value of the result is constant, so it is
+    # stored as ints and a check on it takes the int form
     P, g = permutation_op(3), g_op(3)
     with _recording_sums() as sums:
         combo = compose_sum([(q, P), (-q, P), (1, g)])
-    assert [s.base is not None for s in sums] == [True]
+    assert [(s.den, s.digits is not None) for s in sums] == [(None, True)]
     assert holds_int_columns(combo)
     assert combo == g
     with _recording_sums() as sums:
         assert check_ybe(combo).passed
-    assert [s.base for s in sums] == [None]
+    assert [(s.den, s.digits, s.base) for s in sums] == [(1, None, None)]
 
 
 @contextlib.contextmanager

@@ -343,7 +343,8 @@ def test_mixed_conditions_stop_at_first_failure(monkeypatch):
 
 def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
     # g and P have integer entries, so their checks, 3-fold or 2-fold, never
-    # reach the LaurentQP kernel; the q- and p-carrying twisted matrix does.
+    # reach the LaurentQP kernel; the q- and p-carrying twisted matrix does
+    # in a sum with P, which the gauge does not reach.
     calls = []
 
     def counting(kernel):
@@ -357,7 +358,7 @@ def test_constant_operators_skip_the_laurent_kernel(monkeypatch):
     assert check_ybe(g_op(3)).passed
     assert check_gp_relations(3).passed
     assert calls == []
-    assert check_ybe(cg_twisted_op(3)).passed
+    assert not check_compatibility(cg_twisted_op(3)).passed
     assert len(calls) >= 1
 
 
@@ -408,8 +409,8 @@ def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
     assert check_quadratic(4, alpha, beta).passed
     assert not calls
     assert entered == {"_witness": 2, "_Sum": 3, "compose_sum": 1}
-    # the counters do see Fraction arithmetic inside the Laurent kernel
-    tracked([(q * Fraction(1, 2), numeric)])
+    # the counters do see Fraction arithmetic inside the term kernel
+    tracked([(q * p * Fraction(1, 2), numeric)])
     assert calls["__mul__"] + calls["__rmul__"] > 0
     monkeypatch.undo()
 
