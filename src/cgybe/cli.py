@@ -56,15 +56,15 @@ USAGE_ERROR = 2
 # and hold no 3-fold operator (see verify.py); compat and mixed walk their
 # shared first sum once.  The sums of --op cg, and ybe and hecke of --op
 # cg2 through its gauge, run on ints (the q form of tensor.py).  All three
-# take 0.24-0.25 s at n = 16 and 0.7-0.9 s at n = 24 with --op cg2, whose
-# compat and mixed fail at their first input, 0.3-0.4 s and 1.1-1.2 s with
-# --op cg, and 0.22-0.25 s and 0.63-0.64 s with --op g, whole processes
-# (n = 24 with this cap raised) that peak at 18-19 MB of RSS at n = 16 and
-# 20-23 MB at n = 24, on a 2-core x86-64 VM with Python 3.11.  The 2-fold
+# take 0.19-0.25 s at n = 16 and 0.75-0.82 s at n = 24 with --op cg2, whose
+# compat and mixed fail at their first input, 0.27-0.31 s and 1.1 s with
+# --op cg, and 0.21-0.22 s and 0.66-0.8 s with --op g, whole processes
+# (n = 24 with this cap raised) that peak at 18 MB of RSS at n = 16 and
+# 20-21 MB at n = 24, on a 2-core x86-64 VM with Python 3.11.  The 2-fold
 # checks (hecke, gp, quadratic) walk the same way, on the 2n - 1 inputs
-# with min index 1: all three take 0.8 s of CPU at n = 64 with --op cg and
-# 1.6-1.7 s with --op cg2, whole processes that peak at 75 and 94 MB, on
-# the same VM.
+# with min index 1: all three take 0.6-0.7 s of CPU at n = 64 with --op cg
+# and 1.1-1.2 s with --op cg2, whole processes that peak at 43 MB, on the
+# same VM.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 

@@ -1,9 +1,8 @@
 """The values of an operator sum as ints or int-keyed term dicts.
 
 A sum of products of operators (``cgybe.tensor._Sum``) packs its values in
-one of three forms, chosen from its operators and scalars by :func:`form`:
+one of two forms, chosen from its operators and scalars by :func:`form`:
 
-* when all are constant, ints over one common denominator;
 * when none carries p, the q form: scale each operator and scalar by
   q^−low and by d, for low its least q exponent and d the lcm of its
   denominators; its values are then polynomials in q with int
@@ -12,7 +11,9 @@ one of three forms, chosen from its operators and scalars by :func:`form`:
   of the polynomials.  When 2^k > 2C for a bound C on every coefficient
   of the sum, each coefficient is one balanced base-2^k digit,
   |digit| < 2^(k−1), so an int is zero exactly when its polynomial is,
-  and :func:`decode` reads the polynomial back;
+  and :func:`decode` reads the polynomial back.  A constant operator
+  or scalar has low 0 and span 0, so a sum of constants is a sum of its
+  ints over one common denominator, each int one digit at q^0;
 * otherwise term dicts, each term q^a·p^b keyed by the one int
   a·base + b (:func:`decode_terms`).
 
@@ -41,37 +42,26 @@ from .laurent import LaurentQP
 WIDEST_INT_VALUE = 1024
 
 
-def form(words, ops, op_scale) -> tuple[int | None, int | None, tuple | None, list]:
-    """(den, base, digits, the start value of each word) of a sum whose
-    words are given as (scalar, [(operator, place), ...]) over the
-    distinct operators ``ops``, ``op_scale(op)`` giving an operator's
-    :func:`scale`.  The int form, with ``den`` the lcm of the words'
-    denominators, each the product of its scalar's and its operators', when
-    every operator and scalar is constant; else the q form, with
-    ``digits`` = (k, least, den) of :func:`q_starts`, when none carries p
-    and :func:`q_starts` takes it; else the term form, with ``base``: a
-    word multiplies at most m values, its scalar and its operators, so
-    base = 2·(mB + 1) for the largest |b| = B of any term lets the
-    exponents of a product add as one int and read back."""
+def form(words, ops, op_scale) -> tuple[int | None, tuple | None, list]:
+    """(base, digits, the start value of each word) of a sum whose words
+    are given as (scalar, [(operator, place), ...]) over the distinct
+    operators ``ops``, ``op_scale(op)`` giving an operator's :func:`scale`.
+    The q form, with ``digits`` = (k, least, den) of :func:`q_starts`, when
+    no operator or scalar carries p and :func:`q_starts` takes it; else the
+    term form, with ``base``: a word multiplies at most m values, its
+    scalar and its operators, so base = 2·(mB + 1) for the largest |b| = B
+    of any term lets the exponents of a product add as one int and read
+    back."""
     scalars = [scalar for scalar, _ in words]
-    if all(op._den is not None for op in ops) and all(s.is_constant() for s in scalars):
-        ratios = []
-        for scalar, word in words:
-            num, den = scalar.constant_value().as_integer_ratio()
-            for op, _ in word:
-                den *= op._den
-            ratios.append((num, den))
-        den = lcm(*(den for _, den in ratios))
-        return den, None, None, [num * (den // word_den) for num, word_den in ratios]
     scales = [scale([{None: s}], None) for s in scalars]
     if None not in scales and all(op_scale(op) is not None for op in ops):
         q_form = q_starts(words, scales, op_scale)
         if q_form is not None:
-            return (None, None, *q_form)
+            return (None, *q_form)
     values = (v for op in ops if op._den is None for c in op._columns.values() for v in c.values())
     bound = max((abs(b) for v in itertools.chain(values, scalars) for _, b in v._terms), default=0)
     base = 2 * (max(len(word) + 1 for _, word in words) * bound + 1)
-    return None, base, None, [{a * base + b: x for (a, b), x in s._terms.items()} for s in scalars]
+    return base, None, [{a * base + b: x for (a, b), x in s._terms.items()} for s in scalars]
 
 
 def scale(columns, den: int | None) -> tuple[int, int, int, int] | None:

@@ -27,7 +27,7 @@ its rank once, in :func:`_indices`, and adopts the columns it fills.
 from __future__ import annotations
 
 from .laurent import LaurentQP, as_laurent, q
-from .tensor import TensorOp, _shape, _stored_form, compose_sum
+from .tensor import TensorOp, _gauged, _shape, compose_sum
 
 __all__ = [
     "eta",
@@ -69,8 +69,7 @@ def _indices(n: int) -> range:
 
 # Each builder fills columns {input: {output: value}} with no empty column
 # and no zero value, and adopts them through TensorOp._trusted: int columns
-# over the denominator 1 for permutation_op and g_op, LaurentQP ones in
-# the form tensor._stored_form gives for _gauged.
+# over the denominator 1 for permutation_op and g_op.
 
 
 def permutation_op(n: int) -> TensorOp:
@@ -106,30 +105,9 @@ def hecke_parameters() -> tuple[LaurentQP, LaurentQP]:
     return q, q - q**-1
 
 
-def _gauged(op: TensorOp) -> TensorOp:
-    """op with each entry (a, b) <- (i, j) multiplied by p^{i-a}.
-
-    This is the diagonal gauge (an abelian twist, N. Reshetikhin, LMP 20
-    (1990)) that turns the one-parameter matrix at the Hecke pair into the
-    two-parameter one.  It is conjugation by diag(p^{-a}) on e_a⊗e_b; on
-    an operator that keeps i+j, as every operator here does, a factor
-    placed at 12 or 23 of the 3-fold power is conjugated by
-    diag(p^{-(2a+b)}) on e_a⊗e_b⊗e_c.  So every sum of products of G(op),
-    as the ybe and hecke checks are, is the same sum of op conjugated: the
-    same support, each coefficient times a power of p.  The checks read
-    this off the operators they are given (the gauge lemma of
-    ``tensor._gauge_stripped``), not off a record of how one was built.
-    """
-    columns: dict = {}
-    for (out, inp), coeff in op._entry_items():
-        terms = {(e, f + inp[0] - out[0]): c for (e, f), c in coeff._terms.items()}
-        columns.setdefault(inp, {})[out] = LaurentQP._trusted(terms)
-    return TensorOp._trusted(op.n, op.arity, *_stored_form(columns))
-
-
 def cg_twisted_op(n: int) -> TensorOp:
     """The two-parameter Cremmer-Gervais matrix with symbolic q and p:
-    G(cg_op(n, q, q - q^-1)), G the gauge of :func:`_gauged`.
+    G(cg_op(n, q, q - q^-1)), G the gauge ``tensor._gauged``.
 
     c(e_i⊗e_j) = q p^{i-j} e_j⊗e_i
                  + sum_k (q - q^-1) p^{i-k} eta(i,j,k) e_k⊗e_{i+j-k}

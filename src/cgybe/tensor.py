@@ -49,16 +49,17 @@ digits in its place: all of them for an operator applied whole, and
 :func:`compose_sum` keeps the column at every input; a check keeps only
 the first nonzero one (:func:`_witness`), walking only the inputs with min
 index 1 when the translation lemma allows.  The values of a sum take one
-of three forms.  When every operator and scalar of the sum is constant
-the kernel adds int products over one common denominator, with no
-exponent pairs or ``Fraction`` arithmetic.  When none carries p, it adds
-int products too: each value is a Laurent polynomial in q, scaled to a
-polynomial with int coefficients and substituted at q = 2^k for a k that
-keeps every coefficient one digit (:mod:`cgybe.kronecker`).  Otherwise it
-adds the terms of LaurentQP coefficients into one raw dict per output.  A
-check over operators that pass the gauge lemma, as the two-parameter
-matrix does, runs over them with p stripped, and puts p back into its
-witness (:func:`_witness`).  An equation is therefore checked without
+of two forms.  When no operator or scalar of the sum carries p, the
+kernel adds int products: each value is a Laurent polynomial in q, scaled
+to a polynomial with int coefficients and substituted at q = 2^k for a k
+that keeps every coefficient one digit (:mod:`cgybe.kronecker`).  An
+operator stored as ints is read as it is stored, so a sum of constants
+adds int products over one common denominator, with no exponent pairs or
+``Fraction`` arithmetic.  Otherwise the kernel adds the terms of
+LaurentQP coefficients into one raw dict per output.  A check over
+operators that pass the gauge lemma, as the two-parameter matrix does,
+runs over them with p stripped, and puts p back into its witness
+(:func:`_witness`).  An equation is therefore checked without
 building its two sides or their difference.
 
 Each kind of input is checked once, at its door: a rank and an arity by
@@ -250,7 +251,7 @@ class TensorOp:
 
     def eval_at(self, qval: Fraction | int, pval: Fraction | int) -> "TensorOp":
         """Numeric specialization: every coefficient evaluated at (qval, pval),
-        the entries that vanish there dropped, in the int form."""
+        the entries that vanish there dropped, stored as ints."""
         return self.map_coeffs(lambda c: c.eval(qval, pval))
 
     # ------------------------------------------------------------------
@@ -443,19 +444,27 @@ def compose_sum(words) -> TensorOp:
     operators that do not fit one rank and arity ValueError (:class:`_Sum`).
 
     The result holds the sum's nonzero column at each input, in sorted
-    order, and keeps the sum's ``den``; a Laurent sum whose values are all
-    constant takes the int form.
+    order.  In the q form, when the least q exponent is 0 and every int is
+    one balanced digit, as in every sum of constants, each int is its
+    value at q^0 times the sum's denominator, and the columns are stored
+    as they are over it.  Otherwise each distinct raw value is read back
+    once, equal ints sharing one LaurentQP, and the result is stored by
+    :func:`_stored_form`, so a sum whose values are all constant is stored
+    as ints.
     """
     total = _Sum([_word(word) for word in words])
-    columns = {}
-    for inp in total.basis:
-        column = total.column(inp)
-        if column:
-            columns[inp] = column if total.den is not None else {
-                out: total.value(raw) for out, raw in column.items()
-            }
-    form = _stored_form(columns) if total.den is None else (total.den, columns)
-    return TensorOp._trusted(total.n, total.arity, *form)
+    columns = {inp: column for inp in total.basis if (column := total.column(inp))}
+    read = total.value
+    if total.digits is not None:
+        k, least, den = total.digits
+        half = 1 << (k - 1)
+        if least == 0 and all(-half < v < half for c in columns.values() for v in c.values()):
+            return TensorOp._trusted(total.n, total.arity, den, columns)
+        read = functools.cache(read)
+    for column in columns.values():
+        for out, raw in column.items():
+            column[out] = read(raw)
+    return TensorOp._trusted(total.n, total.arity, *_stored_form(columns))
 
 
 def _inputs(n: int, arity: int, reduced: bool):
@@ -510,7 +519,7 @@ def _witness(words) -> Witness | None:
         column = total.column(t)
         if column:
             out = min(column)
-            coeff = _coeff(total.value(column[out]), total.den)
+            coeff = total.value(column[out])
             if gauged:
                 shift = t[0] - out[0] if total.arity == 2 else 2 * (t[0] - out[0]) + t[1] - out[1]
                 coeff = LaurentQP._trusted({(a, b + shift): x for (a, b), x in coeff._terms.items()})
@@ -525,25 +534,39 @@ def _cached(op: TensorOp, key: str, lemma):
     return op._cache[key]
 
 
+def _gauged(op: TensorOp, sign: int = 1) -> TensorOp:
+    """op with each entry (a, b) <- (i, j) multiplied by p^(sign·(i−a));
+    equal result values share one LaurentQP.
+
+    At sign 1 this is the diagonal gauge G of :func:`_witness` (an abelian
+    twist, N. Reshetikhin, LMP 20 (1990)), which turns the one-parameter
+    matrix at the Hecke pair into the two-parameter one; at sign −1 it is
+    G's inverse, which :func:`_gauge_stripped` applies."""
+    columns: dict = {}
+    interned: dict = {}
+    for (out, inp), coeff in op._entry_items():
+        shift = sign * (inp[0] - out[0])
+        terms = tuple(((a, b + shift), x) for (a, b), x in coeff._terms.items())
+        value = interned.get(terms)
+        if value is None:
+            value = interned[terms] = LaurentQP._trusted(dict(terms))
+        columns.setdefault(inp, {})[out] = value
+    return TensorOp._trusted(op.n, op.arity, *_stored_form(columns))
+
+
 def _gauge_stripped(op: TensorOp) -> TensorOp | None:
     """op with p stripped, when op passes the gauge lemma: a 2-fold
     operator each of whose entries (a, b) <- (i, j) keeps i+j and has p
     exponent i−a in every term.  Then op = G(result) for the gauge G of
-    :func:`_witness`, and the result has no p.  None when op fails the
-    lemma.  O(nnz), read off the entries as the translation lemma is;
-    equal stripped values share one LaurentQP."""
+    :func:`_witness`, and the result, ``_gauged(op, -1)``, has no p.  None
+    when op fails the lemma.  O(nnz), read off the entries as the
+    translation lemma is."""
     if op.arity != 2:
         return None
-    columns: dict = {}
-    interned: dict = {}
     for (out, inp), coeff in op._entry_items():
         if out[0] + out[1] != inp[0] + inp[1] or any(b != inp[0] - out[0] for _, b in coeff._terms):
             return None
-        terms = tuple((a, x) for (a, _), x in coeff._terms.items())
-        if terms not in interned:
-            interned[terms] = LaurentQP._trusted({(a, 0): x for a, x in terms})
-        columns.setdefault(inp, {})[out] = interned[terms]
-    return TensorOp._trusted(op.n, 2, *_stored_form(columns))
+    return _gauged(op, -1)
 
 
 class _Factor(NamedTuple):
@@ -621,30 +644,28 @@ class _Sum:
     operator in the same form packs nothing, and an operator holds at most
     two packed factors.
 
-    Every value of the sum takes one of three forms, chosen from its
+    Every value of the sum takes one of two forms, chosen from its
     operators and scalars by :func:`~cgybe.kronecker.form`:
 
-    * when all are constant, ints over ``den``, the lcm of the words'
-      denominators.  A word starts at its scalar's numerator times ``den``
-      over its own, so no ``Fraction`` is built.  ``den`` is not reduced by
-      the gcd of the values: 1/3 + 2/3 is held as 15 over 15 when another
-      word has denominator 5, and a result used as a factor of a further
-      sum carries its den into that sum's;
-    * when none carries p, ints too (the q form, ``den`` None), each the
-      value at q = 2^k of a Laurent polynomial in q scaled to int
-      coefficients, with ``digits`` = (k, least q exponent, denominator)
-      to read it back.  Each operator keeps its scale (:func:`_q_scale`);
-      an int-form operator is its stored ints.  Int coefficients whose
+    * when none carries p, ints (the q form), each the value at q = 2^k of
+      a Laurent polynomial in q scaled to int coefficients, with
+      ``digits`` = (k, least q exponent, denominator) to read it back.
+      Each operator keeps its scale (:func:`_q_scale`); an operator stored
+      as ints is read as its stored ints.  So a sum of constants, whose
+      every low and span is 0, adds ints over the lcm of the words'
+      denominators, and no ``Fraction`` is built.  That denominator is not
+      reduced by the gcd of the values: 1/3 + 2/3 is held as 15 over 15
+      when another word has denominator 5, and a result used as a factor of
+      a further sum carries it into that sum's.  Int coefficients whose
       values would be wider than ``kronecker.WIDEST_INT_VALUE`` bits take
       the term form instead, where the products are cheaper;
     * otherwise raw term dicts ``{a·base + b: coeff}`` for the terms
-      q^a·p^b, and ``den`` is None.  Equal operator values share one packed
-      tuple of terms.
+      q^a·p^b.  Equal operator values share one packed tuple of terms.
 
     :meth:`value` reads a raw value back.
     """
 
-    __slots__ = ("n", "arity", "den", "base", "digits", "basis", "codes", "groups")
+    __slots__ = ("n", "arity", "base", "digits", "basis", "codes", "groups")
 
     def __init__(self, words):
         placed = [f for _, factors in words for f in factors]
@@ -660,7 +681,7 @@ class _Sum:
                 )
         self.basis, self.codes = _basis(n, arity)
         operands = list({id(op): op for op, _ in placed}.values())
-        self.den, self.base, self.digits, starts = kronecker.form(words, operands, _q_scale)
+        self.base, self.digits, starts = kronecker.form(words, operands, _q_scale)
         k = self.digits and self.digits[0]
 
         def factor(op: TensorOp, place: int | None) -> _Factor:
@@ -700,12 +721,10 @@ class _Sum:
         basis = self.basis
         return {basis[out]: v for out, v in acc.items() if (any(v.values()) if laurent else v)}
 
-    def value(self, raw):
-        """The stored value of a nonzero raw value: the int itself in the
-        int form, else a LaurentQP: the digits of the int in the q form,
-        the terms of the dict in the term form (:mod:`cgybe.kronecker`)."""
-        if self.den is not None:
-            return raw
+    def value(self, raw) -> LaurentQP:
+        """The LaurentQP of a nonzero raw value: the digits of the int in
+        the q form, the terms of the dict in the term form
+        (:mod:`cgybe.kronecker`)."""
         if self.base is None:
             return kronecker.decode(raw, *self.digits)
         return kronecker.decode_terms(raw, self.base)

@@ -502,7 +502,8 @@ PASSING_RUNS = [
     ("--op cg2 --n 10 --checks ybe", 20),
     ("--op cg2 --n 16 --checks ybe", 60),
     ("--op g --n 6 --checks compat,mixed,ybe", 20),
-    # the int form of the 3-fold checks and of gp at the 3-fold cap
+    # the 3-fold checks and gp at the 3-fold cap on constants: the q form
+    # with every int one digit at q^0
     ("--op g --n 16 --checks ybe,compat,mixed,gp", 20),
     # all six checks of alpha*P + beta*g
     ("--op cg --n 6", 20),

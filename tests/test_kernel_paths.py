@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 
 from cgybe import LaurentQP, TensorOp, cg_op, cg_twisted_op, check_hecke, check_quadratic
-from cgybe import check_ybe, kronecker, q, tensor, verify
+from cgybe import check_ybe, compose_sum, g_op, kronecker, permutation_op, q, tensor, verify
 from cgybe.cli import MAX_PARAM_COEFF_BITS, MAX_PARAM_EXPONENT, main
 from cgybe.cli import parse_laurent_expr
 from cgybe.laurent import p
@@ -64,8 +64,8 @@ def _counting(name):
 
 @contextlib.contextmanager
 def _term_path():
-    """Every sum inside the block on the term kernel, or on the int kernel
-    when it is constant: no q form and no gauge."""
+    """Every sum inside the block on the term kernel, a constant one
+    included: no q form and no gauge."""
     with mock.patch.object(kronecker, "scale", return_value=None), mock.patch.object(
         tensor, "_gauge_stripped", return_value=None
     ):
@@ -258,3 +258,13 @@ def test_scale_of_columns():
     assert kronecker.scale([{1: q + q**2}], None) == (1, 1, 2, 1)
     assert kronecker.scale([{1: 3, 2: -4}, {1: 5}], 7) == (0, 7, 7, 0)
     assert kronecker.scale([{None: LaurentQP.zero()}], None) == (0, 1, 0, 0)
+
+
+def test_built_and_summed_operators_hold_one_object_per_distinct_value():
+    n = 6
+    twisted = cg_twisted_op(n)
+    summed = compose_sum([(q, permutation_op(n)), (q - q**-1, g_op(n)), (q**-2, g_op(n), g_op(n))])
+    for op in (twisted, summed, tensor._gauge_stripped(twisted)):
+        values = [value for column in op._columns.values() for value in column.values()]
+        assert all(type(value) is LaurentQP for value in values)
+        assert len({id(value) for value in values}) == len(set(values)) < len(values)

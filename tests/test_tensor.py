@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cgybe import LaurentQP, TensorOp, compose_sum, endo_eq, g_op, lift12, lift23
-from cgybe import cg_twisted_op, check_ybe, permutation_op, q, tensor
+from cgybe import cg_twisted_op, check_ybe, kronecker, permutation_op, q, tensor
 from cgybe.laurent import as_laurent, rational_to_str
 
 from helpers import (
@@ -669,9 +669,11 @@ def test_constant_path_matches_naive_sum(seed, shape, kind, kinds, cancel, symbo
     expected = _grouped_compose_sum(terms, read)
     with _recording_sums() as sums:
         result = compose_sum(_words(terms))
-    # q or p anywhere in the terms takes a LaurentQP form, else the int form;
-    # a scalar in q alone over constant operators takes the q form
-    assert [s.den is None for s in sums] == [symbolic is not None]
+    # constants take the q form at width zero, its least q exponent 0; a
+    # scalar in q alone over constant operators takes the q form too
+    assert len(sums) == 1
+    if symbolic is None:
+        assert (sums[0].base, sums[0].digits[1]) == (None, 0)
     if symbolic == "scalar":
         assert sums[0].digits is not None
     assert (result.n, result.arity) == (n, arity)
@@ -764,8 +766,13 @@ def test_constant_lifts_match_entry_lifts(seed, kind):
 def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
     a = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(1, 3), ((2, 2), (2, 1)): Fraction(1, 5)})
     b = TensorOp(2, 2, {((1, 2), (2, 1)): Fraction(2, 3)})
-    total = compose_sum([(1, a), (1, b)])  # 1/3 + 2/3 = 1 over the denominator 15
+    # 1/3 + 2/3 = 1 over the denominator 15: a sum of constants is the q form
+    # at width zero, and its ints are stored as they are, none read back
+    with _recording_sums() as sums, mock.patch.object(kronecker, "decode") as decode:
+        total = compose_sum([(1, a), (1, b)])
+    assert [s.digits[1:] for s in sums] == [(0, 15)] and decode.call_count == 0
     den, columns = total._den, total._columns
+    assert den == 15
     assert {
         (inp, out): Fraction(value, den)
         for inp, column in columns.items()
@@ -781,19 +788,40 @@ def test_constant_path_stores_integral_sum_over_common_denominator_as_int():
     assert reduced._den == 5 and total == reduced
 
 
-def test_laurent_sum_with_constant_values_takes_the_int_form():
-    # q·P − q·P + g carries q in its terms, so it is summed in a Laurent
-    # form, the q form; every value of the result is constant, so it is
-    # stored as ints and a check on it takes the int form
+def test_laurent_sum_with_constant_values_is_stored_as_ints():
+    # q·P − q·P + g carries q in its terms, so it is summed in the q form;
+    # every value of the result is constant, so it is stored as ints and a
+    # check on it runs on the constants' kernel: the q form at q^0, over 1
     P, g = permutation_op(3), g_op(3)
     with _recording_sums() as sums:
         combo = compose_sum([(q, P), (-q, P), (1, g)])
-    assert [(s.den, s.digits is not None) for s in sums] == [(None, True)]
+    assert [(s.base, s.digits is not None) for s in sums] == [(None, True)]
     assert holds_int_columns(combo)
     assert combo == g
     with _recording_sums() as sums:
         assert check_ybe(combo).passed
-    assert [(s.den, s.digits, s.base) for s in sums] == [(1, None, None)]
+    assert [(s.base, s.digits[1:]) for s in sums] == [(None, (0, 1))]
+    # (q^-1 + 1)·P − q^-1·P sums at least exponent −1, so each int is the
+    # digit 1 at q^0, 2^k, read back before it is stored as an int
+    with _recording_sums() as sums:
+        combo = compose_sum([(q**-1 + 1, P), (-(q**-1), P)])
+    assert [s.digits[1] for s in sums] == [-1]
+    assert holds_int_columns(combo) and combo._den == 1
+    assert combo == P
+
+
+@pytest.mark.parametrize("scalar", [q, q**-1, 1 - q, q - 1, q + q**-1], ids=str)
+def test_q_form_values_that_are_not_one_digit_at_q0_stay_laurent(scalar):
+    # an int of the q form is stored as it is only when the least q exponent
+    # is 0 and the int is one balanced digit; q is one digit at q^1, q^-1 one
+    # at least exponent -1, and 1 - q, q - 1 are two digits at q^0
+    P = permutation_op(3)
+    with _recording_sums() as sums:
+        result = compose_sum([(scalar, P)])
+    assert [s.digits is not None for s in sums] == [True]
+    assert result._den is None
+    assert all(type(v) is LaurentQP for column in result._columns.values() for v in column.values())
+    assert result == TensorOp(3, 2, {key: scalar for key in P.entries})
 
 
 @contextlib.contextmanager
