@@ -62,8 +62,8 @@ USAGE_ERROR = 2
 # (n = 24 with this cap raised) that peak at 18 MB of RSS at n = 16 and
 # 20-21 MB at n = 24, on a 2-core x86-64 VM with Python 3.11.  The 2-fold
 # checks (hecke, gp, quadratic) walk the same way, on the 2n - 1 inputs
-# with min index 1: all three take 0.6-0.7 s of CPU at n = 64 with --op cg
-# and 1.1-1.2 s with --op cg2, whole processes that peak at 43 MB, on the
+# with min index 1: all three take 0.6 s of CPU at n = 64 with --op cg
+# and 1.0-1.1 s with --op cg2, whole processes that peak at 43 MB, on the
 # same VM.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64

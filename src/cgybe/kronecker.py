@@ -6,7 +6,9 @@ one of two forms, chosen from its operators and scalars by :func:`form`:
 * when none carries p, the q form: scale each operator and scalar by
   q^−low and by d, for low its least q exponent and d the lcm of its
   denominators; its values are then polynomials in q with int
-  coefficients, and each is one int at q = 2^k (:func:`encode`).
+  coefficients, and each is one int at q = 2^k (:func:`encode`).  Under
+  the gauge lemma the operators may carry p: the q form reads their own
+  values with p dropped, and no p-stripped copy is built.
   Products and sums of those ints are the values of the products and sums
   of the polynomials.  When 2^k > 2C for a bound C on every coefficient
   of the sum, each coefficient is one balanced base-2^k digit,
@@ -26,7 +28,6 @@ once they are wide; with a ``Fraction`` anywhere, the term products are
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -42,44 +43,51 @@ from .laurent import LaurentQP
 WIDEST_INT_VALUE = 1024
 
 
-def form(words, ops, op_scale) -> tuple[int | None, tuple | None, list]:
+def form(words, op_scale, gauge: bool) -> tuple[int | None, tuple | None, list]:
     """(base, digits, the start value of each word) of a sum whose words
-    are given as (scalar, [(operator, place), ...]) over the distinct
-    operators ``ops``, ``op_scale(op)`` giving an operator's :func:`scale`.
-    The q form, with ``digits`` = (k, least, den) of :func:`q_starts`, when
-    no operator or scalar carries p and :func:`q_starts` takes it; else the
-    term form, with ``base``: a word multiplies at most m values, its
-    scalar and its operators, so base = 2·(mB + 1) for the largest |b| = B
-    of any term lets the exponents of a product add as one int and read
-    back."""
+    are given as (scalar, [(operator, place), ...]), ``op_scale(op)``
+    giving an operator's :func:`scale`.  The form and the base are read
+    off the scales alone.  The q form, with ``digits`` = (k, least, den) of
+    :func:`q_starts`, when no scalar carries p, no operator either unless
+    ``gauge`` is set, and :func:`q_starts` takes it.  ``gauge`` says that
+    every operator passes the gauge lemma, each of its entries one p
+    exponent in every term: then the q form reads each operator's own
+    values with p dropped, as :func:`encode` does, which are the values of
+    the operator with p stripped.  Else the term form, with ``base``: a
+    word multiplies at most m values, its scalar and its operators, so
+    base = 2·(mB + 1) for the largest reach B of any scalar or operator
+    lets the exponents of a product add as one int and read back; the
+    operators keep their p there."""
     scalars = [scalar for scalar, _ in words]
     scales = [scale([{None: s}], None) for s in scalars]
-    if None not in scales and all(op_scale(op) is not None for op in ops):
+    scalar_reach = max(s[4] for s in scales)
+    op_reach = max(op_scale(op)[4] for _, factors in words for op, _ in factors)
+    if not scalar_reach and (gauge or not op_reach):
         q_form = q_starts(words, scales, op_scale)
         if q_form is not None:
             return (None, *q_form)
-    values = (v for op in ops if op._den is None for c in op._columns.values() for v in c.values())
-    bound = max((abs(b) for v in itertools.chain(values, scalars) for _, b in v._terms), default=0)
-    base = 2 * (max(len(word) + 1 for _, word in words) * bound + 1)
+    base = 2 * (max(len(word) + 1 for _, word in words) * max(scalar_reach, op_reach) + 1)
     return base, None, [{a * base + b: x for (a, b), x in s._terms.items()} for s in scalars]
 
 
-def scale(columns, den: int | None) -> tuple[int, int, int, int] | None:
-    """(low, d, norm, span) of ``columns`` of values, dicts by output:
-    stored ints over ``den``, or LaurentQP values when ``den`` is None
-    (then None when some term carries p).  low is the least q exponent (0
-    for no term), span the greatest less low, d the lcm of the
-    denominators (``den`` for stored ints), and norm the largest sum of
-    |coefficient|·d over a column's outputs and terms."""
+def scale(columns, den: int | None) -> tuple[int, int, int, int, int]:
+    """(low, d, norm, span, reach) of ``columns`` of values, dicts by
+    output: stored ints over ``den``, or LaurentQP values when ``den`` is
+    None.  low is the least q exponent (0 for no term), span the greatest
+    less low, d the lcm of the denominators (``den`` for stored ints), norm
+    the largest sum of |coefficient|·d over a column's outputs and terms,
+    and reach the largest |p exponent|.  Only reach reads p, so an operator
+    and its p-stripped copy under the gauge lemma have the same low, d,
+    norm and span."""
     if den is not None:
-        return 0, den, max((sum(map(abs, column.values())) for column in columns), default=0), 0
+        return 0, den, max((sum(map(abs, column.values())) for column in columns), default=0), 0, 0
     low = high = None
-    den = 1
+    den, reach = 1, 0
     for column in columns:
         for value in column.values():
             for (a, b), x in value._terms.items():
-                if b:
-                    return None
+                if abs(b) > reach:
+                    reach = abs(b)
                 if low is None:
                     low = high = a
                 elif a < low:
@@ -97,7 +105,7 @@ def scale(columns, den: int | None) -> tuple[int, int, int, int] | None:
         ),
         default=0,
     )
-    return low, den, norm, high - low
+    return low, den, norm, high - low, reach
 
 
 def q_starts(words, scales, op_scale) -> tuple[tuple[int, int, int], list[int]] | None:
@@ -116,10 +124,10 @@ def q_starts(words, scales, op_scale) -> tuple[tuple[int, int, int], list[int]] 
     bounds every coefficient of a column (a placed factor has its
     operator's norm), and k is the least with 2^k > 2C."""
     lows, dens, norms, spans = [], [], [], []
-    for (_, factors), (low, den, norm, span) in zip(words, scales):
+    for (_, factors), (low, den, norm, span, _) in zip(words, scales):
         spans.append(span)
         for op, _ in factors:
-            op_low, op_den, op_norm, op_span = op_scale(op)
+            op_low, op_den, op_norm, op_span, _ = op_scale(op)
             low, den, norm = low + op_low, den * op_den, norm * op_norm
             spans.append(op_span)
         lows.append(low)
@@ -131,12 +139,12 @@ def q_starts(words, scales, op_scale) -> tuple[tuple[int, int, int], list[int]] 
         return None
     return (k, least, den), [
         encode(scalar._terms, low, d, k) * (den // word_den) << k * (word_low - least)
-        for (scalar, _), (low, d, _, _), word_low, word_den in zip(words, scales, lows, dens)
+        for (scalar, _), (low, d, *_), word_low, word_den in zip(words, scales, lows, dens)
     ]
 
 
 def encode(terms: dict, low: int, den: int, k: int) -> int:
-    """The p-free ``terms`` times den·q^−low, at q = 2^k."""
+    """``terms`` times den·q^−low, at q = 2^k, their p exponents dropped."""
     return sum(x.numerator * (den // x.denominator) << k * (a - low) for (a, _), x in terms.items())
 
 

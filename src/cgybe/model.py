@@ -115,8 +115,9 @@ def cg_twisted_op(n: int) -> TensorOp:
     For i > j the k = j term merges with the flip term, turning its
     coefficient into q^-1 p^{i-j}.  Every entry (a, b) <- (i, j) keeps
     i + j and has p exponent i - a in each term, so the result passes the
-    gauge lemma, and its ybe and hecke checks run on the p-free
-    cg_op(n, q, q - q^-1) in q alone (see ``tensor._witness``).
+    gauge lemma, and its ybe and hecke checks run in q alone on its own
+    values with p dropped, those of cg_op(n, q, q - q^-1); no p-free copy
+    is built (see ``tensor._witness``).
     """
     return _gauged(cg_op(n, *hecke_parameters()))
 

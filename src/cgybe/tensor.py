@@ -27,7 +27,7 @@ through one helper that turns a stored value into a LaurentQP.
 Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
 first).  What the sums derive from an operator, its packed factors, its
-q-form scale and its translation- and gauge-lemma results, is kept in its
+scale and its translation- and gauge-lemma results, is kept in its
 private ``_cache`` on first use (:class:`_Sum`, :func:`_witness`), so it
 lives and dies with the operator.
 
@@ -56,11 +56,12 @@ that keeps every coefficient one digit (:mod:`cgybe.kronecker`).  An
 operator stored as ints is read as it is stored, so a sum of constants
 adds int products over one common denominator, with no exponent pairs or
 ``Fraction`` arithmetic.  Otherwise the kernel adds the terms of
-LaurentQP coefficients into one raw dict per output.  A check over
-operators that pass the gauge lemma, as the two-parameter matrix does,
-runs over them with p stripped, and puts p back into its witness
-(:func:`_witness`).  An equation is therefore checked without
-building its two sides or their difference.
+LaurentQP coefficients into one raw dict per output.  The gauge is a
+lemma whose operators are read with p dropped; no copy is built: a check
+over operators that pass it, as the two-parameter matrix does, runs in
+the q form on their own values and puts p back into its witness
+(:func:`_witness`).  An equation is therefore checked without building
+its two sides or their difference.
 
 Each kind of input is checked once, at its door: a rank and an arity by
 :func:`_shape` (the constructor, ``identity``, ``cgybe.model``); a basis
@@ -493,34 +494,35 @@ def _witness(words) -> Witness | None:
     witness, with its coefficient, lies there.  When some operator fails
     the lemma, as a random one does, every input is walked.
 
-    When some operator carries q or p and every operator passes the gauge
-    lemma (:func:`_gauge_stripped`), the sum is walked over the operators
-    with p stripped, which the q form of :class:`_Sum` runs on ints when no
-    scalar carries p.  The gauge G multiplies entry (a, b) <- (i, j) by
-    p^(i−a); it is conjugation by diag(p^−a) on e_a⊗e_b, and, because
-    every entry keeps a+b = i+j, a factor placed at 12 or 23 is conjugation
-    by diag(p^−(2a+b)) on e_a⊗e_b⊗e_c.  Scalars and words with no factor
-    commute with it, so the sum over G(X) is the conjugated sum over X: the
-    same support, and the coefficient at (a, b) <- (i, j) times p^(i−a),
-    at (a, b, c) <- (i, j, k) times p^((2i+j)−(2a+b)).  Each operator keeps
-    its lemma results, so a later sum over it does not run them again.
+    The gauge is a lemma whose operators are read with p dropped; no copy
+    is built.  It is read when some operator carries q or p, and applies
+    when every operator passes it (:func:`_gauge_lemma`).  The gauge G
+    multiplies entry (a, b) <- (i, j) by p^(i−a); it is conjugation by
+    diag(p^−a) on e_a⊗e_b, and, because every entry keeps a+b = i+j, a
+    factor placed at 12 or 23 is conjugation by diag(p^−(2a+b)) on
+    e_a⊗e_b⊗e_c.  Scalars and words with no factor commute with it, so the
+    sum over G(X) is the conjugated sum over X: the same support, and the
+    coefficient at (a, b) <- (i, j) times p^(i−a), at (a, b, c) <- (i, j, k)
+    times p^((2i+j)−(2a+b)).  An operator that passes the lemma is G(X) for X its
+    values with p dropped, so when no scalar carries p the q form of
+    :class:`_Sum` runs the sum over X by reading the operators' own values,
+    and the witness gets its power of p back.  In the term form, taken for
+    a scalar that carries p or for wide int values, the operators keep
+    their p, and the coefficient is already the true one.  Each operator
+    keeps its lemma results, so a later sum over it does not run them
+    again.
     """
     words = [_word(word) for word in words]
-    ops = {id(op): op for _, factors in words for op, _ in factors}
-    reduced = all(_cached(op, "lemma", _translation_invariant) for op in ops.values())
-    gauged = any(op._den is None for op in ops.values())
-    if gauged:
-        stripped = {key: _cached(op, "gauge", _gauge_stripped) for key, op in ops.items()}
-        gauged = None not in stripped.values()
-    if gauged:
-        words = [(s, [(stripped[id(op)], place) for op, place in fs]) for s, fs in words]
-    total = _Sum(words)
+    ops = {id(op): op for _, factors in words for op, _ in factors}.values()
+    reduced = all(_cached(op, "lemma", _translation_invariant) for op in ops)
+    gauge = any(op._den is None for op in ops) and all(_cached(op, "gauge", _gauge_lemma) for op in ops)
+    total = _Sum(words, gauge)
     for t in _inputs(total.n, total.arity, reduced):
         column = total.column(t)
         if column:
             out = min(column)
             coeff = total.value(column[out])
-            if gauged:
+            if gauge and total.base is None:
                 shift = t[0] - out[0] if total.arity == 2 else 2 * (t[0] - out[0]) + t[1] - out[1]
                 coeff = LaurentQP._trusted({(a, b + shift): x for (a, b), x in coeff._terms.items()})
             return t, out, coeff
@@ -534,18 +536,16 @@ def _cached(op: TensorOp, key: str, lemma):
     return op._cache[key]
 
 
-def _gauged(op: TensorOp, sign: int = 1) -> TensorOp:
-    """op with each entry (a, b) <- (i, j) multiplied by p^(sign·(i−a));
-    equal result values share one LaurentQP.
-
-    At sign 1 this is the diagonal gauge G of :func:`_witness` (an abelian
-    twist, N. Reshetikhin, LMP 20 (1990)), which turns the one-parameter
-    matrix at the Hecke pair into the two-parameter one; at sign −1 it is
-    G's inverse, which :func:`_gauge_stripped` applies."""
+def _gauged(op: TensorOp) -> TensorOp:
+    """op with each entry (a, b) <- (i, j) multiplied by p^(i−a); equal
+    result values share one LaurentQP.  This is the diagonal gauge G of
+    :func:`_witness` (an abelian twist, N. Reshetikhin, LMP 20 (1990)),
+    which turns the one-parameter matrix at the Hecke pair into the
+    two-parameter one."""
     columns: dict = {}
     interned: dict = {}
     for (out, inp), coeff in op._entry_items():
-        shift = sign * (inp[0] - out[0])
+        shift = inp[0] - out[0]
         terms = tuple(((a, b + shift), x) for (a, b), x in coeff._terms.items())
         value = interned.get(terms)
         if value is None:
@@ -554,19 +554,17 @@ def _gauged(op: TensorOp, sign: int = 1) -> TensorOp:
     return TensorOp._trusted(op.n, op.arity, *_stored_form(columns))
 
 
-def _gauge_stripped(op: TensorOp) -> TensorOp | None:
-    """op with p stripped, when op passes the gauge lemma: a 2-fold
-    operator each of whose entries (a, b) <- (i, j) keeps i+j and has p
-    exponent i−a in every term.  Then op = G(result) for the gauge G of
-    :func:`_witness`, and the result, ``_gauged(op, -1)``, has no p.  None
-    when op fails the lemma.  O(nnz), read off the entries as the
+def _gauge_lemma(op: TensorOp) -> bool:
+    """True iff op passes the gauge lemma: a 2-fold operator each of whose
+    entries (a, b) <- (i, j) keeps i+j and has p exponent i−a in every
+    term.  Then op = G(X) for the gauge G of :func:`_witness` and X op's
+    values with p dropped, as :func:`~cgybe.kronecker.encode` reads them;
+    no copy of X is built.  O(nnz), read off the entries as the
     translation lemma is."""
-    if op.arity != 2:
-        return None
-    for (out, inp), coeff in op._entry_items():
-        if out[0] + out[1] != inp[0] + inp[1] or any(b != inp[0] - out[0] for _, b in coeff._terms):
-            return None
-    return _gauged(op, -1)
+    return op.arity == 2 and all(
+        out[0] + out[1] == inp[0] + inp[1] and all(b == inp[0] - out[0] for _, b in coeff._terms)
+        for (out, inp), coeff in op._entry_items()
+    )
 
 
 class _Factor(NamedTuple):
@@ -644,12 +642,15 @@ class _Sum:
     operator in the same form packs nothing, and an operator holds at most
     two packed factors.
 
-    Every value of the sum takes one of two forms, chosen from its
-    operators and scalars by :func:`~cgybe.kronecker.form`:
+    Every value of the sum takes one of two forms, chosen from the scales
+    of its operators and scalars by :func:`~cgybe.kronecker.form`:
 
     * when none carries p, ints (the q form), each the value at q = 2^k of
       a Laurent polynomial in q scaled to int coefficients, with
       ``digits`` = (k, least q exponent, denominator) to read it back.
+      ``gauge``, set by :func:`_witness` when every operator passes the
+      gauge lemma, lets the operators carry p: the gauge is a lemma whose
+      operators are read with p dropped, and no copy is built.
       Each operator keeps its scale (:func:`_q_scale`); an operator stored
       as ints is read as its stored ints.  So a sum of constants, whose
       every low and span is 0, adds ints over the lcm of the words'
@@ -667,7 +668,7 @@ class _Sum:
 
     __slots__ = ("n", "arity", "base", "digits", "basis", "codes", "groups")
 
-    def __init__(self, words):
+    def __init__(self, words, gauge: bool = False):
         placed = [f for _, factors in words for f in factors]
         if not placed:
             raise ValueError("a sum needs at least one operator")
@@ -680,8 +681,7 @@ class _Sum:
                     f"in a sum of rank {n} and arity {arity}"
                 )
         self.basis, self.codes = _basis(n, arity)
-        operands = list({id(op): op for op, _ in placed}.values())
-        self.base, self.digits, starts = kronecker.form(words, operands, _q_scale)
+        self.base, self.digits, starts = kronecker.form(words, _q_scale, gauge)
         k = self.digits and self.digits[0]
 
         def factor(op: TensorOp, place: int | None) -> _Factor:
@@ -730,9 +730,10 @@ class _Sum:
         return kronecker.decode_terms(raw, self.base)
 
 
-def _q_scale(op: TensorOp) -> tuple[int, int, int, int] | None:
-    """op's (low, d, ‖op‖, span) of the q form of :class:`_Sum`, kept in
-    ``op._cache``; None when some value carries p."""
+def _q_scale(op: TensorOp) -> tuple[int, int, int, int, int]:
+    """op's (low, d, ‖op‖, span, reach) of :func:`~cgybe.kronecker.scale`,
+    kept in ``op._cache``: the q form of :class:`_Sum` reads all of it, the
+    term form its reach."""
     return _cached(op, "q", lambda op: kronecker.scale(op._columns.values(), op._den))
 
 
@@ -747,7 +748,7 @@ def _factor(op: TensorOp, stride: int, packing: tuple) -> _Factor:
     codes = _basis(op.n, op.arity)[1]
     base, k = packing
     if k is not None:
-        low, d, _, _ = _q_scale(op)
+        low, d, *_ = _q_scale(op)
         encode = functools.partial(kronecker.encode, low=low, den=d, k=k)
     elif base is not None:
 

@@ -1,11 +1,12 @@
 """Which kernel a sum runs on, and the same witness on every one of them.
 
 A sum in q alone runs on ints at q = 2^k (the q form of ``tensor._Sum``),
-and a sum over operators that pass the gauge lemma runs over them with p
-stripped.  Each test here compares those paths with the term kernel
-(``tensor._apply_terms``), which the reference forces on fresh copies of
-the operators: no operator or scalar has a q form and none passes the
-gauge lemma.
+and so does a sum over operators that pass the gauge lemma, when no scalar
+carries p: the gauge is a lemma whose operators are read with p dropped;
+no copy is built.  Each test here compares those paths with the term
+kernel (``tensor._apply_terms``), which the reference forces on fresh
+copies of the operators: ``kronecker.q_starts`` takes no sum and no
+operator passes the gauge lemma.
 """
 
 from __future__ import annotations
@@ -38,9 +39,16 @@ PAIRS = {
 
 DELTAS = (q, -q, q**-1, LaurentQP.const(1), LaurentQP.const(-1))
 
+# (alpha, beta) that carry p: hecke (at s = alpha) and quadratic sums at
+# them have a scalar that carries p
+P_PAIRS = {"p": (p, q - q**-1), "qp": (q * p, q)}
+
 
 def _words(check, op, alpha, beta):
-    """The words of ybe, hecke (at s = alpha) or quadratic of op."""
+    """The words of ybe, hecke (at s = alpha) or quadratic of op, or those
+    of ybe each times alpha (``alpha*ybe``)."""
+    if check == "alpha*ybe":
+        return [(alpha * scalar, *factors) for scalar, *factors in _words("ybe", op, alpha, beta)]
     if check == "ybe":
         return verify.EQUATIONS["ybe"][1](op)
     if check == "hecke":
@@ -66,8 +74,8 @@ def _counting(name):
 def _term_path():
     """Every sum inside the block on the term kernel, a constant one
     included: no q form and no gauge."""
-    with mock.patch.object(kronecker, "scale", return_value=None), mock.patch.object(
-        tensor, "_gauge_stripped", return_value=None
+    with mock.patch.object(kronecker, "q_starts", return_value=None), mock.patch.object(
+        tensor, "_gauge_lemma", return_value=False
     ):
         yield
 
@@ -110,6 +118,36 @@ def test_q_form_and_gauge_give_the_term_path_witness(n, pair):
             reference = tensor._witness(_words(check, _fresh(op), alpha, beta))
             assert witness == reference, (check, op.sorted_entries())
     assert any(fast)
+
+
+@pytest.mark.parametrize("pair", sorted(P_PAIRS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gauged_mutants_at_p_carrying_scalars_keep_their_p(n, pair):
+    # the gauge of every single-entry mutant of the Hecke matrix passes the
+    # gauge lemma, but a scalar that carries p sends the sum to the term
+    # form, where the operators keep their p: the witness is already the
+    # true one and gains no power of p.  At 2 folds it lies at (1,1) <-
+    # (1,1), where the gauge gives p^0; ybe times alpha puts it elsewhere
+    alpha, beta = P_PAIRS[pair]
+    cases = [
+        (check, _gauged(mutant))
+        for mutant in _mutants(n, *PAIRS["hecke"])
+        for check in ("hecke", "quadratic", "alpha*ybe")
+    ]
+    with _counting("_apply_terms") as calls:
+        fast = [tensor._witness(_words(check, op, alpha, beta)) for check, op in cases]
+    assert calls
+    for (check, op), witness in zip(cases, fast):
+        assert op._cache["gauge"] is True
+        assert witness == _reference(check, op, alpha, beta), (check, op.sorted_entries())
+    assert any(w is not None and _gauge_power(w) for w in fast)
+
+
+def _gauge_power(witness) -> int:
+    """The exponent of the power of p that the gauge gives the coefficient
+    at ``witness``."""
+    inp, out, _ = witness
+    return inp[0] - out[0] if len(inp) == 2 else 2 * (inp[0] - out[0]) + inp[1] - out[1]
 
 
 def _verify_lines(*argv):
@@ -166,12 +204,12 @@ def test_one_changed_p_exponent_fails_the_gauge_lemma():
     assert entries[key] == q**-1 * p
     entries[key] = q**-1 * p**2
     changed = TensorOp(n, 2, entries)
-    assert tensor._gauge_stripped(changed) is None
-    assert tensor._gauge_stripped(cg_twisted_op(n)) is not None
+    assert tensor._gauge_lemma(changed) is False
+    assert tensor._gauge_lemma(cg_twisted_op(n)) is True
     # the gauge of an operator that breaks i + j at one entry fails it too
     c1 = cg_op(n, *PAIRS["hecke"])
     broken = _gauged(TensorOp(n, 2, {**c1.entries, ((1, 1), (1, 2)): q}))
-    assert tensor._gauge_stripped(broken) is None
+    assert tensor._gauge_lemma(broken) is False
     alpha, beta = PAIRS["hecke"]
     for op, check in itertools.product((changed, broken), ("ybe", "hecke", "quadratic")):
         with _counting("_apply_terms") as calls:
@@ -186,12 +224,17 @@ def test_cg2_read_back_from_json_takes_the_gauge_path():
     read_back = TensorOp.from_json_obj(twisted.to_json_obj())
     assert read_back._cache == {}
     alpha, beta = PAIRS["hecke"]
-    with _counting("_apply_terms") as calls, _counting("_gauge_stripped") as lemmas:
+    with _counting("_apply_terms") as calls, _counting("_gauge_lemma") as lemmas:
         for check in ("ybe", "hecke", "quadratic"):
             assert tensor._witness(_words(check, read_back, alpha, beta)) is None
     assert calls == [] and len(lemmas) == 1
-    stripped = read_back._cache["gauge"]
-    assert stripped == cg_op(n, alpha, beta) and _gauged(stripped) == twisted
+    assert read_back._cache["gauge"] is True
+    # packed in the q form, its own values read with p dropped are those of
+    # the one-parameter matrix at the Hecke pair
+    (packing, packed) = read_back._cache[1]
+    assert packing[0] is None and packing[1] is not None
+    c1 = tensor._factor(cg_op(n, alpha, beta), 1, packing)
+    assert [sorted(column) for column in packed.table] == [sorted(column) for column in c1.table]
 
 
 def test_q_only_and_gauged_checks_never_reach_the_term_kernel():
@@ -232,6 +275,18 @@ def test_wide_int_values_take_the_term_kernel(monkeypatch):
     with _counting("_apply_terms") as calls:
         assert check_ybe(wide).passed
     assert calls
+    # the gauge of a mutant passes the gauge lemma and takes the term form
+    # too, keeping its p: the term path's witnesses, not shifted by p
+    shifted = False
+    for mutant in itertools.islice(_mutants(3, alpha, beta), 1, None, 9):
+        gauged = _gauged(mutant)
+        for check in ("ybe", "quadratic"):
+            with _counting("_apply_terms") as calls:
+                witness = tensor._witness(_words(check, gauged, alpha, beta))
+            assert calls and gauged._cache["gauge"] is True and witness is not None
+            assert witness == _reference(check, gauged, alpha, beta)
+            shifted = shifted or _gauge_power(witness) != 0
+    assert shifted
     fractional = cg_op(3, alpha, beta + Fraction(1, 3))
     with _counting("_apply_terms") as calls:
         assert check_ybe(fractional).passed
@@ -251,20 +306,21 @@ def _q_form_args(words):
 
 
 def test_scale_of_columns():
-    # low, lcm denominator, largest column l1 norm times it, and span
+    # low, lcm denominator, largest column l1 norm times it, span, and the
+    # largest |p exponent|
     x, y = q**-1 + HALF * q, Fraction(1, 3) * q**2 - 2 + q**3
-    assert kronecker.scale([{1: x}, {1: x, 2: y}], None) == (-1, 6, 6 + 3 + 2 + 12 + 6, 4)
-    assert kronecker.scale([{1: x}, {2: p * q}], None) is None
-    assert kronecker.scale([{1: q + q**2}], None) == (1, 1, 2, 1)
-    assert kronecker.scale([{1: 3, 2: -4}, {1: 5}], 7) == (0, 7, 7, 0)
-    assert kronecker.scale([{None: LaurentQP.zero()}], None) == (0, 1, 0, 0)
+    assert kronecker.scale([{1: x}, {1: x, 2: y}], None) == (-1, 6, 6 + 3 + 2 + 12 + 6, 4, 0)
+    assert kronecker.scale([{1: x}, {2: p * q}], None) == (-1, 2, 3, 2, 1)
+    assert kronecker.scale([{1: q + q**2}], None) == (1, 1, 2, 1, 0)
+    assert kronecker.scale([{1: 3, 2: -4}, {1: 5}], 7) == (0, 7, 7, 0, 0)
+    assert kronecker.scale([{None: LaurentQP.zero()}], None) == (0, 1, 0, 0, 0)
 
 
 def test_built_and_summed_operators_hold_one_object_per_distinct_value():
     n = 6
     twisted = cg_twisted_op(n)
     summed = compose_sum([(q, permutation_op(n)), (q - q**-1, g_op(n)), (q**-2, g_op(n), g_op(n))])
-    for op in (twisted, summed, tensor._gauge_stripped(twisted)):
+    for op in (twisted, summed):
         values = [value for column in op._columns.values() for value in column.values()]
         assert all(type(value) is LaurentQP for value in values)
         assert len({id(value) for value in values}) == len(set(values)) < len(values)
