@@ -84,16 +84,18 @@ MAX_RATIONAL_DIGITS = 64
 
 # Bounds on each --alpha/--beta value, checked right after it is parsed:
 # its terms, the largest |exponent| of q or p, and the bits of its widest
-# coefficient (numerator plus denominator).  Terms and fractions set the
-# cost.  ybe, compat, mixed, gp and quadratic of --op cg at n = 16 take
-# 0.3-0.6 s with the default parameters and 0.45-0.55 s with 3-term ones
-# in q alone, both on ints; with parameters that carry p, on the term
-# dicts, 0.7-1.3 s with 2-term ones and 1.1-2.3 s with 3-term ones.  At
-# all three bounds they take 2.2-2.5 s in q alone and 3.1 s with p when
-# the coefficients are ints, 15-21 s in q alone and 51-55 s with p when
-# they are fractions (32-bit numerator and denominator), whole processes
-# on the VM above; with 4-term parameters of degree 3 in q and p, past the
-# bound, 2.9-3.6 s.  Exponents and bits set the digits printed.
+# coefficient (numerator plus denominator).  Terms and widths set the
+# cost; every sum adds ints over one denominator, so a fraction costs
+# about what an int of its bits does.  ybe, compat, mixed, gp and
+# quadratic of --op cg at n = 16 take 0.3-0.6 s with the default
+# parameters and 0.45-0.55 s with 3-term ones in q alone, both in the q
+# form; with parameters that carry p, on the term dicts, 0.7-1.3 s with
+# 2-term ones and 1.1-2.3 s with 3-term ones.  At all three bounds, on the
+# term dicts, they take 2.2-3.0 s in q alone and 3.3-4.0 s with p when
+# the coefficients are ints, and 2.4-2.9 s in q alone and 3.4-3.7 s with
+# p when they are fractions (32-bit numerator and denominator), whole
+# processes on the VM above; with 4-term parameters of degree 3 in q and
+# p, past the bound, 2.9-3.6 s.  Exponents and bits set the digits printed.
 # An entry of cg is alpha, beta, -beta or alpha - beta: at most 6 terms
 # (u/v)·q^a·p^b with |a|, |b| <= 10 and |u|, v < 2^64.  eval evaluates it
 # at q = r/s and p = r'/s' with |r|, s, |r'|, s' < 10^63 (64-character

@@ -48,15 +48,16 @@ digits in its place: all of them for an operator applied whole, and
 (j, k) at 23.  So no lift, product, identity or scalar multiple is built.
 :func:`compose_sum` keeps the column at every input; a check keeps only
 the first nonzero one (:func:`_witness`), walking only the inputs with min
-index 1 when the translation lemma allows.  The values of a sum take one
-of two forms.  When no operator or scalar of the sum carries p, the
-kernel adds int products: each value is a Laurent polynomial in q, scaled
-to a polynomial with int coefficients and substituted at q = 2^k for a k
-that keeps every coefficient one digit (:mod:`cgybe.kronecker`).  An
-operator stored as ints is read as it is stored, so a sum of constants
-adds int products over one common denominator, with no exponent pairs or
-``Fraction`` arithmetic.  Otherwise the kernel adds the terms of
-LaurentQP coefficients into one raw dict per output.  The gauge is a
+index 1 when the translation lemma allows.  Every sum is scaled to int
+coefficients over one denominator, and its kernel adds int products with
+no ``Fraction`` arithmetic (:mod:`cgybe.kronecker`); its values take one
+of two forms.  When no operator or scalar of the sum carries p and its
+values are narrow enough, each value is a Laurent polynomial in q with
+int coefficients, substituted at q = 2^k for a k that keeps every
+coefficient one digit.  An operator stored as ints is read as it is
+stored, so a sum of constants adds int products over one common
+denominator, with no exponent pairs.  Otherwise the kernel adds the int
+terms of the coefficients into one raw dict per output.  The gauge is a
 lemma whose operators are read with p dropped; no copy is built: a check
 over operators that pass it, as the two-parameter matrix does, runs in
 the q form on their own values and puts p back into its witness
@@ -448,15 +449,15 @@ def compose_sum(words) -> TensorOp:
     order.  In the q form, when the least q exponent is 0 and every int is
     one balanced digit, as in every sum of constants, each int is its
     value at q^0 times the sum's denominator, and the columns are stored
-    as they are over it.  Otherwise each distinct raw value is read back
-    once, equal ints sharing one LaurentQP, and the result is stored by
+    as they are over it.  Otherwise each raw value is read back, equal
+    q-form ints once, sharing one LaurentQP, and the result is stored by
     :func:`_stored_form`, so a sum whose values are all constant is stored
     as ints.
     """
     total = _Sum([_word(word) for word in words])
     columns = {inp: column for inp in total.basis if (column := total.column(inp))}
     read = total.value
-    if total.digits is not None:
+    if total.base is None:
         k, least, den = total.digits
         half = 1 << (k - 1)
         if least == 0 and all(-half < v < half for c in columns.values() for v in c.values()):
@@ -507,8 +508,8 @@ def _witness(words) -> Witness | None:
     values with p dropped, so when no scalar carries p the q form of
     :class:`_Sum` runs the sum over X by reading the operators' own values,
     and the witness gets its power of p back.  In the term form, taken for
-    a scalar that carries p or for wide int values, the operators keep
-    their p, and the coefficient is already the true one.  Each operator
+    a scalar that carries p or for wide values, the operators keep their
+    p, and the coefficient is already the true one.  Each operator
     keeps its lemma results, so a later sum over it does not run them
     again.
     """
@@ -637,33 +638,36 @@ class _Sum:
     itself.  :meth:`column` does all of it into one accumulator; no lift,
     product, identity or partial sum is built.  Each operator keeps the
     factor it was last packed into at each stride, with the packing it was
-    packed for, (``base``, k) of the forms below; a sum that needs another
-    packing packs it again in its place.  So a later sum over the same
-    operator in the same form packs nothing, and an operator holds at most
-    two packed factors.
+    packed for, (``base``, k) of the forms below: (base, None) in the term
+    form, and (None, k) in the q form, k None for an operator stored as
+    ints; a sum that needs another packing packs it again in its place.
+    So a later sum over the same operator in the same form packs nothing,
+    and an operator holds at most two packed factors.
 
-    Every value of the sum takes one of two forms, chosen from the scales
-    of its operators and scalars by :func:`~cgybe.kronecker.form`:
+    Every value of the sum holds den times its coefficient, so that every
+    coefficient the kernel adds is an int: ``digits`` = (k, least q
+    exponent, den) of :func:`~cgybe.kronecker.form`, den the lcm of the
+    words' denominators.  Each operator keeps its scale (:func:`_q_scale`),
+    d among it, and is packed times d; an operator stored as ints is read
+    as its stored ints.  So no ``Fraction`` is built or multiplied inside
+    the kernel.  That denominator is not reduced by the gcd of the values:
+    1/3 + 2/3 is held as 15 over 15 when another word has denominator 5,
+    and a result used as a factor of a further sum carries it into that
+    sum's.  The values take one of two forms, chosen from the scales of its
+    operators and scalars by :func:`~cgybe.kronecker.form`:
 
     * when none carries p, ints (the q form), each the value at q = 2^k of
-      a Laurent polynomial in q scaled to int coefficients, with
-      ``digits`` = (k, least q exponent, denominator) to read it back.
-      ``gauge``, set by :func:`_witness` when every operator passes the
-      gauge lemma, lets the operators carry p: the gauge is a lemma whose
-      operators are read with p dropped, and no copy is built.
-      Each operator keeps its scale (:func:`_q_scale`); an operator stored
-      as ints is read as its stored ints.  So a sum of constants, whose
-      every low and span is 0, adds ints over the lcm of the words'
-      denominators, and no ``Fraction`` is built.  That denominator is not
-      reduced by the gcd of the values: 1/3 + 2/3 is held as 15 over 15
-      when another word has denominator 5, and a result used as a factor of
-      a further sum carries it into that sum's.  Int coefficients whose
-      values would be wider than ``kronecker.WIDEST_INT_VALUE`` bits take
+      a Laurent polynomial in q with int coefficients.  ``gauge``, set by
+      :func:`_witness` when every operator passes the gauge lemma, lets
+      the operators carry p: the gauge is a lemma whose operators are read
+      with p dropped, and no copy is built.  A sum of constants, whose
+      every low and span is 0, adds ints each one digit at q^0.  Values
+      that would be wider than ``kronecker.WIDEST_INT_VALUE`` bits take
       the term form instead, where the products are cheaper;
-    * otherwise raw term dicts ``{a·base + b: coeff}`` for the terms
+    * otherwise raw term dicts ``{a·base + b: int coeff}`` for the terms
       q^a·p^b.  Equal operator values share one packed tuple of terms.
 
-    :meth:`value` reads a raw value back.
+    :meth:`value` reads a raw value back, divided by den.
     """
 
     __slots__ = ("n", "arity", "base", "digits", "basis", "codes", "groups")
@@ -682,7 +686,7 @@ class _Sum:
                 )
         self.basis, self.codes = _basis(n, arity)
         self.base, self.digits, starts = kronecker.form(words, _q_scale, gauge)
-        k = self.digits and self.digits[0]
+        k = self.digits[0] if self.base is None else None
 
         def factor(op: TensorOp, place: int | None) -> _Factor:
             stride = n if place == 12 else 1
@@ -723,37 +727,37 @@ class _Sum:
 
     def value(self, raw) -> LaurentQP:
         """The LaurentQP of a nonzero raw value: the digits of the int in
-        the q form, the terms of the dict in the term form
-        (:mod:`cgybe.kronecker`)."""
+        the q form, the terms of the dict in the term form, each divided
+        by the sum's den (:mod:`cgybe.kronecker`)."""
         if self.base is None:
             return kronecker.decode(raw, *self.digits)
-        return kronecker.decode_terms(raw, self.base)
+        return kronecker.decode_terms(raw, self.base, self.digits[2])
 
 
 def _q_scale(op: TensorOp) -> tuple[int, int, int, int, int]:
     """op's (low, d, ‖op‖, span, reach) of :func:`~cgybe.kronecker.scale`,
-    kept in ``op._cache``: the q form of :class:`_Sum` reads all of it, the
-    term form its reach."""
+    kept in ``op._cache``: :func:`~cgybe.kronecker.form` reads all of it
+    to choose a form, and :func:`_factor` packs op's values times d."""
     return _cached(op, "q", lambda op: kronecker.scale(op._columns.values(), op._den))
 
 
 def _factor(op: TensorOp, stride: int, packing: tuple) -> _Factor:
     """op at ``stride``, its values packed as a :class:`_Sum` reads them,
-    for ``packing`` = (base, k): as tuples of (term key, coeff) in the term
-    form (base), as the ints of :func:`~cgybe.kronecker.encode` for a
-    Laurent operator in the q form (k), else as stored.  A packed value is
+    for ``packing`` = (base, k), times op's d of :func:`_q_scale`: as
+    tuples of (term key, int coeff) of
+    :func:`~cgybe.kronecker.encode_terms` in the term form (base), as the
+    ints of :func:`~cgybe.kronecker.encode` for a Laurent operator in the q
+    form (k), else as stored.  A packed value is
     made once per distinct value of op: keyed by the value for an int-form
     operator and by its terms for a Laurent one."""
     den, size, interned = op._den, op.n**op.arity, {}
     codes = _basis(op.n, op.arity)[1]
     base, k = packing
-    if k is not None:
-        low, d, *_ = _q_scale(op)
+    low, d, *_ = _q_scale(op)
+    if base is not None:
+        encode = functools.partial(kronecker.encode_terms, den=d, base=base)
+    elif k is not None:
         encode = functools.partial(kronecker.encode, low=low, den=d, k=k)
-    elif base is not None:
-
-        def encode(terms):
-            return tuple((a * base + b, x) for (a, b), x in terms.items())
 
     def pack(value):
         key = tuple(value._terms.items()) if den is None else value

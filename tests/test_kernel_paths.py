@@ -5,8 +5,9 @@ and so does a sum over operators that pass the gauge lemma, when no scalar
 carries p: the gauge is a lemma whose operators are read with p dropped;
 no copy is built.  Each test here compares those paths with the term
 kernel (``tensor._apply_terms``), which the reference forces on fresh
-copies of the operators: ``kronecker.q_starts`` takes no sum and no
-operator passes the gauge lemma.
+copies of the operators: ``kronecker.WIDEST_INT_VALUE`` is -1, so no sum
+is narrow enough for the q form.  In the term form the operators keep
+their p, so no gauge applies there.
 """
 
 from __future__ import annotations
@@ -73,10 +74,16 @@ def _counting(name):
 @contextlib.contextmanager
 def _term_path():
     """Every sum inside the block on the term kernel, a constant one
-    included: no q form and no gauge."""
-    with mock.patch.object(kronecker, "q_starts", return_value=None), mock.patch.object(
-        tensor, "_gauge_lemma", return_value=False
-    ):
+    included: no q form, so no gauge."""
+    with mock.patch.object(kronecker, "WIDEST_INT_VALUE", -1):
+        yield
+
+
+@contextlib.contextmanager
+def _q_form():
+    """Every sum in q alone inside the block on the int kernel, however
+    wide its values."""
+    with mock.patch.object(kronecker, "WIDEST_INT_VALUE", 10**9):
         yield
 
 
@@ -164,8 +171,9 @@ def _verify_lines(*argv):
 
 def test_params_at_the_bounds_decode_the_term_path_witness():
     # three terms in q alone, |exponent| and coefficient bits at their
-    # bounds, and a fraction in each: the q form's digits and denominator
-    # are widest here
+    # bounds, and a fraction in each: the values are too wide for the q
+    # form, so the term kernel adds their ints over the widest
+    # denominator, and the q form, forced, gives the same witnesses
     e = MAX_PARAM_EXPONENT
     c = 2 ** (MAX_PARAM_COEFF_BITS - 1) - 1
     f = "4294967291*2147483649^-1"
@@ -180,17 +188,20 @@ def test_params_at_the_bounds_decode_the_term_path_witness():
         for check in ("ybe", "quadratic"):
             with _counting("_apply_terms") as calls:
                 witness = tensor._witness(_words(check, mutant, alpha, beta))
-            assert calls == [] and witness is not None
-            assert witness == _reference(check, mutant, alpha, beta)
+            assert calls and witness is not None
+            with _q_form(), _counting("_apply_terms") as calls:
+                assert witness == tensor._witness(_words(check, _fresh(mutant), alpha, beta))
+            assert calls == []
     # the CLI prints the same reports on both paths, a failing hecke among them
     runs = {}
     for checks, x in (("ybe,compat,mixed,gp,quadratic", "alpha"), ("hecke,quadratic", "unit")):
         argv = ["--n", "4", "--checks", checks, f"--alpha={text[x]}", f"--beta={text['beta']}"]
         with _counting("_apply_terms") as calls:
             runs[x] = _verify_lines(*argv)
-        assert calls == []
-        with _term_path():
+        assert calls
+        with _q_form(), _counting("_apply_terms") as calls:
             assert runs[x] == _verify_lines(*argv)
+        assert calls == []
     assert runs["alpha"][0] == 0
     assert runs["unit"][0] == 1 and [r["passed"] for r in runs["unit"][1]] == [False, True]
 
@@ -260,18 +271,15 @@ def test_q_only_and_gauged_checks_never_reach_the_term_kernel():
 
 
 def test_wide_int_values_take_the_term_kernel(monkeypatch):
-    # int coefficients whose q-form ints would be wider than the limit run
-    # on the term dicts, where their products are cheaper; a Fraction
-    # keeps the q form at any width
+    # coefficients whose q-form ints would be wider than the limit run on
+    # the term dicts, where their products are cheaper, ints or fractions
     e, c = MAX_PARAM_EXPONENT, 2 ** (MAX_PARAM_COEFF_BITS - 1) - 1
     alpha = c * q**e + c * q**-e + c * q ** (e - 1)
     beta = c * q**-e + c * q**e + c
     wide = cg_op(3, alpha, beta)
-    words = _words("ybe", wide, alpha, beta)
-    monkeypatch.setattr(kronecker, "WIDEST_INT_VALUE", 10**9)
-    ((k, _, den), _) = kronecker.q_starts(*_q_form_args(words))
-    monkeypatch.undo()
-    assert den == 1 and k * 2 * e > kronecker.WIDEST_INT_VALUE
+    words = [tensor._word(word) for word in _words("ybe", wide, alpha, beta)]
+    base, (k, _, den), _ = kronecker.form(words, tensor._q_scale, False)
+    assert base is not None and den == 1 and k * 2 * e > kronecker.WIDEST_INT_VALUE
     with _counting("_apply_terms") as calls:
         assert check_ybe(wide).passed
     assert calls
@@ -290,19 +298,12 @@ def test_wide_int_values_take_the_term_kernel(monkeypatch):
     fractional = cg_op(3, alpha, beta + Fraction(1, 3))
     with _counting("_apply_terms") as calls:
         assert check_ybe(fractional).passed
-    assert calls == []
+    assert calls
     # the limit is inclusive
     monkeypatch.setattr(kronecker, "WIDEST_INT_VALUE", k * 2 * e)
-    assert kronecker.q_starts(*_q_form_args(words)) is not None
+    assert kronecker.form(words, tensor._q_scale, False)[0] is None
     monkeypatch.setattr(kronecker, "WIDEST_INT_VALUE", k * 2 * e - 1)
-    assert kronecker.q_starts(*_q_form_args(words)) is None
-
-
-def _q_form_args(words):
-    """The arguments ``kronecker.form`` passes to ``kronecker.q_starts``."""
-    words = [tensor._word(word) for word in words]
-    scales = [kronecker.scale([{None: scalar}], None) for scalar, _ in words]
-    return words, scales, tensor._q_scale
+    assert kronecker.form(words, tensor._q_scale, False)[0] is not None
 
 
 def test_scale_of_columns():

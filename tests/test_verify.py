@@ -409,9 +409,17 @@ def test_rational_checks_do_no_fraction_arithmetic(monkeypatch):
     assert check_quadratic(4, alpha, beta).passed
     assert not calls
     assert entered == {"_witness": 2, "_Sum": 3, "compose_sum": 1}
-    # the counters do see Fraction arithmetic inside the term kernel
-    tracked([(q * p * Fraction(1, 2), numeric)])
-    assert calls["__mul__"] + calls["__rmul__"] > 0
+    # a Fraction scalar that carries p, over the operator's Fraction
+    # values, takes the term kernel, which adds ints over the sum's
+    # denominator as the q form does: no Fraction arithmetic in the sum,
+    # and the Fractions built as its values are read back show that the
+    # counters count
+    monkeypatch.setattr(tensor, "_apply_terms", tracking(tensor._apply_terms))
+    scalar = q * p * Fraction(1, 2)
+    summed = tracked([(scalar, numeric)])
+    assert entered["_apply_terms"] > 0
+    assert set(calls) == {"__new__"}
+    assert summed == numeric.map_coeffs(lambda c: c * scalar)
     monkeypatch.undo()
 
     report = check_hecke(cg_op(5, 3, 7), 3)
