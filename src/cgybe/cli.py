@@ -26,18 +26,18 @@ an empty window (--lo above --hi), or windows holding more than
 ``oracles.MAX_WINDOW_TUPLES`` tuples in total.  An output that cannot be
 written (a closed pipe, a full disk) also exits 2, with one ``error:``
 line and no traceback, once the command has run.  Reports stream as JSON
-lines in sorted check order.  verify runs the selected checks as one
-``verify.run_checks`` whose X is the operand --op names (R for cg): it
-builds each operand on first read, and an equation that two checks list
-(compat is the first sum of mixed) is walked once and reported under
-both.
+lines in sorted check order, and gen and eval JSON as they walk the
+entries or rows (``jsontext``).  verify runs the selected checks
+as one ``verify.run_checks`` whose X is the operand --op names (R for
+cg): it builds each operand on first read, and an equation that two
+checks list (compat is the first sum of mixed) is walked once and
+reported under both.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import re
 import sys
@@ -69,10 +69,10 @@ MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
 # Largest rank of a dense matrix (eval, gen --format latex), which has n^4
-# cells: at n = 56, on the same VM, eval --op cg takes about 12 s and 840 MB
-# as JSON, 5-6 s and 240 MB as CSV, and gen --format latex 3.2 s.  gen
-# --format json stays sparse and shares MAX_VERIFY_RANK_2FOLD, the cap of
-# the same 2-fold operators in verify.
+# cells: at n = 56, on the same VM, eval --op cg takes about 2 s and 46 MB
+# as JSON, 2.7 s and 114 MB as CSV, and gen --format latex 1.0 s and
+# 143 MB.  gen --format json stays sparse and shares
+# MAX_VERIFY_RANK_2FOLD, the cap of the same 2-fold operators in verify.
 MAX_DENSE_RANK = 56
 
 # Longest eval --q/--p literal, in characters, checked before Fraction reads
@@ -323,16 +323,6 @@ def _resolve_params(args, checks=()):
     return lambda name: OPERANDS[name][1](args.n, values["alpha"], values["beta"])
 
 
-def _write_json(payload, handle) -> None:
-    """Write ``payload`` as indented JSON and a newline, in batches of encoder
-    chunks: json.dumps would hold every chunk and their join at once, and
-    one write per chunk (json.dump) takes twice as long."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    for batch in iter(lambda: list(itertools.islice(chunks, 1 << 12)), []):
-        handle.write("".join(batch))
-    handle.write("\n")
-
-
 def _open_output(out_path: str | None):
     """The file at ``out_path`` opened for writing, or stdout left open, as
     a context manager; a path that cannot be opened raises ValueError."""
@@ -382,7 +372,10 @@ def cmd_gen(args) -> int:
     with _open_output(args.out) as handle:
         operator = build(OPERATORS[args.op])
         if args.format == "json":
-            _write_json(operator.to_json_obj(), handle)
+            from .jsontext import entry_texts, write_indented  # only to write JSON
+
+            head = {"n": operator.n, "arity": operator.arity}
+            write_indented(handle, head, "entries", entry_texts(operator), 1000)
         else:
             handle.write(operator.to_latex())
     return 0
@@ -424,14 +417,10 @@ def cmd_eval(args) -> int:
         if args.format == "csv":
             handle.write(numeric.to_numeric_csv())
         else:
-            payload = {
-                "op": args.op,
-                "n": args.n,
-                "q": str(qval),
-                "p": str(pval),
-                "rows": [[str(cell) for cell in row] for row in numeric.to_numeric_rows()],
-            }
-            _write_json(payload, handle)
+            from .jsontext import row_texts, write_indented
+
+            head = {"op": args.op, "n": args.n, "q": str(qval), "p": str(pval)}
+            write_indented(handle, head, "rows", row_texts(numeric), 1)
     return _report([check_ybe(numeric, name="ybe_numeric")] if args.check_ybe else [], sys.stderr)
 
 

@@ -285,8 +285,9 @@ class TensorOp:
         """All basis labels in row-major order: (1,..,1), (1,..,2), ..."""
         return list(_basis(self.n, self.arity)[0])
 
-    def _dense_rows(self, cell) -> list[list]:
-        """Dense matrix of ``cell(coefficient)``, a missing entry read as zero.
+    def _dense_rows(self, cell):
+        """Dense matrix of ``cell(coefficient)``, a missing entry read as zero,
+        one row at a time.
 
         Row r is the flattened input tuple (row-major, 1-based), column c the
         flattened output tuple.  The one copy of the dense loop behind every
@@ -296,13 +297,12 @@ class TensorOp:
         """
         den = self._den
         blank = cell(LaurentQP.zero())
-        basis = self.basis_tuples()
-        rows = []
+        basis, codes = _basis(self.n, self.arity)
         for inp in basis:
-            column = self._columns.get(inp, {})
-            image = {out: cell(_coeff(value, den)) for out, value in column.items()}
-            rows.append([image.get(out, blank) for out in basis])
-        return rows
+            row = [blank] * len(basis)
+            for out, value in self._columns.get(inp, {}).items():
+                row[codes[out]] = cell(_coeff(value, den))
+            yield row
 
     def to_numeric_rows(self) -> list[list[Fraction]]:
         """Dense rational matrix of a numerically evaluated operator.
@@ -310,7 +310,7 @@ class TensorOp:
         Row r is the flattened input tuple (row-major, 1-based), column c the
         flattened output tuple.  Raises if any coefficient still contains q or p.
         """
-        return self._dense_rows(LaurentQP.constant_value)
+        return list(self._dense_rows(LaurentQP.constant_value))
 
     def to_numeric_csv(self) -> str:
         """CSV rendering of :meth:`to_numeric_rows` with num/den cells."""

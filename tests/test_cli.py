@@ -598,6 +598,25 @@ def test_verify_2fold_checks_at_the_cap_within_100_mb():
     assert peak <= 100, f"peak RSS {peak:.1f} MB is over 100 MB"
 
 
+def test_gen_json_at_the_cap_within_60_mb(tmp_path):
+    # gen writes its entries in batches as it walks them, and builds no
+    # dict per entry; the operator itself peaks at about 43 MB
+    target = tmp_path / "cg2.json"
+    argv = ["gen", "--op", "cg2", "--n", str(MAX_VERIFY_RANK_2FOLD), "--out", str(target)]
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_STARTER, "120", sys.executable, "-m", "cgybe", *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=150,
+    )
+    assert result.returncode == 0, result.stderr
+    peak = int(result.stderr.splitlines()[-1]) / 1024  # kB on Linux
+    assert peak <= 60, f"peak RSS {peak:.1f} MB is over 60 MB"
+    read_back = TensorOp.from_json_obj(json.loads(target.read_text()))
+    assert read_back == cg_twisted_op(MAX_VERIFY_RANK_2FOLD)
+
+
 def test_alpha_nested_past_the_recursion_limit_is_a_usage_error(capsys):
     deep = "(" * 1200 + "q" + ")" * 1200
     code, out, err = run_cli(capsys, "verify", "--n", "2", "--checks", "hecke", f"--alpha={deep}")
@@ -610,6 +629,92 @@ def test_gen_json_reads_back_at_n8(capsys):
     code, out, _ = run_cli(capsys, "gen", "--op", "cg2", "--n", "8")
     assert code == 0
     assert TensorOp.from_json_obj(json.loads(out)) == cg_twisted_op(8)
+
+
+# The operator each --op builds at the default parameters.
+BUILDERS = {
+    "perm": permutation_op,
+    "g": g_op,
+    "cg": lambda n: cg_op(n, *hecke_parameters()),
+    "cg2": cg_twisted_op,
+}
+
+
+def _indented(obj) -> str:
+    """The text gen and eval lay out by hand: json.dumps at indent 2, a newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("op", BUILDERS)
+def test_gen_json_is_json_dumps_indented(capsys, op, n):
+    # g at n = 1 has no entries: "entries": [] on one line
+    code, out, _ = run_cli(capsys, "gen", "--op", op, "--n", str(n))
+    assert code == 0
+    assert out == _indented(BUILDERS[op](n).to_json_obj())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--alpha=-q", "--beta=-2"),
+        ("--alpha=2^-1*q", "--beta=-3^-1*q^-2"),
+        ("--alpha=q+p", "--beta=-p^-1"),
+        ("--alpha=-5^-1*q*p^2",),
+    ],
+    ids=["negative", "fractional", "carries-p", "fractional-with-p"],
+)
+def test_gen_json_with_params_is_json_dumps_indented(capsys, flags):
+    values = dict(zip(("alpha", "beta"), hecke_parameters()))
+    for flag in flags:
+        name, text = flag[2:].split("=", 1)
+        values[name] = parse_laurent_expr(text)
+    code, out, _ = run_cli(capsys, "gen", "--op", "cg", "--n", "4", *flags)
+    assert code == 0
+    assert out == _indented(cg_op(4, values["alpha"], values["beta"]).to_json_obj())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: g_op(5),
+        lambda: cg_twisted_op(5),
+        lambda: TensorOp(
+            2, 3, {((1, 2, 1), (2, 1, 1)): q - 1, ((2, 2, 2), (1, 1, 1)): Fraction(-3, 7) * p}
+        ),
+    ],
+    ids=["g", "cg2", "3-fold"],
+)
+def test_gen_json_of_a_read_back_operator(capsys, monkeypatch, build):
+    # read back from JSON, every entry holds its own coefficient object
+    read_back = TensorOp.from_json_obj(json.loads(json.dumps(build().to_json_obj())))
+    monkeypatch.setattr(cli, "cg_twisted_op", lambda n: read_back)
+    code, out, _ = run_cli(capsys, "gen", "--op", "cg2", "--n", str(read_back.n))
+    assert code == 0
+    assert out == _indented(read_back.to_json_obj())
+
+
+def test_gen_json_past_one_batch(capsys):
+    # gen writes its entries 1000 at a time
+    operator = cg_twisted_op(16)
+    assert len(operator.sorted_entries()) == 1496
+    code, out, _ = run_cli(capsys, "gen", "--op", "cg2", "--n", "16")
+    assert code == 0
+    assert out == _indented(operator.to_json_obj())
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("op", BUILDERS)
+def test_eval_json_is_json_dumps_indented(capsys, op, n):
+    for q_text, p_text in (("3/2", "2"), ("-3/2", "-1/3"), ("-2", "5/7")):
+        argv = ("eval", "--op", op, "--n", str(n), f"--q={q_text}", f"--p={p_text}")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        qval, pval = Fraction(q_text), Fraction(p_text)
+        rows = BUILDERS[op](n).eval_at(qval, pval).to_numeric_rows()
+        payload = {"op": op, "n": n, "q": str(qval), "p": str(pval)}
+        payload["rows"] = [[str(cell) for cell in row] for row in rows]
+        assert out == _indented(payload)
 
 
 IDENTITY_RUNS = [
