@@ -6,7 +6,9 @@ Operators are sparse endomorphisms of V⊗V with Laurent-polynomial
 entries, printed here through their action on basis vectors e_i⊗e_j.
 """
 
-from cgybe import cg_op, cg_twisted_op, eta, g_op, hecke_parameters, permutation_op
+import sys
+
+from cgybe import cg_op, cg_twisted_op, eta, export, g_op, hecke_parameters, permutation_op
 
 n = 3
 
@@ -48,4 +50,5 @@ show_action("two-parameter matrix (n=2), note the p-powers", c2)
 
 print("\nLaTeX rendering of the n=2 two-parameter matrix")
 print("(rows flatten input pairs, columns output pairs):\n")
-print(c2.to_latex())
+export.write(sys.stdout, "latex", c2)
+print()

@@ -6,9 +6,10 @@ matrix; the Yang-Baxter check re-runs unchanged on it.  The point q = p
 is the n = 2 member of the one-parameter specialization family.
 """
 
+import sys
 from fractions import Fraction
 
-from cgybe import cg_op, cg_twisted_op, check_ybe, hecke_parameters
+from cgybe import cg_op, cg_twisted_op, check_ybe, export, hecke_parameters
 
 print("=" * 60)
 print("Numeric evaluation at rational points")
@@ -29,4 +30,5 @@ alpha, beta = hecke_parameters()
 collapsed = cg_op(3, alpha, beta).eval_at(1, 1)
 print(f"(beta evaluates to {beta.eval(1, 1)}):")
 print("\nCSV export of the collapsed matrix:")
-print(collapsed.to_numeric_csv())
+export.write(sys.stdout, "csv", collapsed)
+print()

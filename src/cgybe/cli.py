@@ -26,12 +26,12 @@ an empty window (--lo above --hi), or windows holding more than
 ``oracles.MAX_WINDOW_TUPLES`` tuples in total.  An output that cannot be
 written (a closed pipe, a full disk) also exits 2, with one ``error:``
 line and no traceback, once the command has run.  Reports stream as JSON
-lines in sorted check order, and gen and eval JSON as they walk the
-entries or rows (``jsontext``).  verify runs the selected checks
-as one ``verify.run_checks`` whose X is the operand --op names (R for
-cg): it builds each operand on first read, and an equation that two
-checks list (compat is the first sum of mixed) is walked once and
-reported under both.
+lines in sorted check order, and gen and eval, in each of their formats,
+as they walk the entries or rows (``export``).  verify runs the
+selected checks as one ``verify.run_checks`` whose X is the operand
+--op names (R for cg): it builds each operand on first read, and an
+equation that two checks list (compat is the first sum of mixed) is
+walked once and reported under both.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
 # Largest rank of a dense matrix (eval, gen --format latex), which has n^4
-# cells: at n = 56, on the same VM, eval --op cg takes about 2 s and 46 MB
-# as JSON, 2.7 s and 114 MB as CSV, and gen --format latex 1.0 s and
-# 143 MB.  gen --format json stays sparse and shares
+# cells, written one row at a time: at n = 56, on the same VM, eval --op
+# cg takes 1.6-2.2 s of CPU and 46 MB as JSON or CSV, and gen --format
+# latex 0.5-0.8 s and 35 MB.  gen --format json stays sparse and shares
 # MAX_VERIFY_RANK_2FOLD, the cap of the same 2-fold operators in verify.
 MAX_DENSE_RANK = 56
 
@@ -323,15 +323,21 @@ def _resolve_params(args, checks=()):
     return lambda name: OPERANDS[name][1](args.n, values["alpha"], values["beta"])
 
 
-def _open_output(out_path: str | None):
-    """The file at ``out_path`` opened for writing, or stdout left open, as
-    a context manager; a path that cannot be opened raises ValueError."""
-    if not out_path:
-        return contextlib.nullcontext(sys.stdout)
+def _export(args, fmt: str, make, head=None):
+    """Open --out, or take stdout, then make the operator and write it
+    as ``fmt`` with ``export.write``; the operator.  A path that cannot
+    be opened raises ValueError before anything is built.  Only gen and
+    eval import ``export``, so no other command compiles it."""
     try:
-        return open(out_path, "w", encoding="utf-8")
+        output = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+    with output as handle:
+        from .export import write
+
+        operator = make()
+        write(handle, fmt, operator, head)
+    return operator
 
 
 def _report(reports, stream) -> int:
@@ -369,15 +375,7 @@ def cmd_gen(args) -> int:
     else:
         _require_rank(args.n, MAX_DENSE_RANK)
     build = _resolve_params(args)
-    with _open_output(args.out) as handle:
-        operator = build(OPERATORS[args.op])
-        if args.format == "json":
-            from .jsontext import entry_texts, write_indented  # only to write JSON
-
-            head = {"n": operator.n, "arity": operator.arity}
-            write_indented(handle, head, "entries", entry_texts(operator), 1000)
-        else:
-            handle.write(operator.to_latex())
+    _export(args, "entries" if args.format == "json" else "latex", lambda: build(OPERATORS[args.op]))
     return 0
 
 
@@ -411,16 +409,9 @@ def cmd_eval(args) -> int:
     pval = _parse_rational("--p", args.p)
     if qval == 0 or pval == 0:
         raise ValueError("q and p must be nonzero")
-    with _open_output(args.out) as handle:
-        operator = build(OPERATORS[args.op])
-        numeric = operator.eval_at(qval, pval)
-        if args.format == "csv":
-            handle.write(numeric.to_numeric_csv())
-        else:
-            from .jsontext import row_texts, write_indented
-
-            head = {"op": args.op, "n": args.n, "q": str(qval), "p": str(pval)}
-            write_indented(handle, head, "rows", row_texts(numeric), 1)
+    head = {"op": args.op, "n": args.n, "q": str(qval), "p": str(pval)}
+    fmt = "rows" if args.format == "json" else "csv"
+    numeric = _export(args, fmt, lambda: build(OPERATORS[args.op]).eval_at(qval, pval), head)
     return _report([check_ybe(numeric, name="ybe_numeric")] if args.check_ybe else [], sys.stderr)
 
 

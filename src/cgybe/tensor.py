@@ -85,7 +85,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import kronecker
-from .laurent import LaurentQP, as_laurent, rational_to_str
+from .laurent import LaurentQP, as_laurent
 
 __all__ = ["TensorOp", "compose_sum", "lift12", "lift23", "endo_eq"]
 
@@ -311,16 +311,6 @@ class TensorOp:
         flattened output tuple.  Raises if any coefficient still contains q or p.
         """
         return list(self._dense_rows(LaurentQP.constant_value))
-
-    def to_numeric_csv(self) -> str:
-        """CSV rendering of :meth:`to_numeric_rows` with num/den cells."""
-        rows = self._dense_rows(lambda coeff: rational_to_str(coeff.constant_value()))
-        return "\n".join(",".join(row) for row in rows) + "\n"
-
-    def to_latex(self) -> str:
-        """Dense pmatrix; rows flatten input tuples, columns output tuples."""
-        body = " \\\\\n".join(" & ".join(row) for row in self._dense_rows(LaurentQP.to_latex))
-        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}\n"
 
 
 def _shape(n: int, arity: int) -> None:

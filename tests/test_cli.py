@@ -617,6 +617,42 @@ def test_gen_json_at_the_cap_within_60_mb(tmp_path):
     assert read_back == cg_twisted_op(MAX_VERIFY_RANK_2FOLD)
 
 
+DENSE_AT_THE_CAP = [
+    ["eval", "--op", "cg", "--n", str(MAX_DENSE_RANK), "--q", "3/2", "--p", "2", "--format", "csv"],
+    ["gen", "--op", "cg", "--n", str(MAX_DENSE_RANK), "--format", "latex"],
+]
+
+
+@pytest.mark.parametrize("argv", DENSE_AT_THE_CAP, ids=["eval-csv", "gen-latex"])
+def test_dense_text_at_the_cap_within_60_mb(argv, tmp_path):
+    # CSV and LaTeX are written one row at a time as they are walked; joined
+    # into one string first, they peaked at 114 MB and 143 MB
+    target = tmp_path / "dense.txt"
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_STARTER, "120", sys.executable, "-m", "cgybe", *argv]
+        + ["--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=150,
+    )
+    assert result.returncode == 0, result.stderr
+    peak = int(result.stderr.splitlines()[-1]) / 1024  # kB on Linux
+    assert peak <= 60, f"peak RSS {peak:.1f} MB is over 60 MB"
+    text = target.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    side = MAX_DENSE_RANK**2
+    if argv[0] == "gen":
+        assert lines[0] == "\\begin{pmatrix}" and lines[-1] == "\\end{pmatrix}"
+        assert len(lines) == side + 2 and all(line.endswith(" \\\\") for line in lines[1:-2])
+        lines = lines[1:-1]
+        cells = [line.removesuffix(" \\\\").split(" & ") for line in lines]
+    else:
+        cells = [line.split(",") for line in lines]
+    assert len(cells) == side and {len(row) for row in cells} == {side}
+
+
 def test_alpha_nested_past_the_recursion_limit_is_a_usage_error(capsys):
     deep = "(" * 1200 + "q" + ")" * 1200
     code, out, err = run_cli(capsys, "verify", "--n", "2", "--checks", "hecke", f"--alpha={deep}")
@@ -786,11 +822,15 @@ OUTPUT_ERROR_CASES = [
     (["identities", "--lo", "-3", "--hi", "4"], "pipe"),
     (["verify", "--op", "cg", "--n", "3"], "full"),
     (["gen", "--op", "cg2", "--n", "8", "--out", "/dev/full"], None),
+    (["eval", "--op", "cg", "--n", "8", "--q", "3/2", "--p", "2", "--format", "csv"], "pipe"),
+    (["gen", "--op", "cg", "--n", "8", "--format", "latex", "--out", "/dev/full"], None),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, stdout", OUTPUT_ERROR_CASES, ids=["gen-pipe", "identities-pipe", "verify-full", "gen-out-full"]
+    "argv, stdout",
+    OUTPUT_ERROR_CASES,
+    ids=["gen-pipe", "identities-pipe", "verify-full", "gen-out-full", "eval-csv-pipe", "gen-latex-full"],
 )
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_unwritable_output_is_a_usage_error(argv, stdout, unbuffered):
