@@ -51,20 +51,21 @@ from .verify import CHECKS, check_ybe, hecke_scalar, operands_of, run_checks
 USAGE_ERROR = 2
 
 # Largest rank verify accepts, checked before any operator is built.  Every
-# --op passes the translation lemma, so the 3-fold checks (ybe, compat,
-# mixed) walk only the inputs with min index 1, one input column at a time,
+# --op passes the translation and mirror lemmas, so the 3-fold checks (ybe,
+# compat, mixed) walk only the inputs with min index 1, computing the
+# column of one input of each mirror pair, one input column at a time,
 # and hold no 3-fold operator (see verify.py); compat and mixed walk their
 # shared first sum once.  The sums of --op cg, and ybe and hecke of --op
 # cg2 through its gauge, run on ints (the q form of tensor.py).  All three
-# take 0.19-0.25 s at n = 16 and 0.75-0.82 s at n = 24 with --op cg2, whose
-# compat and mixed fail at their first input, 0.27-0.31 s and 1.1 s with
-# --op cg, and 0.21-0.22 s and 0.66-0.8 s with --op g, whole processes
-# (n = 24 with this cap raised) that peak at 18 MB of RSS at n = 16 and
-# 20-21 MB at n = 24, on a 2-core x86-64 VM with Python 3.11.  The 2-fold
-# checks (hecke, gp, quadratic) walk the same way, on the 2n - 1 inputs
-# with min index 1: all three take 0.6 s of CPU at n = 64 with --op cg
-# and 1.0-1.1 s with --op cg2, whole processes that peak at 43 MB, on the
-# same VM.
+# take 0.19-0.22 s at n = 16 and 0.67-0.82 s at n = 24 with --op cg2, whose
+# compat and mixed fail at their first input, 0.24-0.36 s and 0.73-0.89 s
+# with --op cg, and 0.18-0.19 s and 0.55-0.85 s with --op g, whole
+# processes (n = 24 with this cap raised) that peak at 18 MB of RSS at
+# n = 16 and 20-21 MB at n = 24, on a 2-core x86-64 VM with Python 3.11.
+# The 2-fold checks (hecke, gp, quadratic) walk the same way, on the
+# 2n - 1 inputs with min index 1: all three take 0.6 s of CPU at n = 64
+# with --op cg and 1.0-1.1 s with --op cg2, whole processes that peak at
+# 43 MB, on the same VM.
 MAX_VERIFY_RANK_3FOLD = 16
 MAX_VERIFY_RANK_2FOLD = 64
 
@@ -87,15 +88,15 @@ MAX_RATIONAL_DIGITS = 64
 # coefficient (numerator plus denominator).  Terms and widths set the
 # cost; every sum adds ints over one denominator, so a fraction costs
 # about what an int of its bits does.  ybe, compat, mixed, gp and
-# quadratic of --op cg at n = 16 take 0.3-0.6 s with the default
-# parameters and 0.45-0.55 s with 3-term ones in q alone, both in the q
-# form; with parameters that carry p, on the term dicts, 0.7-1.3 s with
-# 2-term ones and 1.1-2.3 s with 3-term ones.  At all three bounds, on the
-# term dicts, they take 2.2-3.0 s in q alone and 3.3-4.0 s with p when
-# the coefficients are ints, and 2.4-2.9 s in q alone and 3.4-3.7 s with
+# quadratic of --op cg at n = 16 take 0.25-0.35 s with the default
+# parameters and 0.23-0.35 s with 2- or 3-term ones in q alone, both in
+# the q form; with parameters that carry p, on the term dicts, 0.54-0.58 s
+# with 2-term ones and 1.0-1.1 s with 3-term ones.  At all three bounds, on
+# the term dicts, they take 1.3-1.7 s in q alone and 2.1-3.1 s with p when
+# the coefficients are ints, and 1.3-1.9 s in q alone and 2.1-2.9 s with
 # p when they are fractions (32-bit numerator and denominator), whole
 # processes on the VM above; with 4-term parameters of degree 3 in q and
-# p, past the bound, 2.9-3.6 s.  Exponents and bits set the digits printed.
+# p, past the bound, 1.8-2.1 s.  Exponents and bits set the digits printed.
 # An entry of cg is alpha, beta, -beta or alpha - beta: at most 6 terms
 # (u/v)·q^a·p^b with |a|, |b| <= 10 and |u|, v < 2^64.  eval evaluates it
 # at q = r/s and p = r'/s' with |r|, s, |r'|, s' < 10^63 (64-character

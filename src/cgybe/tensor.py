@@ -9,7 +9,7 @@ dense with symbolic entries.  The column is the unit every algorithm reads:
 a sum applies its factors' columns to one input vector at a time, so a
 product f∘g adds f's column at each output of a column of g; a lift copies
 whole columns; the translation lemma compares a column with the one below
-it.
+it, and the mirror lemma with its reflection.
 
 The values of an operator take one of two forms, recorded in ``den``:
 
@@ -27,7 +27,7 @@ through one helper that turns a stored value into a LaurentQP.
 Operators are immutable values.  Composition, sums and scalar multiples
 return new operators; ``f @ g`` is the operator product f∘g (g applied
 first).  What the sums derive from an operator, its packed factors, its
-scale and its translation- and gauge-lemma results, is kept in its
+scale and its translation-, mirror- and gauge-lemma results, is kept in its
 private ``_cache`` on first use (:class:`_Sum`, :func:`_witness`), so it
 lives and dies with the operator.
 
@@ -48,21 +48,25 @@ digits in its place: all of them for an operator applied whole, and
 (j, k) at 23.  So no lift, product, identity or scalar multiple is built.
 :func:`compose_sum` keeps the column at every input; a check keeps only
 the first nonzero one (:func:`_witness`), walking only the inputs with min
-index 1 when the translation lemma allows.  Every sum is scaled to int
-coefficients over one denominator, and its kernel adds int products with
-no ``Fraction`` arithmetic (:mod:`cgybe.kronecker`); its values take one
-of two forms.  When no operator or scalar of the sum carries p and its
-values are narrow enough, each value is a Laurent polynomial in q with
-int coefficients, substituted at q = 2^k for a k that keeps every
-coefficient one digit.  An operator stored as ints is read as it is
-stored, so a sum of constants adds int products over one common
-denominator, with no exponent pairs.  Otherwise the kernel adds the int
-terms of the coefficients into one raw dict per output.  The gauge is a
-lemma whose operators are read with p dropped; no copy is built: a check
-over operators that pass it, as the two-parameter matrix does, runs in
-the q form on their own values and puts p back into its witness
-(:func:`_witness`).  An equation is therefore checked without building
-its two sides or their difference.
+index 1 when the translation lemma allows.  At arity 3 it computes the
+column of only one input of each pair that the mirror τ matches: τ reverses
+the tensor factors and takes each index i to n+1−i, and it applies when the
+operators pass the mirror lemma and the words are τ-symmetric up to a sign,
+as YBE and the cubic sums are (``eta_reflection``, ids3, is the scalar twin
+of that lemma).  Every sum is scaled to int coefficients over one
+denominator, and its kernel adds int products with no ``Fraction``
+arithmetic (:mod:`cgybe.kronecker`); its values take one of two forms.
+When no operator or scalar of the sum carries p and its values are narrow
+enough, each value is a Laurent polynomial in q with int coefficients,
+substituted at q = 2^k for a k that keeps every coefficient one digit.  An
+operator stored as ints is read as it is stored, so a sum of constants
+adds int products over one common denominator, with no exponent pairs.
+Otherwise the kernel adds the int terms of the coefficients into one raw
+dict per output.  The gauge is a lemma whose operators are read with p
+dropped; no copy is built: a check over operators that pass it, as the
+two-parameter matrix does, runs in the q form on their own values and
+puts p back into its witness (:func:`_witness`).  An equation is
+therefore checked without building its two sides or their difference.
 
 Each kind of input is checked once, at its door: a rank and an arity by
 :func:`_shape` (the constructor, ``identity``, ``cgybe.model``); a basis
@@ -79,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -427,6 +432,41 @@ def _translation_invariant(f: TensorOp) -> bool:
     )
 
 
+def _mirror_lemma(f: TensorOp) -> bool:
+    """True iff f passes the mirror lemma: every entry out <- inp equals
+    the entry τ(out) <- τ(inp), for the mirror τ(t) = (n+1−t[−1], ...,
+    n+1−t[0]), which reverses the tensor factors and takes each index i to
+    n+1−i.  τ is an involution, so an image with an equal value for every
+    entry makes τ a bijection of the entries; columns are compared whole,
+    as the translation lemma compares them.  P, g, both Cremmer-Gervais
+    matrices (the p exponent i−a of cg2 is τ-invariant since a+b = i+j),
+    their evaluations and their JSON read-backs pass.  Its scalar twin is
+    ``eta_reflection`` (ids3) of :mod:`cgybe.oracles`.  O(nnz).
+    """
+    columns, top = f._columns, f.n + 1
+    return all(
+        columns.get(tuple(top - i for i in reversed(inp)))
+        == {tuple(top - i for i in reversed(out)): value for out, value in column.items()}
+        for inp, column in columns.items()
+    )
+
+
+def _mirrored(words) -> bool:
+    """True iff the words meet the word condition of the mirror: places 12
+    and 23 swapped in every word give the words again as a multiset, times
+    one sign ε = ±1, operators compared by identity and scalars by
+    equality.  YBE and both cubic sums meet it, each lhs word mapping to
+    its rhs word; a single word such as g12·g23 does not."""
+
+    def counts(swap: dict, sign: int) -> Counter:
+        return Counter(
+            (sign * scalar, tuple((id(op), swap.get(place, place)) for op, place in factors))
+            for scalar, factors in words
+        )
+
+    return counts({12: 23, 23: 12}, 1) in (counts({}, 1), counts({}, -1))
+
+
 def compose_sum(words) -> TensorOp:
     """The sum of the flat signed ``words`` ``(scalar, *factors)`` of the
     module docstring, as an operator.
@@ -476,7 +516,8 @@ def _witness(words) -> Witness | None:
     The rank and arity are the sum's.  When every operator of the words
     passes the translation lemma (:func:`_translation_invariant`), only the
     inputs with min index 1 are walked: about 3n² of the n³ at arity 3 and
-    2n − 1 of the n² at arity 2.  The column at an input with min index
+    2n − 1 of the n² at arity 2, and at arity 3 the mirror below computes
+    the columns of about half of them.  The column at an input with min index
     >= 2 is the column at the input one step down, its outputs shifted up
     by one; placed factors, products and sums keep that property, as does a
     word with no factor.  So a nonzero column at an input with min index m
@@ -484,6 +525,20 @@ def _witness(words) -> Witness | None:
     index 1 and is smaller: the sum vanishes iff it vanishes there, and its
     witness, with its coefficient, lies there.  When some operator fails
     the lemma, as a random one does, every input is walked.
+
+    When, at arity 3, every operator also passes the mirror lemma
+    (:func:`_mirror_lemma`) and the words meet its word condition
+    (:func:`_mirrored`), the sum S satisfies τSτ = εS: τ turns a factor
+    at 12 into the same operator at 23 and back, keeps a bare operator and
+    the identity, and keeps the order of each word's factors.  So the column at τ(t) is nonzero iff
+    the column at t is, and so, after a translation down, is the column at
+    σ(t) = (m+1−t[2], m+1−t[1], m+1−t[0]), m = max(t), which has min
+    index 1 too.  σ is an involution on those inputs, so the first nonzero
+    one in sorted order is the smaller of its pair: the walk skips every t
+    with σ(t) < t and still reaches it first, with the same witness,
+    output and coefficient, the gauge's power of p included.  At arity 2
+    σ fixes every input with min index 1, so no 2-fold sum runs the mirror
+    lemma.
 
     The gauge is a lemma whose operators are read with p dropped; no copy
     is built.  It is read when some operator carries q or p, and applies
@@ -508,7 +563,11 @@ def _witness(words) -> Witness | None:
     reduced = all(_cached(op, "lemma", _translation_invariant) for op in ops)
     gauge = any(op._den is None for op in ops) and all(_cached(op, "gauge", _gauge_lemma) for op in ops)
     total = _Sum(words, gauge)
+    mirrored = reduced and total.arity == 3 and _mirrored(words)
+    mirrored = mirrored and all(_cached(op, "mirror", _mirror_lemma) for op in ops)
     for t in _inputs(total.n, total.arity, reduced):
+        if mirrored and tuple(max(t) + 1 - i for i in reversed(t)) < t:
+            continue
         column = total.column(t)
         if column:
             out = min(column)

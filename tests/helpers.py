@@ -172,6 +172,11 @@ def holds_int_columns(op: TensorOp) -> bool:
     )
 
 
+def fresh(op: TensorOp) -> TensorOp:
+    """op with an empty cache: the same columns, nothing packed or read."""
+    return TensorOp._trusted(op.n, op.arity, op._den, op._columns)
+
+
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
         value = Fraction(rng.randint(-6, 6), rng.randint(1, 6))

@@ -27,6 +27,8 @@ from cgybe.cli import parse_laurent_expr
 from cgybe.laurent import p
 from cgybe.model import _gauged
 
+from helpers import fresh
+
 HALF = Fraction(1, 2)
 
 # (alpha, beta): the Hecke pair, a fractional alpha, a pair whose
@@ -57,11 +59,6 @@ def _words(check, op, alpha, beta):
     return verify.EQUATIONS["quadratic"][1](op, alpha, beta)
 
 
-def _fresh(op: TensorOp) -> TensorOp:
-    """op with an empty cache: the same columns, nothing packed or read."""
-    return TensorOp._trusted(op.n, op.arity, op._den, op._columns)
-
-
 @contextlib.contextmanager
 def _counting(name):
     """The calls to ``tensor.<name>`` inside the block, by their arguments."""
@@ -90,7 +87,7 @@ def _q_form():
 def _reference(check, op, alpha, beta):
     """The witness of ``check`` of op on the term path."""
     with _term_path():
-        return tensor._witness(_words(check, _fresh(op), alpha, beta))
+        return tensor._witness(_words(check, fresh(op), alpha, beta))
 
 
 def _mutants(n, alpha, beta):
@@ -122,7 +119,7 @@ def test_q_form_and_gauge_give_the_term_path_witness(n, pair):
     assert calls == []
     with _term_path():
         for (check, op), witness in zip(cases, fast):
-            reference = tensor._witness(_words(check, _fresh(op), alpha, beta))
+            reference = tensor._witness(_words(check, fresh(op), alpha, beta))
             assert witness == reference, (check, op.sorted_entries())
     assert any(fast)
 
@@ -190,7 +187,7 @@ def test_params_at_the_bounds_decode_the_term_path_witness():
                 witness = tensor._witness(_words(check, mutant, alpha, beta))
             assert calls and witness is not None
             with _q_form(), _counting("_apply_terms") as calls:
-                assert witness == tensor._witness(_words(check, _fresh(mutant), alpha, beta))
+                assert witness == tensor._witness(_words(check, fresh(mutant), alpha, beta))
             assert calls == []
     # the CLI prints the same reports on both paths, a failing hecke among them
     runs = {}

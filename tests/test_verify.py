@@ -40,6 +40,7 @@ from cgybe import (
 from helpers import (
     YBE_FAIL_FIXTURE_ENTRIES,
     YBE_FAIL_FIXTURE_WITNESS,
+    fresh,
     holds_int_columns,
     random_fraction,
     random_int,
@@ -681,6 +682,185 @@ def test_lemma_failures_check_every_input(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the mirror: operators passing the mirror lemma, in words that meet its
+# word condition, are checked on one input of each pair t, sigma(t) of
+# 3-fold inputs with min index 1
+
+
+_NONZERO = functools.partial(random_fraction, nonzero=True)
+
+
+def _reflect(tpl, m):
+    """The mirror of tpl in [1, m]: its indices reversed, each i as m + 1 - i."""
+    return tuple(m + 1 - i for i in reversed(tpl))
+
+
+def _sigma(t):
+    """The input a 3-fold input with min index 1 is paired with: its mirror
+    in [1, max(t)], which has min index 1 too."""
+    return _reflect(t, max(t))
+
+
+def _mirror_symmetric_op(rng, n, coeff):
+    """A random operator passing the translation and the mirror lemma: the
+    patterns of _translation_invariant_op, each set together with its
+    mirror in [1, max(input)], copied to every translate."""
+    entries = {}
+    for inp in itertools.product(range(1, n + 1), repeat=2):
+        if 1 not in inp:
+            continue
+        m = max(inp)
+        for out in itertools.product(range(1, m + 1), repeat=2):
+            pair = {(out, inp), (_reflect(out, m), _reflect(inp, m))}
+            if (out, inp) == min(pair) and rng.random() < 0.25:
+                value = coeff(rng)
+                for (o, i), t in itertools.product(pair, range(n - m + 1)):
+                    entries[(_shift(o, t), _shift(i, t))] = value
+    return TensorOp(n, 2, entries)
+
+
+def _computed_columns(monkeypatch):
+    """The input of every column a sum computes, in order."""
+    computed = []
+    column = tensor._Sum.column
+
+    def spy(self, t):
+        computed.append(t)
+        return column(self, t)
+
+    monkeypatch.setattr(tensor._Sum, "column", spy)
+    return computed
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mirror_lemma_holds_for_the_models(n):
+    twisted = cg_twisted_op(n)
+    operators = [
+        permutation_op(n),
+        g_op(n),
+        cg_op(n, *hecke_parameters()),
+        cg_op(n, q + p, q - q**-1),
+        twisted,
+        twisted.eval_at(Fraction(3, 2), Fraction(5, 7)),
+        TensorOp.from_json_obj(twisted.to_json_obj()),
+    ]
+    assert all(tensor._mirror_lemma(op) for op in operators)
+
+
+def test_mirror_lemma_fails_off_the_mirror():
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        random_invariant = _translation_invariant_op(rng, n, _NONZERO)
+        assert tensor._translation_invariant(random_invariant)
+        assert not tensor._mirror_lemma(random_invariant)
+    # one entry of a mirror pair changed fails it, both changed alike pass
+    rng = random.Random(1)
+    symmetric = _mirror_symmetric_op(rng, 4, _NONZERO)
+    for op in (g_op(4), cg_twisted_op(4), symmetric):
+        assert tensor._mirror_lemma(op)
+        entries = dict(op.entries)
+        for out, inp in entries:
+            image = (_reflect(out, 4), _reflect(inp, 4))
+            if image != (out, inp):
+                one_side = {**entries, (out, inp): entries[(out, inp)] + 1}
+                assert not tensor._mirror_lemma(TensorOp(4, 2, one_side))
+                both = {**one_side, image: entries.get(image, 0) + 1}
+                assert tensor._mirror_lemma(TensorOp(4, 2, both))
+    # the word condition: ybe and both cubic sums meet it, a single
+    # product, or a commutator of two operators, does not
+    perm, g = permutation_op(4), g_op(4)
+    for words in (
+        verify.EQUATIONS["ybe"][1](g),
+        verify.EQUATIONS["cubic(P,X)"][1](perm, g),
+        verify.EQUATIONS["cubic(X,P)"][1](g, perm),
+        [(1, (g, 12)), (-1, (g, 23))],
+    ):
+        assert tensor._mirrored([tensor._word(word) for word in words])
+    for words in (
+        [(1, (g, 12), (g, 23))],
+        [(1, (perm, 12), (g, 23)), (-1, (g, 23), (perm, 12))],
+        [(1, (g, 12)), (-2, (g, 23))],
+    ):
+        assert not tensor._mirrored([tensor._word(word) for word in words])
+
+
+def test_mirrored_checks_compute_one_input_of_each_pair(monkeypatch):
+    n = 6
+    perm, g, twisted = permutation_op(n), g_op(n), cg_twisted_op(n)
+    numeric = twisted.eval_at(Fraction(3, 2), Fraction(5, 7))
+    alpha, beta = hecke_parameters()
+    rmat = cg_op(n, alpha, beta)
+    restricted = _all_inputs(n, reduced=True)
+    halves = [t for t in restricted if t <= _sigma(t)]
+    assert len(halves) == 48 and len(restricted) == 91
+    restricted2 = _all_inputs(n, reduced=True, arity=2)
+    computed = _computed_columns(monkeypatch)
+    for operands, check, columns in (
+        ({"X": twisted}, "ybe", halves),
+        ({"X": numeric}, "ybe", halves),
+        ({"X": g}, "ybe", halves),
+        ({"P": perm, "X": g}, "compat", halves),
+        ({"P": perm, "X": g}, "mixed", halves * 2),
+        ({"X": rmat, "alpha": alpha}, "hecke", restricted2),
+        ({"g": g, "P": perm}, "gp", restricted2 * 3),
+        ({"R": rmat, "alpha": alpha, "beta": beta}, "quadratic", restricted2),
+    ):
+        computed.clear()
+        (report,) = verify.run_checks([(check, check)], operands.get)
+        assert report.passed and computed == columns, check
+
+
+def test_mirror_symmetric_operators_match_two_sided_reference():
+    # operators passing both lemmas, whose YBE fails, take the mirrored walk;
+    # the same patterns unsymmetrised fail the mirror lemma and walk every
+    # input with min index 1.  Both give the reference's witness
+    mirrored, skipped = [], []
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        symmetric = _mirror_symmetric_op(rng, n, _NONZERO)
+        plain = _translation_invariant_op(rng, n, _NONZERO)
+        assert all(map(tensor._translation_invariant, (symmetric, plain)))
+        assert tensor._mirror_lemma(symmetric)
+        for op, seen in ((symmetric, mirrored), (plain, skipped)):
+            report = check_ybe(op)
+            assert (report.passed, report.witness) == _reference_ybe(op)
+            if not report.passed:
+                seen.append(report.witness[0])
+    assert any(_sigma(t) != t for t in mirrored)
+    assert any(_sigma(t) < t for t in skipped)
+    # compat and mixed of mirror-symmetric operators too
+    rng = random.Random(5)
+    f, h = (_mirror_symmetric_op(rng, 3, _NONZERO) for _ in range(2))
+    for report, expected in (
+        (check_compatibility(h), _reference_compat(h)),
+        (check_mixed_conditions(f, h), _reference_mixed(f, h)),
+    ):
+        assert (report.passed, report.witness) == expected
+
+
+def test_words_off_the_mirror_compute_every_input(monkeypatch):
+    # the commutator a12 b23 - b23 a12 of two mirror-symmetric operators
+    # breaks the word condition: swapped it is a23 b12 - b12 a23.  So every
+    # input with min index 1 is computed up to the witness, even one whose
+    # pair sigma(t) is smaller
+    computed = _computed_columns(monkeypatch)
+    reflected = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        a, b = (_mirror_symmetric_op(rng, n, _NONZERO) for _ in range(2))
+        computed.clear()
+        witness = tensor._witness([(1, (a, 12), (b, 23)), (-1, (b, 23), (a, 12))])
+        walk = _all_inputs(n, reduced=True)
+        assert computed == (walk if witness is None else walk[: walk.index(witness[0]) + 1])
+        assert witness == endo_eq(lift12(a) @ lift23(b), lift23(b) @ lift12(a))[1]
+        reflected += witness is not None and _sigma(witness[0]) < witness[0]
+    assert reflected
+
+
+# ----------------------------------------------------------------------
 # the 3-fold checks' value forms: int-form operators over different
 # denominators, whose words carry den_f·den_g², and Laurent operators
 # paired with int ones, against the two-sided reference
@@ -960,6 +1140,27 @@ def test_each_check_runs_the_lemma_once_per_operator(monkeypatch):
     assert check_mixed_conditions(perm, g).passed
     assert check_ybe(g).passed
     assert seen == [] and packed == []
+
+
+def test_the_mirror_lemma_runs_once_per_operator_and_never_at_two_folds(monkeypatch):
+    n = 5
+    perm, g, twisted = (fresh(op) for op in (permutation_op(n), g_op(n), cg_twisted_op(n)))
+    alpha, beta = hecke_parameters()
+    rmat = cg_op(n, alpha, beta)
+    lemma = tensor._mirror_lemma
+    seen = []
+    monkeypatch.setattr(tensor, "_mirror_lemma", lambda op: seen.append(op) or lemma(op))
+    two_fold = {"X": rmat, "R": rmat, "alpha": alpha, "beta": beta, "g": g, "P": perm}
+    checks = [(check, check) for check in ("hecke", "gp", "quadratic")]
+    assert all(report.passed for report in verify.run_checks(checks, two_fold.get))
+    # nor on words that break the word condition
+    assert tensor._witness([(1, (g, 12), (g, 23))]) is not None
+    assert seen == []
+    for _ in range(2):
+        checks = [(check, check) for check in ("ybe", "compat", "mixed")]
+        assert all(report.passed for report in verify.run_checks(checks, {"X": g, "P": perm}.get))
+        assert check_ybe(twisted).passed
+    assert sorted(map(id, seen)) == sorted(map(id, (perm, g, twisted)))
 
 
 def test_checks_build_no_identity_operator(monkeypatch):
