@@ -43,11 +43,14 @@ nonzero field of the first nonzero residual, which is the lexicographically
 first failing tuple; each field sums over exactly its own tuple's padded
 support, so reports, counterexamples and padding semantics are those of a
 per-tuple check.  The public summation helpers run the same row code on a
-one-field window, so each sum has one implementation, and every factor goes
-through ``cgybe.model``.
+one-field window, and the eta_interval_sum scan sums each field through its
+helper, so each sum has one implementation; every factor goes through
+``cgybe.model``.
 
 ``run_oracles`` refuses a selection whose windows, padding included, cost
-more than ``MAX_WINDOW_TUPLES`` before it scans anything.
+more than ``MAX_WINDOW_TUPLES`` before it scans anything; g_idempotent and
+eta_interval_sum, which pack h alone, are charged their eta calls (see
+``_cost``).
 """
 
 from __future__ import annotations
@@ -79,14 +82,15 @@ DEFAULT_HI = 4
 
 # Largest scan cost run_oracles accepts: per identity, one unit for each
 # tuple plus 2*pad for each prefix, whose sums may walk that many padded
-# terms, except eta_interval_sum, which is charged its eta calls (see
-# _cost).  The benchmark costs about 1e6 per pass.  All sixteen identities on
-# [-8, 7] (7.6e6 tuples) take 0.9 s of CPU on a 2-core x86-64 VM with
-# Python 3.11.  One identity near the cap can take far longer: g_idempotent
-# on [-107, 107] (9.9e6 tuples) takes about 2 min, because its scan reads
-# about 2*side**2 distinct rows (39 340 on [-70, 69]), more than the row
-# cache holds (_FIELDS_KEPT // side), so after each clear they are rebuilt
-# one call per field.  --lo -50 --hi 50 would ask for about 7e10.
+# terms, except eta_interval_sum and g_idempotent, which are charged their
+# eta calls (see _cost).  The benchmark costs about 1e6 per pass.  All
+# sixteen identities on [-8, 7] (7.6e6 tuples) take 0.9 s of CPU on a
+# 2-core x86-64 VM with Python 3.11.  g_idempotent reads 2*side**2 distinct
+# rows, more than the row cache holds (_FIELDS_KEPT // side) past side 101,
+# so it is charged 2*(2*side**3 + (side**3 - side)/3 + 2*pad*side**2), twice
+# its calls when no row is rebuilt.  The widest window it is admitted on,
+# [-64, 63] (charge 9.8e6, 8.4e6 eta calls), takes 2.0-3.8 s of CPU on the
+# same VM.  --lo -50 --hi 50 would ask for about 7e10.
 MAX_WINDOW_TUPLES = 10**7
 
 # what _scan calls once per prefix: stage(rows, *prefix) -> residual row
@@ -102,7 +106,7 @@ Stage = Callable[..., int]
 # widest windows the tuple cap admits, the process peaks up to about 11 MB
 # higher than with a cache of one row (eta_antisymmetry on [-100, 99]).  A
 # scan whose rows in use overflow it rebuilds them after each clear:
-# g_idempotent on [-107, 107] one call per field each, ybe_coeffs on
+# g_idempotent on [-64, 63] one call per field each, ybe_coeffs on
 # [-12, 12] (rows of 625 fields) one cached slice per g each.
 _FIELDS_KEPT = 1 << 21
 
@@ -337,7 +341,10 @@ class _Rows:
 
     def weigh(self, weight: int, fn: Callable[..., int], *factors: tuple) -> int:
         """The row of weight * fn(*first) [* fn(*second)] for the one or two
-        argument tuples ``factors`` and an affine weight c + b_g*g + b_h*h."""
+        argument tuples ``factors`` and an affine weight c + b_g*g + b_h*h:
+        the constant times the row, plus b_h and b_g times the ramps of h
+        and g under the masks spread to whole fields.  Every weight a stage
+        passes has a g or an h term."""
         if len(factors) == 1:
             plus, minus = self.masks(fn, factors[0])
         else:
@@ -345,13 +352,11 @@ class _Rows:
         rest, b_g = self._split(weight)
         c, b_h = self._affine(rest)
         row = (c + (b_g + b_h) * self.lo) * (plus - minus)
-        if b_g or b_h:
-            full = self._full
-            plus, minus = plus * full, minus * full
-            if b_h:
-                row += b_h * ((self._ramp_h & plus) - (self._ramp_h & minus))
-            if b_g:
-                row += b_g * ((self._ramp_g & plus) - (self._ramp_g & minus))
+        plus, minus = plus * self._full, minus * self._full
+        if b_h:
+            row += b_h * ((self._ramp_h & plus) - (self._ramp_h & minus))
+        if b_g:
+            row += b_g * ((self._ramp_g & plus) - (self._ramp_g & minus))
         return row
 
     def interval(self, x: int, y: int) -> list[tuple[int, int]]:
@@ -554,20 +559,15 @@ def _zeta_closed_form(rows, i, j, k):
     """
     c, h, weigh = rows.g, rows.h, rows.weigh
     jkc, ijc = (j, k, c), (i, j, c)
-    rhs = 0
-    if rows.value(eta, *jkc):
-        rhs += (
-            weigh(k - c - 1, eta, jkc, (i - c + k, j + k - c, h))
-            + weigh(j - h, eta, jkc, (j, j + k - c, h))
-            + weigh(h - i, eta, jkc, (i, i + k - c, h))
-        )
-    if rows.value(eta, *ijc):
-        rhs += (
-            weigh(c - i + 1, eta, ijc, (i + j - c, i + k - c, h))
-            + weigh(h - j, eta, ijc, (i + j - c, j, h))
-            + weigh(k - h, eta, ijc, (i + k - c, k, h))
-        )
-    return _zeta_row(rows, i, j, k, c, h) - rhs
+    return (
+        _zeta_row(rows, i, j, k, c, h)
+        - weigh(k - c - 1, eta, jkc, (i - c + k, j + k - c, h))
+        - weigh(j - h, eta, jkc, (j, j + k - c, h))
+        - weigh(h - i, eta, jkc, (i, i + k - c, h))
+        - weigh(c - i + 1, eta, ijc, (i + j - c, i + k - c, h))
+        - weigh(h - j, eta, ijc, (i + j - c, j, h))
+        - weigh(k - h, eta, ijc, (i + k - c, k, h))
+    )
 
 
 def _ybe_coeffs(rows, i, j, k):
@@ -638,7 +638,7 @@ def _eta_delta_adjacent(rows):
 
 def _eta_interval_sum(rows, b):
     """The interval sum, over (b,c): sum_a eta(b,c,a) = c - b."""
-    return rows.pack(lambda c: sum(w for w, _ in _interval_terms(b, c, rows.pad)) - (c - b))
+    return rows.pack(lambda c: eta_interval_sum(b, c, rows.pad) - (c - b))
 
 
 def _eta_cocycle(rows, a, b):
@@ -710,11 +710,21 @@ def oracle_names() -> list[str]:
 def _cost(name: str, side: int, pad: int) -> int:
     """What scanning ``name`` on a window of ``side`` values per coordinate
     with ``pad`` costs: side**(arity - 1) * (side + 2*pad), the tuple count
-    when pad is 0.  eta_interval_sum is charged its eta calls instead:
-    each of its side**2 tuples (b, c) sums over its own padded support of
-    |c - b| + 2*pad values, (side**3 - side)/3 + 2*pad*side**2 in all."""
+    when pad is 0.  The two identities that pack h alone, because the range
+    of their sum depends on the coordinate before it, are charged their eta
+    calls instead.  Each of the side**2 tuples (b, c) of eta_interval_sum
+    sums over its own padded support of |c - b| + 2*pad values,
+    (side**3 - side)/3 + 2*pad*side**2 in all.  g_idempotent makes the same
+    interval calls for its pairs (i, j) and builds 2*side**2 distinct rows
+    of side calls each: 2*side**3 calls while they fit the row cache, up to
+    side 101.  Past that it rebuilds rows after each clear, which adds less
+    than as many again up to side 128, so it is charged twice the calls of
+    a scan that never clears, 2*(2*side**3 + (side**3 - side)/3 +
+    2*pad*side**2), and side 129 is refused at any pad."""
     if name == "eta_interval_sum":
         return (side**3 - side) // 3 + 2 * pad * side**2
+    if name == "g_idempotent":
+        return 2 * (2 * side**3 + _cost("eta_interval_sum", side, pad))
     return side ** (_BY_NAME[name][0] - 1) * (side + 2 * pad)
 
 
@@ -731,8 +741,8 @@ def run_oracles(
     selection, an empty window, a negative pad, or a selection whose cost
     is above MAX_WINDOW_TUPLES: the sum over the identities of their
     ``_cost`` with side = hi - lo + 1, side**(arity - 1) * (side + 2*pad)
-    for each but eta_interval_sum, which costs its (side**3 - side)/3 +
-    2*pad*side**2 eta calls.  All before any scan starts.
+    for each but eta_interval_sum and g_idempotent, which are charged
+    their eta calls.  All before any scan starts.
     """
     _require_ints(lo=lo, hi=hi, pad=pad)
     if isinstance(only, str):
@@ -753,7 +763,7 @@ def run_oracles(
     side = max(hi - lo + 1, 0)  # IntWindow rejects an empty window below
     total = sum(_cost(name, side, pad) for name in selected)
     if total > MAX_WINDOW_TUPLES:
-        needs = f"padded by {pad} costs {total}" if pad else f"needs {total} tuples"
+        needs = f"padded by {pad} costs {total}" if pad else f"costs {total}"
         raise ValueError(f"window [{lo},{hi}] {needs}, above the cap of {MAX_WINDOW_TUPLES}")
     reports = []
     for name in sorted(selected):

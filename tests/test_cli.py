@@ -807,8 +807,13 @@ def test_identities_empty_selection_rejected(capsys, only):
 
 
 def test_identities_oversized_window_fails_fast():
-    # ids5 alone on [0, 399] is charged its eta calls, about 2e7.
-    for flags in (["--lo", "-50", "--hi", "50"], ["--only", "ids5", "--lo", "0", "--hi", "399"]):
+    # ids5 alone on [0, 399] is charged its eta calls, about 2e7, and
+    # g_idem alone on [-107, 107] about 4.6e7, a scan of about 2 min.
+    for flags in (
+        ["--lo", "-50", "--hi", "50"],
+        ["--only", "ids5", "--lo", "0", "--hi", "399"],
+        ["--only", "g_idem", "--lo", "-107", "--hi", "107"],
+    ):
         started = time.perf_counter()
         result = run_child("identities", *flags, timeout=30)
         assert result.returncode == 2

@@ -371,6 +371,36 @@ def test_interval_sum_is_charged_its_eta_calls(monkeypatch):
         assert len(run_oracles(lo, hi, pad=pad)) == len(oracles.oracle_names())
 
 
+def test_g_idempotent_is_charged_at_least_its_eta_calls(monkeypatch):
+    # g_idempotent makes the interval calls of ids5 and builds 2*side^2 rows
+    # of side eta calls each; it is charged twice that, which bounds the
+    # rebuilds after each clear of a full row cache.  The third window's
+    # cache holds side^2 rows, as at the widest window the cap admits,
+    # [-64, 63], where 2^21 fields are 128^2 rows of 128
+    calls = []
+    counted = oracles.eta
+    monkeypatch.setattr(oracles, "eta", lambda *args: calls.append(args) or counted(*args))
+    for lo, hi, pad, kept in ((0, 9, 0, None), (-3, 4, 2, None), (-8, 7, 0, 16**3)):
+        side = hi - lo + 1
+        if kept:
+            monkeypatch.setattr(oracles, "_FIELDS_KEPT", kept)
+        calls.clear()
+        (report,) = run_oracles(lo, hi, only=["g_idempotent"], pad=pad)
+        assert report.passed
+        once = 2 * side**3 + oracles._cost("eta_interval_sum", side, pad)
+        assert len(calls) > once if kept else len(calls) == once  # rows rebuilt or not
+        assert len(calls) <= oracles._cost("g_idempotent", side, pad) <= 2 * len(calls)
+
+
+def test_g_idempotent_wide_windows_refused_before_scanning():
+    # [-107, 107] is a scan of about 2 min, [-80, 79] one of 8.5-11 s
+    started = time.perf_counter()
+    for lo, hi in ((-107, 107), (-80, 79)):
+        with pytest.raises(ValueError, match="cap"):
+            run_oracles(lo, hi, only=["g_idempotent"])
+    assert time.perf_counter() - started < 1.0
+
+
 def test_run_oracles_sorted_and_passing():
     reports = run_oracles(-2, 2)
     names = [r.name for r in reports]
